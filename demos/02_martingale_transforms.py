@@ -20,7 +20,6 @@ from ar1fpt import (
     Deterministic,
     Gaussian,
     LimitCumulant,
-    check_condition_19,
     check_harmonic,
     eval_C,
     eval_H,
@@ -57,10 +56,10 @@ for label, lc in [("Gaussian", lc_gauss), ("Deterministic", lc_det)]:
         print(f"{label:14s} {kind}{'' if v is None else f'_{v}'}: residual {r:.2e}")
 
 print()
-print("== convergence probe: when does the integral exist? ==")
+print("== admissibility: the integrals exist exactly for y < y_adm ==")
 for lc, y, label in [
     (lc_gauss, 5.0, "Gaussian, y=5 (phi superlinear: always)"),
     (lc_det, 1.9, "Deterministic, y=1.9 < theta=2"),
     (lc_det, 2.1, "Deterministic, y=2.1 > theta=2"),
 ]:
-    print(f"{label:45s} holds = {check_condition_19(lc, y).holds}")
+    print(f"{label:45s} y < lc.y_adm = {y < lc.y_adm}  (y_adm = {lc.y_adm})")

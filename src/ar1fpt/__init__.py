@@ -27,13 +27,12 @@ from .errors import (
 from .innovations import (
     CappedAbove,
     Deterministic,
+    Discrete,
     FlooredPositive,
     Gaussian,
     InnovationSpec,
     StableSpectrallyNegative,
-    TailDiagnostics,
     TwoPoint,
-    diagnostics,
     psi,
     sample,
     truncate_cap_above,
@@ -51,7 +50,6 @@ from .passage import (
     FeasibilityReport,
     IdentityNodes,
     PassageProblem,
-    PassageReport,
     crossing_mass,
     exponential_certificate,
     feasibility_report,
@@ -63,8 +61,6 @@ from .passage import (
 from .quadrature import QuadratureResult, improper_integral
 from .transforms import (
     BatchTransform,
-    Condition19Result,
-    check_condition_19,
     check_harmonic,
     eval_C,
     eval_H,

@@ -60,7 +60,6 @@ _CONFIG_KEYS = {
     "seed",
     "n_paths",
     "max_steps",
-    "rel_tol",
     "u_grid",
     "delta",
     "cap",
@@ -70,7 +69,6 @@ _DEFAULTS = {
     "seed": 0,
     "n_paths": 100_000,
     "max_steps": 10**6,
-    "rel_tol": 1e-9,
     "u_grid": "0:10:0.5",
     "delta": 0.5,
     "cap": None,
@@ -148,7 +146,6 @@ def parse_config(args: argparse.Namespace) -> dict:
         ("seed", "seed"),
         ("paths", "n_paths"),
         ("max_steps", "max_steps"),
-        ("rel_tol", "rel_tol"),
         ("u_grid", "u_grid"),
         ("delta", "delta"),
         ("cap", "cap"),
@@ -180,10 +177,9 @@ def parse_config(args: argparse.Namespace) -> dict:
         raise _fail("n_paths", "must be positive")
     if cfg["max_steps"] <= 0:
         raise _fail("max_steps", "must be positive")
-    cfg["rel_tol"] = float(cfg["rel_tol"])
     cfg["delta"] = float(cfg["delta"])
-    if not 0.0 < cfg["delta"] <= 1.0:
-        raise _fail("delta", "violates 0 < delta <= 1")
+    if not 0.0 < cfg["delta"] < 1.0:
+        raise _fail("delta", "violates 0 < delta < 1")
     if cfg["cap"] is not None:
         cfg["cap"] = float(cfg["cap"])
     cfg["_spec"] = spec
@@ -396,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=str, default=".")
         sp.add_argument("--paths", type=int, default=None)
         sp.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-        sp.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
         sp.add_argument("--u-grid", dest="u_grid", type=str, default=None)
         sp.add_argument("--delta", type=float, default=None)
         sp.add_argument("--cap", type=float, default=None)

@@ -2,8 +2,9 @@
 
 phi is the cumulant of Theta = sum_k lam**k eta_{k+1}, the distributional
 limit of the AR(1) recursion.  It satisfies the functional equation
-phi(u) = phi(lam*u) + psi(u), is convex, and its growth rate at infinity
-(linear vs superlinear) governs convergence of the martingale integrals.
+phi(u) = phi(lam*u) + psi(u) and is convex.  Its limiting slope
+lim phi'(u) = ess-sup(eta)/(1 - lam) is the admissibility level y_adm: the
+martingale integrals of exp(u*y - phi(u)) converge exactly for y < y_adm.
 
 Series summation uses a geometric tail bound; closed forms exist for the
 stable (hence Gaussian) and deterministic families.
@@ -17,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SeriesDivergenceError
-from .innovations import (
-    Deterministic,
-    FlooredPositive,
-    Gaussian,
-    InnovationSpec,
-    StableSpectrallyNegative,
-)
+from .innovations import Gaussian, InnovationSpec, StableSpectrallyNegative
 
 #: Reference scale below which no early-term ratio test is attempted.
 _U0_REF = 1.0
@@ -36,12 +31,13 @@ class SlopeReport:
     """Large-u growth diagnostics of phi.
 
     slope_estimate    phi(u_max)/u_max at the largest probe
-    theoretical_slope n_cap/(1 - lam) for floored-positive families, else None
+    theoretical_slope the limit y_adm of phi(u)/u when eta is bounded above,
+                      else None
     superlinear       True iff phi(u)/u keeps growing (factor >= 2 over the
                       last decade of probes)
     probes            the probe grid
     slopes            phi(u)/u at each probe
-    delta_over_u      theoretical_slope - phi(u)/u per probe (floored only)
+    delta_over_u      theoretical_slope - phi(u)/u per probe (bounded only)
     """
 
     slope_estimate: float
@@ -59,7 +55,7 @@ class LimitCumulant:
     mode selects between straight series summation and the closed forms:
       - "series": sum psi(lam**k u) with a geometric tail bound
       - "closed_form_stable": m*u/(1-lam) + sgn(alpha-1)*C*u**alpha/(1-lam**alpha)
-      - "closed_form_deterministic": c*u/(1-lam)
+      - "closed_form_deterministic": c*u/(1-lam) for a one-atom law eta = c
       - "auto" (default at construction): closed form when one exists
     """
 
@@ -73,9 +69,11 @@ class LimitCumulant:
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie in (0, 1)")
         object.__setattr__(self, "_memo", {})
+        atoms = self.spec.atoms()
+        point_mass = atoms is not None and len(atoms) == 1
         mode = self.mode
         if mode == "auto":
-            if isinstance(self.spec, Deterministic):
+            if point_mass:
                 mode = "closed_form_deterministic"
             elif isinstance(self.spec, (Gaussian, StableSpectrallyNegative)):
                 mode = "closed_form_stable"
@@ -84,14 +82,22 @@ class LimitCumulant:
             object.__setattr__(self, "mode", mode)
         if mode not in ("series", "closed_form_stable", "closed_form_deterministic"):
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == "closed_form_deterministic" and not isinstance(
-            self.spec, Deterministic
-        ):
-            raise ValueError("deterministic closed form needs a Deterministic spec")
+        if mode == "closed_form_deterministic" and not point_mass:
+            raise ValueError("deterministic closed form needs a one-atom spec")
         if mode == "closed_form_stable" and not isinstance(
             self.spec, (Gaussian, StableSpectrallyNegative)
         ):
             raise ValueError("stable closed form needs a Gaussian or stable spec")
+
+    @property
+    def y_adm(self) -> float:
+        """Admissibility level lim phi'(u) = ess-sup(eta)/(1 - lam).
+
+        The transform integrals converge exactly at states y < y_adm; the
+        level is +inf when eta is unbounded above.
+        """
+        ub = self.spec.upper_support()
+        return math.inf if ub is None else ub / (1.0 - self.lam)
 
     # -- evaluation --------------------------------------------------------
 
@@ -100,7 +106,7 @@ class LimitCumulant:
         if u < 0:
             raise ValueError("phi is only defined for u >= 0")
         if self.mode == "closed_form_deterministic":
-            return self.spec.c * u / (1.0 - self.lam), 0.0
+            return self.spec.upper_support() * u / (1.0 - self.lam), 0.0
         if self.mode == "closed_form_stable":
             return self._closed_form_stable(u), 0.0
         return self._series(u)
@@ -109,7 +115,7 @@ class LimitCumulant:
         """Vectorized phi without the error estimate."""
         arr = np.asarray(u, dtype=float)
         if self.mode == "closed_form_deterministic":
-            out = self.spec.c * arr / (1.0 - self.lam)
+            out = self.spec.upper_support() * arr / (1.0 - self.lam)
         elif self.mode == "closed_form_stable":
             out = self._closed_form_stable(arr)
         else:
@@ -188,9 +194,9 @@ def check_functional_equation(lc: LimitCumulant, u_grid) -> float:
 def slope_probe(lc: LimitCumulant, u_probes) -> SlopeReport:
     """Probe phi(u)/u on an increasing grid reaching at least 1e3.
 
-    Detects superlinear growth (the sufficient condition for the martingale
-    integrals to converge for every state) and, for floored-positive
-    families, compares against the exact limiting slope n_cap/(1 - lam).
+    A diagnostic only: convergence is decided by lc.y_adm.  Detects
+    superlinear growth and, when eta is bounded above, compares against the
+    exact limiting slope y_adm.
     """
     probes = np.asarray(u_probes, dtype=float)
     if probes.ndim != 1 or len(probes) < 2 or np.any(np.diff(probes) <= 0):
@@ -204,8 +210,8 @@ def slope_probe(lc: LimitCumulant, u_probes) -> SlopeReport:
     superlinear = bool(ref > 0 and slopes[-1] / ref >= 2.0)
     theoretical = None
     delta_over_u = None
-    if isinstance(lc.spec, FlooredPositive):
-        theoretical = lc.spec.n_cap / (1.0 - lc.lam)
+    if math.isfinite(lc.y_adm):
+        theoretical = lc.y_adm
         delta_over_u = theoretical - slopes
     return SlopeReport(
         slope_estimate=float(slopes[-1]),

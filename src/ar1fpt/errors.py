@@ -55,9 +55,3 @@ class CoverageError(Ar1FptError):
     """Empirical MGF nodes do not cover the quadrature node set."""
 
     exit_code = 6
-
-
-class IndeterminateError(Ar1FptError):
-    """A convergence probe could not reach a verdict."""
-
-    exit_code = 4

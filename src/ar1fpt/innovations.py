@@ -3,7 +3,8 @@
 Each family bundles a cumulant psi(u) = log E exp(u*eta) with a sampler that
 draws from exactly the same law, so analytic evaluations and the Monte Carlo
 oracle can be cross-checked against each other.  The registry is closed: the
-six families below are the only ones the rest of the package accepts.
+Gaussian, Discrete and stable families and the two truncation wrappers below
+are the only ones the rest of the package accepts.
 
 All families here are spectrally light on the right, i.e. E exp(u*eta) is
 finite for every u >= 0.
@@ -23,20 +24,6 @@ from .errors import InfeasibleTruncationError, UnsupportedSamplerError
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class TailDiagnostics:
-    """Left/right tail summaries used by the feasibility predicates.
-
-    log_moment        estimate of E log(1 + |eta|)
-    neg_moment_delta  pair (delta, estimate of E (eta^-)**delta)
-    upper_bound       H with eta <= H a.s., or None for unbounded support
-    """
-
-    log_moment: float
-    neg_moment_delta: tuple[float, float]
-    upper_bound: float | None
-
-
 class InnovationSpec:
     """Abstract innovation family.
 
@@ -46,9 +33,6 @@ class InnovationSpec:
     Instances are immutable values; samplers draw from caller-owned
     generators, so specs are safe to share across workers.
     """
-
-    #: True iff E exp(u*eta) < infinity for all u >= 0.
-    mgf_domain_note: bool = True
 
     # -- cumulant ----------------------------------------------------------
 
@@ -172,107 +156,102 @@ class Gaussian(InnovationSpec):
         return np.exp(-0.5 * ((x - self.m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
 
 
-class _DiscreteSpec(InnovationSpec):
-    """Shared machinery for families with finitely many atoms."""
+@dataclass(frozen=True)
+class Discrete(InnovationSpec):
+    """Innovation with finitely many atoms.
 
-    def _atoms(self) -> list[tuple[float, float]]:
-        raise NotImplementedError
+    pairs holds (value, probability) tuples.  Equal values are merged and the
+    atoms are kept in descending value order, which fixes the summation
+    order of psi and the layout of the inverse-CDF sampler.
+    """
+
+    pairs: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        merged: dict[float, float] = {}
+        for a, p in self.pairs:
+            merged[float(a)] = merged.get(float(a), 0.0) + float(p)
+        if not merged:
+            raise ValueError("Discrete needs at least one atom")
+        if any(not p > 0.0 for p in merged.values()):
+            raise ValueError("Discrete atom probabilities must be positive")
+        if abs(sum(merged.values()) - 1.0) > 1e-9:
+            raise ValueError("Discrete atom probabilities must sum to 1")
+        object.__setattr__(self, "pairs", tuple(sorted(merged.items(), reverse=True)))
 
     def atoms(self):
-        return self._atoms()
+        return list(self.pairs)
+
+    def _arrays(self):
+        return (
+            np.array([a for a, _ in self.pairs]),
+            np.array([p for _, p in self.pairs]),
+        )
 
     def psi(self, u):
         arr = _as_u(u)
-        vals = np.array([a for a, _ in self._atoms()])
-        probs = np.array([p for _, p in self._atoms()])
-        # log sum_i p_i e^{u a_i}, shifted by the max exponent for stability
-        expo = np.multiply.outer(arr, vals)
-        shift = expo.max(axis=-1, keepdims=True)
-        out = np.squeeze(shift, axis=-1) + np.log(
-            np.sum(probs * np.exp(expo - shift), axis=-1)
-        )
+        out = _log_mgf(arr, *self._arrays())
         out = np.where(arr == 0.0, 0.0, out)
         return _maybe_scalar(out, u)
 
     def sample(self, rng, n):
-        vals = np.array([a for a, _ in self._atoms()])
-        probs = np.array([p for _, p in self._atoms()])
-        idx = rng.choice(len(vals), size=n, p=probs)
-        return vals[idx]
+        # inverse CDF: atom i is drawn when r lands in [cum_{i-1}, cum_i)
+        vals, probs = self._arrays()
+        r = rng.random(n)
+        return vals[np.searchsorted(np.cumsum(probs[:-1]), r, side="right")]
 
     def mean(self):
-        return float(sum(a * p for a, p in self._atoms()))
+        return float(sum(a * p for a, p in self.pairs))
 
     def var(self):
         m = self.mean()
-        return float(sum(p * (a - m) ** 2 for a, p in self._atoms()))
+        return float(sum(p * (a - m) ** 2 for a, p in self.pairs))
 
     def upper_support(self):
-        return float(max(a for a, _ in self._atoms()))
+        return self.pairs[0][0]
 
     def upper_quantile(self, q):
         return self.upper_support()
 
     def tail_prob(self, t):
-        return float(sum(p for a, p in self._atoms() if a > t))
+        return float(sum(p for a, p in self.pairs if a > t))
 
     def cdf(self, t):
-        return float(sum(p for a, p in self._atoms() if a <= t))
+        return float(sum(p for a, p in self.pairs if a <= t))
 
     def log_partial_mgf_below(self, u, t):
         arr = _as_u(u)
-        kept = [(a, p) for a, p in self._atoms() if a <= t]
-        if not kept:
-            out = np.full_like(arr, -np.inf)
-            return _maybe_scalar(out, u)
-        vals = np.array([a for a, _ in kept])
-        probs = np.array([p for _, p in kept])
-        expo = np.multiply.outer(arr, vals)
-        shift = expo.max(axis=-1, keepdims=True)
-        out = np.squeeze(shift, axis=-1) + np.log(
-            np.sum(probs * np.exp(expo - shift), axis=-1)
-        )
-        return _maybe_scalar(out, u)
+        vals, probs = self._arrays()
+        kept = vals <= t
+        if not kept.any():
+            return _maybe_scalar(np.full_like(arr, -np.inf), u)
+        return _maybe_scalar(_log_mgf(arr, vals[kept], probs[kept]), u)
 
     def expectation(self, g):
-        return float(sum(p * g(a) for a, p in self._atoms()))
+        return float(sum(p * g(a) for a, p in self.pairs))
 
 
-@dataclass(frozen=True)
-class Deterministic(_DiscreteSpec):
+def _log_mgf(u, vals, probs):
+    """log sum_i p_i e^{u a_i}, shifted by the max exponent for stability."""
+    expo = np.multiply.outer(u, vals)
+    shift = expo.max(axis=-1, keepdims=True)
+    return np.squeeze(shift, axis=-1) + np.log(
+        np.sum(probs * np.exp(expo - shift), axis=-1)
+    )
+
+
+def Deterministic(c: float) -> Discrete:
     """Degenerate innovation equal to the constant c."""
-
-    c: float
-
-    def _atoms(self):
-        return [(self.c, 1.0)]
-
-    def sample(self, rng, n):
-        return np.full(n, self.c, dtype=float)
-
-    def scale(self):
-        return abs(self.c) if self.c != 0 else 1.0
+    return Discrete(((c, 1.0),))
 
 
-@dataclass(frozen=True)
-class TwoPoint(_DiscreteSpec):
+def TwoPoint(h_up: float, h_down: float, p: float) -> Discrete:
     """Two-atom innovation: h_up with probability p, h_down otherwise."""
-
-    h_up: float
-    h_down: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 < self.p < 1.0:
-            raise ValueError("TwoPoint requires p in (0, 1)")
-        if not self.h_down < self.h_up:
-            raise ValueError("TwoPoint requires h_down < h_up")
-
-    def _atoms(self):
-        return [(self.h_up, self.p), (self.h_down, 1.0 - self.p)]
-
-    def sample(self, rng, n):
-        return np.where(rng.random(n) < self.p, self.h_up, self.h_down)
+    if not 0.0 < p < 1.0:
+        raise ValueError("TwoPoint requires p in (0, 1)")
+    if not h_down < h_up:
+        raise ValueError("TwoPoint requires h_down < h_up")
+    return Discrete(((h_up, p), (h_down, 1.0 - p)))
 
 
 @dataclass(frozen=True)
@@ -282,8 +261,7 @@ class StableSpectrallyNegative(InnovationSpec):
     The cumulant is psi(u) = m*u + sgn(alpha - 1) * C * u**alpha with C > 0
     and alpha in (0, 1) or (1, 2].  Sampling uses the Chambers-Mallows-Stuck
     construction for the mirrored one-sided-skew stable law; it is supported
-    only for alpha in (1, 2] because for alpha < 1 the admissible state
-    domain collapses to y <= m and the passage machinery does not apply.
+    only for alpha in (1, 2].  For alpha < 1 the law lives on (-inf, m].
     """
 
     alpha_stab: float
@@ -330,6 +308,9 @@ class StableSpectrallyNegative(InnovationSpec):
 
     def mean(self):
         return self.m if self.alpha_stab > 1.0 else None
+
+    def upper_support(self):
+        return self.m if self.alpha_stab < 1.0 else None
 
     def var(self):
         return 2.0 * self.c_scale if self.alpha_stab == 2.0 else None
@@ -437,7 +418,7 @@ class CappedAbove(InnovationSpec):
 
     def log_partial_mgf_below(self, u, t):
         if t >= self.h_cap:
-            return self.psi(u) if np.ndim(u) else self.psi(u)
+            return self.psi(u)
         return self.base.log_partial_mgf_below(u, t)
 
     def expectation(self, g):
@@ -536,7 +517,16 @@ class FlooredPositive(InnovationSpec):
         return 1.0 - self.tail_prob(t)
 
     def log_partial_mgf_below(self, u, t):
-        raise NotImplementedError("nested truncation of a floored family")
+        if t < 0.0:
+            return self.base.log_partial_mgf_below(u, t)
+        if t >= self.n_cap:
+            return self.psi(u)
+        # t in [0, n_cap): the base's part on eta <= 0 plus the mass moved to 0
+        _, q = self._pieces()
+        log_neg = self.base.log_partial_mgf_below(u, 0.0)
+        if q <= 0.0:
+            return log_neg
+        return _maybe_scalar(np.logaddexp(log_neg, math.log(q)), u)
 
     def expectation(self, g):
         pdf = getattr(self.base, "pdf", None)
@@ -564,27 +554,21 @@ def sample(spec: InnovationSpec, rng: np.random.Generator, n: int) -> np.ndarray
     return spec.sample(rng, n)
 
 
+def _map_atoms(spec: InnovationSpec, f) -> Discrete:
+    """The discrete law of f(eta); atoms that land on one value merge."""
+    return Discrete(tuple((f(a), p) for a, p in spec.atoms()))
+
+
 def truncate_cap_above(spec: InnovationSpec, h_cap: float) -> InnovationSpec:
     """Replace eta by min(eta, h_cap).
 
-    Discrete families collapse to a new discrete family; continuous ones are
+    Discrete families map to a new discrete family; continuous ones are
     wrapped, with the capped cumulant computed from the base partial MGF.
     """
     if not math.isfinite(h_cap):
         raise ValueError("h_cap must be finite")
-    atoms = spec.atoms()
-    if atoms is not None:
-        merged: dict[float, float] = {}
-        for a, p in atoms:
-            key = min(a, h_cap)
-            merged[key] = merged.get(key, 0.0) + p
-        if len(merged) == 1:
-            ((c, _),) = merged.items()
-            return Deterministic(c)
-        if len(merged) == 2:
-            (a1, p1), (a2, _) = sorted(merged.items(), key=lambda kv: -kv[0])
-            return TwoPoint(a1, a2, p1)
-        raise NotImplementedError("capping a discrete family with > 2 atoms")
+    if spec.atoms() is not None:
+        return _map_atoms(spec, lambda a: min(a, h_cap))
     ub = spec.upper_support()
     if ub is not None and ub <= h_cap:
         return spec
@@ -597,50 +581,9 @@ def truncate_floor_positive(spec: InnovationSpec, n_cap: float) -> InnovationSpe
     Raises InfeasibleTruncationError when the base family has no mass at or
     above n_cap, since the resulting process could never move up.
     """
-    atoms = spec.atoms()
-    if atoms is not None:
-        merged: dict[float, float] = {}
-        for a, p in atoms:
-            key = a if a <= 0 else (n_cap if a >= n_cap else 0.0)
-            merged[key] = merged.get(key, 0.0) + p
-        if n_cap not in merged:
-            raise InfeasibleTruncationError(
-                f"no innovation mass at or above n_cap={n_cap}"
-            )
-        if len(merged) == 1:
-            return Deterministic(n_cap)
-        if len(merged) == 2:
-            (a1, p1), (a2, _) = sorted(merged.items(), key=lambda kv: -kv[0])
-            return TwoPoint(a1, a2, p1)
-        raise NotImplementedError("flooring a discrete family with > 2 atoms")
-    return FlooredPositive(spec, n_cap)
-
-
-def diagnostics(
-    spec: InnovationSpec,
-    rng: np.random.Generator,
-    n: int = 10**5,
-    delta: float = 0.5,
-) -> TailDiagnostics:
-    """Estimate E log(1+|eta|) and E (eta^-)**delta.
-
-    Exact atom sums are substituted for discrete families; everything else is
-    a plain Monte Carlo average over n draws (n >= 1e4).
-    """
-    if n < 10**4:
-        raise ValueError("diagnostics needs n >= 1e4")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
-    atoms = spec.atoms()
-    if atoms is not None:
-        log_moment = sum(p * math.log1p(abs(a)) for a, p in atoms)
-        neg_moment = sum(p * max(-a, 0.0) ** delta for a, p in atoms)
-    else:
-        draws = spec.sample(rng, n)
-        log_moment = float(np.mean(np.log1p(np.abs(draws))))
-        neg_moment = float(np.mean(np.maximum(-draws, 0.0) ** delta))
-    return TailDiagnostics(
-        log_moment=float(log_moment),
-        neg_moment_delta=(delta, float(neg_moment)),
-        upper_bound=spec.upper_support(),
-    )
+    if spec.atoms() is None:
+        return FlooredPositive(spec, n_cap)
+    floored = _map_atoms(spec, lambda a: a if a <= 0 else (n_cap if a >= n_cap else 0.0))
+    if floored.upper_support() != n_cap:
+        raise InfeasibleTruncationError(f"no innovation mass at or above n_cap={n_cap}")
+    return floored

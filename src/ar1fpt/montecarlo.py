@@ -17,8 +17,8 @@ import numpy as np
 
 from .cumulant import LimitCumulant
 from .innovations import InnovationSpec, sample
-from .passage import PassageProblem
-from .transforms import BatchTransform, check_condition_19
+from .passage import PassageProblem, feasibility_report
+from .transforms import BatchTransform
 
 BLOCK_SIZE = 1 << 14
 
@@ -165,18 +165,20 @@ def simulate_passage(
 
     Censoring (a path still below the level after max_steps) is data, not an
     error: censored paths are excluded from e_tau_hat and the MGF but kept in
-    the survival curve.
+    the survival curve.  When feasibility_report proves that no path can
+    cross, no step is run and every path is censored.
     """
     if n_paths < 1 or max_steps < 1:
         raise ValueError("n_paths and max_steps must be >= 1")
     u_nodes = None if mgf_u_nodes is None else np.asarray(mgf_u_nodes, dtype=float)
+    steps = max_steps if feasibility_report(p).crossing_possible else 0
 
     sizes = [block_size] * (n_paths // block_size)
     if n_paths % block_size:
         sizes.append(n_paths % block_size)
 
     def job(i):
-        return _run_block(p, i, sizes[i], max_steps, seed, u_nodes)
+        return _run_block(p, i, sizes[i], steps, seed, u_nodes)
 
     n_workers = _worker_count()
     if n_workers > 1 and len(sizes) > 1:
@@ -318,14 +320,13 @@ def empirical_martingale_check(
         states[n] = x_state
 
     y_max = float(states.max())
-    ub = lc.spec.upper_support()
     escaped = 0
-    if ub is not None:
-        # the admissible domain ends where the exponent's slope turns flat
-        y_adm = ub / (1.0 - lc.lam) * (1.0 - 1e-9)
-        if y_max > y_adm or not check_condition_19(lc, y_max, v or 0.0).holds:
-            escaped = int(np.sum(states > y_adm))
-            y_max = min(y_max, y_adm)
+    if math.isfinite(lc.y_adm):
+        # keep the evaluator's domain strictly below the admissibility level
+        y_cut = lc.y_adm - 1e-9 * abs(lc.y_adm)
+        if y_max > y_cut:
+            escaped = int(np.sum(states > y_cut))
+            y_max = y_cut
     evaluator = BatchTransform(lc, kind, v, y_hi=y_max)
 
     v_eff = 0.0 if kind == "H" else float(v)

@@ -17,7 +17,7 @@ arrives as a finished summary, never as shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .errors import (
     NoCrossingError,
 )
 from .innovations import InnovationSpec, truncate_cap_above, truncate_floor_positive
-from .quadrature import DEFAULT_U_MAX, panel_nodes
-from .transforms import check_condition_19, eval_C, eval_H, eval_W
+from .quadrature import DEFAULT_U_MAX, QuadratureResult, panel_nodes
+from .transforms import eval_C, eval_H, eval_W
 
 #: Nodes with empirical MGF relative standard error above this are clipped.
 MGF_REL_SE_CLIP = 0.10
@@ -77,25 +77,8 @@ class FeasibilityReport:
 
     certain_infinite: bool
     crossing_possible: bool
-    finite_mean: bool
     sup_bound: float | None  # H/(1-lam) when the innovation is bounded above
     crossing_mass: float  # P(eta > a*(1-lam))
-
-
-@dataclass(frozen=True)
-class PassageReport:
-    """Bundle of analytic passage-time answers plus the oracle summary."""
-
-    lower_bound: float
-    upper_bound: float | None = None
-    identity_value: float | None = None
-    identity_std_err: float | None = None
-    certificate: ExponentialCertificate | None = None
-    mc_summary: object | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.upper_bound is not None and self.lower_bound > self.upper_bound:
-            raise ValueError("lower bound exceeds upper bound")
 
 
 def crossing_mass(p: PassageProblem) -> float:
@@ -104,7 +87,11 @@ def crossing_mass(p: PassageProblem) -> float:
 
 
 def feasibility_report(p: PassageProblem) -> FeasibilityReport:
-    """Certain-infinite / crossing-possible / finite-mean verdicts."""
+    """Certain-infinite / crossing-possible verdicts.
+
+    E tau is finite whenever a crossing is possible: the log-moment condition
+    holds for every family of the package.
+    """
     ub = p.spec.upper_support()
     sup_bound = None
     certain_infinite = False
@@ -118,16 +105,25 @@ def feasibility_report(p: PassageProblem) -> FeasibilityReport:
     return FeasibilityReport(
         certain_infinite=certain_infinite,
         crossing_possible=possible,
-        finite_mean=possible,  # the log-moment condition holds family-wide
         sup_bound=sup_bound,
         crossing_mass=mass,
     )
 
 
+def _converged(res: QuadratureResult, what: str) -> float:
+    """The value of a transform integral, or DivergenceError if unconverged."""
+    if not res.converged:
+        raise DivergenceError(
+            f"{what} did not converge ({res.tail_diagnostic}, "
+            f"value {res.value:.6g} +- {res.abs_err:.3g})"
+        )
+    return res.value
+
+
 def lower_bound_e_tau(p: PassageProblem, lc: LimitCumulant | None = None) -> float:
     """H(a) - H(x): drops the (nonnegative) overshoot from the identity."""
     lc = lc or p.limit_cumulant()
-    value = eval_H(lc, p.a).value - eval_H(lc, p.x).value
+    value = _converged(eval_H(lc, p.a), "H(a)") - _converged(eval_H(lc, p.x), "H(x)")
     return max(value, 0.0)
 
 
@@ -151,7 +147,9 @@ def upper_bound_e_tau(
         capped = truncate_cap_above(p.spec, h_eff)
         lc_capped = LimitCumulant(capped, p.lam)
     y_top = p.lam * p.a + h_eff
-    return eval_H(lc_capped, y_top).value - eval_H(lc_capped, p.x).value
+    return _converged(eval_H(lc_capped, y_top), "capped H(lam*a + cap)") - _converged(
+        eval_H(lc_capped, p.x), "capped H(x)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +185,10 @@ def identity_nodes(
     else:
         eta_hi, hard = p.spec.upper_quantile(1.0 - 1e-9), False
     y_env = p.lam * p.a + eta_hi
-    verdict = check_condition_19(lc, y_env, 0.0)
-    if not verdict.holds:
+    if not y_env < lc.y_adm:
         raise DivergenceError(
-            f"identity integral envelope diverges at y={y_env:.6g}"
+            f"identity integral envelope diverges at y={y_env:.6g} "
+            f"(y_adm={lc.y_adm:.6g})"
         )
 
     def env(u: float) -> float:
@@ -302,13 +300,16 @@ def exponential_certificate(
     if n_cap is None:
         n_cap = _choose_n_cap(p)
     elif n_cap <= threshold:
-        raise ValueError("n_cap must exceed a*(1-lam)")
+        raise InfeasibleTruncationError(
+            f"floor level {n_cap} <= max(a*(1-lam), 0) = {threshold}: "
+            "the floored process can never cross"
+        )
     floored = truncate_floor_positive(p.spec, n_cap)
     lc = LimitCumulant(floored, p.lam)
     y_top = p.lam * p.a + n_cap
 
-    c_x = abs(eval_C(lc, p.x, 0.0).value)
-    c_top = abs(eval_C(lc, y_top, 0.0).value)
+    c_x = abs(_converged(eval_C(lc, p.x, 0.0), "C(x, 0)"))
+    c_top = abs(_converged(eval_C(lc, y_top, 0.0), "C(lam*a + n_cap, 0)"))
 
     log_inv_lam = math.log(1.0 / p.lam)
     slack = 1e-8
@@ -317,10 +318,10 @@ def exponential_certificate(
         denom = 1.0 + 2.0 * v * c_top
         if denom <= 0.0:
             continue
-        w_x = eval_W(lc, p.x, v, delta=delta).value
+        w_x = _converged(eval_W(lc, p.x, v, delta=delta), f"W_{v:.6g}(x)")
         if w_x < 1.0 / v - 2.0 * c_x - slack * (1.0 + c_x):
             continue
-        w_top = eval_W(lc, y_top, v, delta=delta).value
+        w_top = _converged(eval_W(lc, y_top, v, delta=delta), f"W_{v:.6g}(lam*a + n_cap)")
         if w_top > 1.0 / v + 2.0 * c_top + slack * (1.0 + c_top):
             continue
         c_bound = (1.0 - 2.0 * v * c_x) / denom

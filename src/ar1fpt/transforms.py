@@ -11,20 +11,18 @@ For a limit cumulant phi and states y in the admissible domain:
 lam**(v*n) * N_v(X_n), H(X_n) - n and lam**(v*n) * W_v(X_n) are martingales
 of the AR(1) sequence, which is what check_harmonic verifies numerically.
 All integrals converge iff the exponent u*y - phi(u) eventually decreases
-linearly, which is what check_condition_19 probes.
+linearly, i.e. iff y lies below the admissibility level lc.y_adm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from .cumulant import LimitCumulant
-from .errors import DivergenceError, IndeterminateError
-from .innovations import Gaussian
+from .errors import DivergenceError
 from .quadrature import (
     DEFAULT_ABS_TOL,
     DEFAULT_REL_TOL,
@@ -37,65 +35,15 @@ from .quadrature import (
 _EXP_CLIP = 700.0  # exp() overflow guard; exponents this large mean divergence
 
 
-@dataclass(frozen=True)
-class Condition19Result:
-    """Verdict on convergence of the tail integral int_1^inf e^{uy-phi} u^{v-1} du.
-
-    witness_u is the probe at which the exponent's slope was decided;
-    slope is d/du [u*y - phi(u)] there.
-    """
-
-    holds: bool
-    witness_u: float
-    slope: float
-
-
-def check_condition_19(
-    lc: LimitCumulant, y: float, v: float = 0.0, u_max: float = DEFAULT_U_MAX
-) -> Condition19Result:
-    """Decide tail convergence by the exponent's log-slope.
-
-    The exponent u*y - phi(u) is concave (phi convex), so its slope is
-    nonincreasing: a strictly negative slope at the largest probe certifies
-    convergence, a nonnegative and non-decreasing slope there certifies
-    divergence.  Anything else raises IndeterminateError (defensive; cannot
-    happen for a convex phi).
-    """
-    eps = 1e-9 * (1.0 + abs(y))
-
-    def exponent(u: float) -> float:
-        return u * y - lc.phi(u)[0]
-
-    def slope_at(u: float) -> float:
-        h = 1e-4 * u
-        return y - (lc.phi(u + h)[0] - lc.phi(u - h)[0]) / (2.0 * h)
-
-    probes = np.geomspace(1.0, u_max, 24)
-    slopes = [slope_at(float(u)) for u in probes]
-    if slopes[-1] <= -eps:
-        # report the first probe at which the slope was already negative
-        for u, s in zip(probes, slopes):
-            if s <= -eps:
-                return Condition19Result(True, float(u), float(s))
-    # Terminal slope nonnegative (phi convex makes it the smallest observed):
-    # the exponent is still rising at the ceiling, so the tail diverges.
-    if exponent(float(probes[-1])) >= exponent(float(probes[-2])) - eps:
-        return Condition19Result(False, float(probes[-1]), float(slopes[-1]))
-    raise IndeterminateError(
-        "condition-19 slope probe is inconclusive (non-convex phi?)"
-    )
-
-
 def _exp_guard(x: float) -> float:
     return math.exp(min(x, _EXP_CLIP))
 
 
-def _require_condition_19(lc, y, v):
-    verdict = check_condition_19(lc, y, v)
-    if not verdict.holds:
+def _require_admissible(lc, y):
+    if not y < lc.y_adm:
         raise DivergenceError(
-            f"transform integral diverges at y={y} "
-            f"(exponent slope {verdict.slope:.3g} at u={verdict.witness_u:.3g})"
+            f"transform integral diverges at y={y}: states must lie below "
+            f"y_adm={lc.y_adm:.6g}"
         )
 
 
@@ -109,7 +57,7 @@ def eval_N(
     """N_v(y) for v > 0."""
     if v <= 0:
         raise ValueError("eval_N requires v > 0")
-    _require_condition_19(lc, y, v)
+    _require_admissible(lc, y)
 
     def f(u: float) -> float:
         if u <= 0.0:
@@ -130,7 +78,7 @@ def eval_H(
     """H(y); H(0) = 0 exactly."""
     if y == 0.0:
         return QuadratureResult(0.0, 0.0, True, "decayed")
-    _require_condition_19(lc, y, 0.0)
+    _require_admissible(lc, y)
     scale = 1.0 / math.log(1.0 / lc.lam)
 
     def f(u: float) -> float:
@@ -161,7 +109,7 @@ def eval_W(
     """W_v(y) for v in (-delta, 0); delta from the left-tail moment order."""
     if not -delta < v < 0.0:
         raise ValueError(f"eval_W requires v in (-delta, 0) = ({-delta}, 0)")
-    _require_condition_19(lc, y, v)
+    _require_admissible(lc, y)
 
     def f(u: float) -> float:
         if u <= 0.0:
@@ -213,7 +161,7 @@ def eval_C(
     """C(y, v); the v = 0 value feeds the exponential certificate."""
     if v > 0:
         raise ValueError("eval_C requires v <= 0")
-    _require_condition_19(lc, y, v)
+    _require_admissible(lc, y)
 
     def f(u: float) -> float:
         if u <= 0.0:
@@ -301,7 +249,7 @@ class BatchTransform:
         self.kind = kind
         self.v = v
         self.y_hi = y_hi
-        _require_condition_19(lc, y_hi, v)
+        _require_admissible(lc, y_hi)
         u_hi = 2.0
         while u_hi < DEFAULT_U_MAX:
             tail = u_hi * y_hi - lc.phi(u_hi)[0]
@@ -321,7 +269,6 @@ class BatchTransform:
             mask = self.u > 1.0
             self.u = np.concatenate([t**p, self.u[mask]])
             self.w = np.concatenate([0.5 * gw * p * t ** (p - 1.0), self.w[mask]])
-            self._head_mapped = len(t)
         self.phi_u = np.array([lc.phi(float(u))[0] for u in self.u])
 
     def __call__(self, y) -> np.ndarray:

@@ -120,6 +120,17 @@ def test_bounds_with_cap(tmp_path):
     assert res["lower_bound_e_tau"] <= res["upper_bound_e_tau"]
 
 
+@pytest.mark.parametrize(
+    "flag,value,exit_code,error",
+    [("--delta", "1.0", 2, "ConfigError"), ("--cap", "0.4", 5, "InfeasibleTruncationError")],
+)
+def test_certificate_bad_options_fail_typed(tmp_path, capsys, flag, value, exit_code, error):
+    code, report, _ = run(tmp_path, "certificate", GAUSS_CFG, flag, value)
+    err = capsys.readouterr().err
+    assert code == exit_code and report is None
+    assert f"error[{error}]" in err and "Traceback" not in err
+
+
 def test_certificate_report(tmp_path):
     code, report, _ = run(tmp_path, "certificate", GAUSS_CFG)
     assert code == 0

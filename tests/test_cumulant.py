@@ -33,6 +33,16 @@ FAMILIES = [
     CappedAbove(Gaussian(0.0, 1.0), 1.0),
     truncate_floor_positive(Gaussian(0.0, 1.0), 1.0),
 ]
+FAMILY_IDS = [
+    "Gaussian0",
+    "Gaussian1",
+    "Deterministic",
+    "TwoPoint",
+    "StableSpectrallyNegative0",
+    "StableSpectrallyNegative1",
+    "CappedAbove",
+    "FlooredPositive",
+]
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
@@ -69,7 +79,7 @@ def test_deterministic_closed_form():
 
 
 @pytest.mark.parametrize("lam", LAMBDAS)
-@pytest.mark.parametrize("spec", FAMILIES, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
 def test_functional_equation_all_families(spec, lam):
     lc = LimitCumulant(spec, lam)
     grid = U_GRID if spec.psi(50.0) < 1e6 else np.linspace(0.0, 20.0, 11)

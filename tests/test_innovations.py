@@ -1,4 +1,4 @@
-"""Innovation families: cumulants, samplers, truncations, diagnostics."""
+"""Innovation families: cumulants, samplers, truncations."""
 
 import math
 
@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from ar1fpt import (
     CappedAbove,
     Deterministic,
+    Discrete,
     FlooredPositive,
     Gaussian,
     InfeasibleTruncationError,
+    LimitCumulant,
     StableSpectrallyNegative,
     TwoPoint,
     UnsupportedSamplerError,
-    diagnostics,
     psi,
     sample,
     truncate_cap_above,
@@ -116,6 +117,13 @@ def test_stable_alpha_below_one_sampler_unsupported():
         sample(s, RNG(0), 10)
 
 
+def test_two_point_sampler_stream_pinned():
+    # the inverse-CDF sampler consumes one uniform per draw, upper atom first
+    draws = sample(TwoPoint(1.0, -2.0, 0.25), RNG(5), 10_000)
+    expected = np.where(RNG(5).random(10_000) < 0.25, 1.0, -2.0)
+    np.testing.assert_array_equal(draws, expected)
+
+
 def test_two_point_sampler_exact_support():
     tp = TwoPoint(1.0, -2.0, 0.25)
     draws = sample(tp, RNG(4), 50_000)
@@ -179,30 +187,82 @@ def test_floored_psi_oracle_two_point():
     assert math.isclose(float(psi(fl, u)), expected, rel_tol=1e-12)
 
 
-# -- diagnostics -------------------------------------------------------------
+def test_floored_partial_mgf_three_ranges():
+    base = Gaussian(0.0, 1.0)
+    fl = FlooredPositive(base, 1.0)
+    u = np.array([0.0, 0.7, 3.0])
+    moved = stats.norm.cdf(1.0) - 0.5  # P(0 < eta < 1), mapped to 0
+    np.testing.assert_allclose(
+        fl.log_partial_mgf_below(u, -0.5), base.log_partial_mgf_below(u, -0.5), rtol=1e-14
+    )
+    np.testing.assert_allclose(
+        fl.log_partial_mgf_below(u, 0.5),
+        np.log(np.exp(base.log_partial_mgf_below(u, 0.0)) + moved),
+        rtol=1e-12,
+    )
+    np.testing.assert_allclose(fl.log_partial_mgf_below(u, 1.0), psi(fl, u), rtol=1e-14)
 
 
-def test_diagnostics_gaussian_neg_moment_vs_quadrature():
-    g = Gaussian(0.0, 1.0)
-    n = 10**6
-    d = diagnostics(g, RNG(11), n=n, delta=0.5)
-    oracle, _ = integrate.quad(lambda x: math.sqrt(x) * stats.norm.pdf(x), 0, 40)
-    delta, est = d.neg_moment_delta
-    assert delta == 0.5
-    # MC standard error of sqrt(eta^-) from an independent sample
-    probe = np.maximum(-sample(g, RNG(12), n), 0.0) ** 0.5
-    se = probe.std() / math.sqrt(n)
-    assert abs(est - oracle) < 3 * se
+def test_nested_floor_psi_matches_three_piece_sum():
+    # floor 1 then floor 0.55: eta on eta <= 0, 0 on (0, 1), 0.55 on [1, inf)
+    nested = truncate_floor_positive(FlooredPositive(Gaussian(0.0, 1.0), 1.0), 0.55)
+    for u in (0.0, 0.5, 2.0, 5.0, 12.0):
+        below = math.exp(0.5 * u * u) * special.ndtr(-u)  # E[e^{u eta}; eta <= 0]
+        middle = special.ndtr(1.0) - 0.5
+        top = special.ndtr(-1.0) * math.exp(0.55 * u)
+        assert math.isclose(float(psi(nested, u)), math.log(below + middle + top), rel_tol=1e-12, abs_tol=1e-15)
 
 
-def test_diagnostics_discrete_exact():
-    tp = TwoPoint(1.0, -3.0, 0.25)
-    d = diagnostics(tp, RNG(0))
-    assert math.isclose(d.log_moment, 0.25 * math.log(2) + 0.75 * math.log(4))
-    assert math.isclose(d.neg_moment_delta[1], 0.75 * math.sqrt(3.0))
-    assert d.upper_bound == 1.0
+# -- Discrete with random atoms ----------------------------------------------
 
 
-def test_diagnostics_rejects_small_samples():
-    with pytest.raises(ValueError):
-        diagnostics(Gaussian(0, 1), RNG(0), n=100)
+@st.composite
+def discrete_laws(draw):
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values))))
+    return list(zip(values, weights / weights.sum()))
+
+
+def _direct_map(atoms, f):
+    out: dict[float, float] = {}
+    for a, p in atoms:
+        out[f(a)] = out.get(f(a), 0.0) + p
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=discrete_laws(), u=st.floats(0.0, 20.0))
+def test_discrete_psi_is_log_sum_exp(atoms, u):
+    vals, probs = np.array(atoms).T
+    direct = special.logsumexp(u * vals, b=probs)
+    assert math.isclose(float(psi(Discrete(tuple(atoms)), u)), direct, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=discrete_laws(), u=st.floats(0.0, 20.0), lam=st.sampled_from((0.3, 0.5, 0.9)))
+def test_discrete_functional_equation(atoms, u, lam):
+    spec = Discrete(tuple(atoms))
+    lc = LimitCumulant(spec, lam)
+    resid = lc.phi(u)[0] - lc.phi(lam * u)[0] - float(psi(spec, u))
+    assert abs(resid) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=discrete_laws(), level=st.floats(0.05, 3.0))
+def test_discrete_cap_and_floor_are_atom_maps(atoms, level):
+    spec = Discrete(tuple(atoms))
+    capped = truncate_cap_above(spec, level)
+    want = _direct_map(atoms, lambda a: min(a, level))
+    got = dict(capped.atoms())
+    assert got.keys() == want.keys()
+    assert all(math.isclose(got[k], want[k], rel_tol=1e-12) for k in want)
+    assert [a for a, _ in capped.atoms()] == sorted(want, reverse=True)
+
+    want = _direct_map(atoms, lambda a: a if a <= 0 else (level if a >= level else 0.0))
+    if level not in want:
+        with pytest.raises(InfeasibleTruncationError):
+            truncate_floor_positive(spec, level)
+        return
+    got = dict(truncate_floor_positive(spec, level).atoms())
+    assert got.keys() == want.keys()
+    assert all(math.isclose(got[k], want[k], rel_tol=1e-12) for k in want)

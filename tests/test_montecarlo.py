@@ -48,6 +48,16 @@ def test_results_independent_of_worker_count(monkeypatch):
     assert runs["1"] == runs["7"]
 
 
+def test_never_crossing_runs_no_steps():
+    p = PassageProblem(lam=0.5, x=0.0, a=3.0, spec=Deterministic(1.0))
+    full = simulate_passage(p, n_paths=1000, seed=5).to_dict()
+    one = simulate_passage(p, n_paths=1000, max_steps=1, seed=5).to_dict()
+    assert full.pop("max_steps") == 10**6 and one.pop("max_steps") == 1
+    assert json.dumps(full, sort_keys=True) == json.dumps(one, sort_keys=True)
+    assert full["n_censored"] == 1000
+    assert full["survival_n"] == [0] and full["survival_p"] == [1.0]
+
+
 def test_seed_changes_results():
     a = simulate_passage(GAUSS, n_paths=5000, max_steps=1000, seed=1)
     b = simulate_passage(GAUSS, n_paths=5000, max_steps=1000, seed=2)

@@ -9,6 +9,8 @@ from ar1fpt import (
     CertificateInfeasibleError,
     CoverageError,
     Deterministic,
+    DivergenceError,
+    FlooredPositive,
     Gaussian,
     InfeasibleTruncationError,
     NoCrossingError,
@@ -42,7 +44,7 @@ def test_crossing_mass_values():
 
 def test_feasibility_reachable():
     rep = feasibility_report(DET)
-    assert not rep.certain_infinite and rep.crossing_possible and rep.finite_mean
+    assert not rep.certain_infinite and rep.crossing_possible
     assert rep.sup_bound == 2.0
 
 
@@ -117,6 +119,16 @@ def test_upper_bound_infeasible_cap():
         upper_bound_e_tau(DET, h_cap=0.75)
 
 
+def test_bounds_reject_unconverged_quadrature():
+    # a just below y_adm = 2: H(a) = log2(2/(2-a)) needs u far beyond the
+    # quadrature ceiling, so its tail is truncated and the bound must fail
+    p = PassageProblem(lam=0.5, x=0.0, a=2.0 - 1e-7, spec=Deterministic(1.0))
+    with pytest.raises(DivergenceError):
+        lower_bound_e_tau(p)
+    with pytest.raises(DivergenceError):
+        upper_bound_e_tau(p, h_cap=4.0)
+
+
 def test_lower_bound_nonnegative():
     p = PassageProblem(lam=0.5, x=0.0, a=0.0, spec=Gaussian(0, 1))
     assert lower_bound_e_tau(p) >= 0.0
@@ -141,6 +153,15 @@ def test_certificate_dominates_survival_curve():
         np.maximum(sim.survival_p * (1 - sim.survival_p), 1e-12) / sim.n_paths
     )
     assert np.all(sim.survival_p <= cert.survival_bound(sim.survival_n) + allowance)
+
+
+def test_certificate_floored_family():
+    # flooring a floored family needs its partial MGF below each level
+    p = PassageProblem(
+        lam=0.3, x=0.0, a=1.0, spec=FlooredPositive(Gaussian(0.0, 1.0), 1.0)
+    )
+    cert = exponential_certificate(p)
+    assert cert.alpha > 0 and cert.c_bound > 0
 
 
 def test_certificate_no_crossing():

@@ -14,7 +14,6 @@ from ar1fpt import (
     LimitCumulant,
     StableSpectrallyNegative,
     TwoPoint,
-    check_condition_19,
     check_harmonic,
     eval_C,
     eval_H,
@@ -83,25 +82,25 @@ def test_N_gaussian_closed_form_at_zero():
     assert math.isclose(res.value, 0.5 * math.sqrt(math.pi / b), rel_tol=1e-9)
 
 
-# -- integral convergence probe ---------------------------------------------
+# -- integral convergence (condition 19): states below y_adm ----------------
 
 
 def test_condition_19_gaussian_always_holds():
     for y in (-3.0, 0.0, 5.0):
-        assert check_condition_19(LC_GAUSS, y).holds
+        assert y < LC_GAUSS.y_adm
 
 
 def test_condition_19_bounded_family_threshold():
-    assert check_condition_19(LC_DET, 1.9).holds
-    assert not check_condition_19(LC_DET, 2.1).holds
+    assert 1.9 < LC_DET.y_adm
+    assert not 2.1 < LC_DET.y_adm
 
 
 def test_condition_19_heavy_stable_needs_negative_state():
     lc = LimitCumulant(StableSpectrallyNegative(0.5, 1.0, 0.0), 0.5)
-    assert check_condition_19(lc, -0.5).holds
-    # phi grows like +u^0.5, so even y = 0 diverges
-    assert not check_condition_19(lc, 0.0).holds
-    assert not check_condition_19(lc, 1.0).holds
+    assert -0.5 < lc.y_adm
+    # the law lives on (-inf, 0], so y_adm = 0 and even y = 0 diverges
+    assert not 0.0 < lc.y_adm
+    assert not 1.0 < lc.y_adm
 
 
 def test_transforms_raise_on_divergent_state():
@@ -127,22 +126,23 @@ HARMONIC_FAMILIES = [
     LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5),
     LC_DET,
 ]
+HARMONIC_IDS = ["Gaussian", "TwoPoint", "Deterministic"]
 
 
-@pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=lambda lc: type(lc.spec).__name__)
+@pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=HARMONIC_IDS)
 @pytest.mark.parametrize("v", [0.5, 1.0, 2.0])
 def test_harmonic_N(lc, v):
     for y in (-2.0, 0.0, 0.5):
         assert check_harmonic(lc, "N", y=y, v=v) < 1e-6
 
 
-@pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=lambda lc: type(lc.spec).__name__)
+@pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=HARMONIC_IDS)
 def test_harmonic_H(lc):
     for y in (-2.0, 0.0, 0.5):
         assert check_harmonic(lc, "H", y=y) < 1e-6
 
 
-@pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=lambda lc: type(lc.spec).__name__)
+@pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=HARMONIC_IDS)
 @pytest.mark.parametrize("v", [-0.1, -0.4])
 def test_harmonic_W(lc, v):
     for y in (-2.0, 0.0, 0.5):
