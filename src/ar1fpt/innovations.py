@@ -79,6 +79,11 @@ class InnovationSpec:
     def cdf(self, t: float) -> float:
         raise NotImplementedError
 
+    def point_mass(self, t: float) -> float:
+        """P(eta = t): the atoms of a discrete family, 0 for a continuous one."""
+        atoms = self.atoms()
+        return 0.0 if atoms is None else sum(p for a, p in atoms if a == t)
+
     # -- integration helpers ----------------------------------------------
 
     def log_partial_mgf_below(self, u, t: float):
@@ -416,6 +421,13 @@ class CappedAbove(InnovationSpec):
     def cdf(self, t):
         return 1.0 if t >= self.h_cap else self.base.cdf(t)
 
+    def point_mass(self, t):
+        if t > self.h_cap:
+            return 0.0
+        if t == self.h_cap:
+            return self.base.tail_prob(t) + self.base.point_mass(t)
+        return self.base.point_mass(t)
+
     def log_partial_mgf_below(self, u, t):
         if t >= self.h_cap:
             return self.psi(u)
@@ -454,12 +466,8 @@ class FlooredPositive(InnovationSpec):
             )
 
     def atom_mass(self) -> float:
-        """p = P(eta >= n_cap) (equals P(eta > n_cap) for continuous bases)."""
-        p = self.base.tail_prob(self.n_cap)
-        atoms = self.base.atoms()
-        if atoms is not None:
-            p += sum(pr for a, pr in atoms if a == self.n_cap)
-        return p
+        """p = P(eta >= n_cap), counting an atom of the base at n_cap."""
+        return self.base.tail_prob(self.n_cap) + self.base.point_mass(self.n_cap)
 
     def _pieces(self):
         p = self.atom_mass()
@@ -515,6 +523,13 @@ class FlooredPositive(InnovationSpec):
 
     def cdf(self, t):
         return 1.0 - self.tail_prob(t)
+
+    def point_mass(self, t):
+        if t == self.n_cap:
+            return self.atom_mass()
+        if t == 0.0:
+            return self._pieces()[1] + self.base.point_mass(0.0)
+        return self.base.point_mass(t) if t < 0.0 else 0.0
 
     def log_partial_mgf_below(self, u, t):
         if t < 0.0:

@@ -16,25 +16,34 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulant import LimitCumulant
+from .errors import ConfigError
 from .innovations import InnovationSpec, sample
 from .passage import PassageProblem, feasibility_report
 from .transforms import BatchTransform
 
 BLOCK_SIZE = 1 << 14
 
-# Domain tags keep the passage and stationary samplers on disjoint streams
-# even when they share a seed.
+# Float64 capacity (1 MB) of the buffer that holds row chunks of a block's
+# u_nodes x crossed-paths MGF matrix; buffers of 128 KB to 2 MB time alike.
+_MGF_BUF_LEN = 1 << 17
+
+# Domain tags keep the passage, stationary and martingale-check samplers on
+# disjoint streams even when they share a seed.
 _DOMAIN_PASSAGE = 0x9E3779B97F4A7C15
 _DOMAIN_STATIONARY = 0xC2B2AE3D27D4EB4F
+_DOMAIN_MARTINGALE = 0x165667B19E3779F9
 
 _MASK64 = (1 << 64) - 1
 
 
 def _worker_count() -> int:
     env = os.environ.get("FPT_THREADS")
-    if env:
+    if not env:
+        return min(os.cpu_count() or 1, 8)
+    try:
         return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    except ValueError:
+        raise ConfigError(f"FPT_THREADS must be an integer, got {env!r}") from None
 
 
 def _block_rng(seed: int, domain: int, block: int) -> np.random.Generator:
@@ -113,21 +122,22 @@ def _run_block(
     u_nodes: np.ndarray | None,
 ) -> _BlockResult:
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
-    x_state = np.full(size, float(p.x))
+    # alive_idx[i] is the path whose state is x_alive[i]
     alive_idx = np.arange(size)
+    x_alive = np.full(size, float(p.x))
     tau = np.zeros(size, dtype=np.int64)
     x_tau = np.full(size, np.nan)
     step = 0
     while len(alive_idx) and step < max_steps:
         step += 1
-        eta = sample(p.spec, rng, len(alive_idx))
-        x_new = p.lam * x_state[alive_idx] + eta
-        x_state[alive_idx] = x_new
+        x_new = p.lam * x_alive + sample(p.spec, rng, len(alive_idx))
         crossed = x_new > p.a
         done = alive_idx[crossed]
         tau[done] = step
         x_tau[done] = x_new[crossed]
-        alive_idx = alive_idx[~crossed]
+        kept = ~crossed
+        alive_idx = alive_idx[kept]
+        x_alive = x_new[kept]
 
     crossed_mask = tau > 0
     taus = tau[crossed_mask]
@@ -135,11 +145,7 @@ def _run_block(
     counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
     mgf_m1 = mgf_m2 = None
     if u_nodes is not None:
-        vals = x_tau[crossed_mask]
-        with np.errstate(over="ignore"):
-            e1 = np.exp(np.minimum(np.multiply.outer(u_nodes, vals), 709.0))
-            mgf_m1 = e1.sum(axis=1)
-            mgf_m2 = (e1 * e1).sum(axis=1)
+        mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
     return _BlockResult(
         size=size,
         tau_counts=counts,
@@ -151,6 +157,31 @@ def _run_block(
         mgf_m1=mgf_m1,
         mgf_m2=mgf_m2,
     )
+
+
+def _mgf_moments(u_nodes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums of e = exp(min(u_i * x_j, 709)) and of e**2 over the values x_j.
+
+    The u_nodes x vals matrix is built a few rows at a time in one buffer of
+    _MGF_BUF_LEN floats.  Each row is still summed over the same contiguous
+    values, so the sums equal those of the whole matrix bit for bit.
+    """
+    m1 = np.empty(len(u_nodes))
+    m2 = np.empty(len(u_nodes))
+    n = len(vals)
+    rows = max(1, _MGF_BUF_LEN // max(n, 1))
+    buf = np.empty(min(rows, len(u_nodes)) * n)
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(u_nodes), rows):
+            hi = min(lo + rows, len(u_nodes))
+            e = buf[: (hi - lo) * n].reshape(hi - lo, n)
+            np.multiply.outer(u_nodes[lo:hi], vals, out=e)
+            np.minimum(e, 709.0, out=e)
+            np.exp(e, out=e)
+            e.sum(axis=1, out=m1[lo:hi])
+            np.multiply(e, e, out=e)
+            e.sum(axis=1, out=m2[lo:hi])
+    return m1, m2
 
 
 def simulate_passage(
@@ -312,7 +343,7 @@ def empirical_martingale_check(
     diverges) are counted as escapes and dropped from the averages rather
     than treated as fatal.
     """
-    rng = _block_rng(seed, _DOMAIN_PASSAGE, 0)
+    rng = _block_rng(seed, _DOMAIN_MARTINGALE, 0)
     states = np.empty((n_steps, n_paths))
     x_state = np.full(n_paths, float(y0))
     for n in range(n_steps):

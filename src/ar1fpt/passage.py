@@ -275,6 +275,20 @@ def _choose_n_cap(p: PassageProblem) -> float:
     )
 
 
+def _v_sweep(delta: float, v_grid_size: int, c_top: float) -> np.ndarray:
+    """|v| values of the certificate sweep, largest first.
+
+    A geometric grid from just below delta to 1e-4.  When 1/(4*c_top) lies
+    below 1e-4, 16 more geometric steps carry the sweep on down to it, where
+    the denominator 1 - 2|v|*c_top is 1/2; problems whose grid certifies
+    never reach them.
+    """
+    grid = np.geomspace(delta * (1.0 - 1e-3), 1e-4, v_grid_size)
+    if 4.0 * 1e-4 * c_top <= 1.0:
+        return grid
+    return np.concatenate([grid, np.geomspace(1e-4, 0.25 / c_top, 17)[1:]])
+
+
 def exponential_certificate(
     p: PassageProblem,
     delta: float = 0.5,
@@ -313,7 +327,7 @@ def exponential_certificate(
 
     log_inv_lam = math.log(1.0 / p.lam)
     slack = 1e-8
-    for v in -np.geomspace(delta * (1.0 - 1e-3), 1e-4, v_grid_size):
+    for v in -_v_sweep(delta, v_grid_size, c_top):
         v = float(v)
         denom = 1.0 + 2.0 * v * c_top
         if denom <= 0.0:

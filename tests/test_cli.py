@@ -131,6 +131,14 @@ def test_certificate_bad_options_fail_typed(tmp_path, capsys, flag, value, exit_
     assert f"error[{error}]" in err and "Traceback" not in err
 
 
+def test_bad_thread_count_fails_typed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FPT_THREADS", "abc")
+    code, report, _ = run(tmp_path, "simulate", GAUSS_CFG, "--paths", "100")
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "error[ConfigError]: FPT_THREADS" in err and "Traceback" not in err
+
+
 def test_certificate_report(tmp_path):
     code, report, _ = run(tmp_path, "certificate", GAUSS_CFG)
     assert code == 0

@@ -173,6 +173,20 @@ def test_floor_positive_atom_mass():
     assert abs((draws == 1.0).mean() - fl.atom_mass()) < 0.01
 
 
+@pytest.mark.parametrize(
+    "base",
+    [FlooredPositive(Gaussian(0.0, 1.0), 1.0), CappedAbove(Gaussian(0.0, 1.0), 1.0)],
+    ids=["floored", "capped"],
+)
+def test_floor_counts_base_atom_at_level(base):
+    # the base's only mass at or above 1 is its atom at 1: P(eta >= 1) = 0.1587
+    nested = truncate_floor_positive(base, 1.0)
+    assert math.isclose(nested.atom_mass(), special.ndtr(-1.0), rel_tol=1e-12)
+    single = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
+    u = np.array([0.0, 0.5, 2.0, 5.0])
+    np.testing.assert_allclose(psi(nested, u), psi(single, u), rtol=1e-12)
+
+
 def test_floor_positive_infeasible_when_no_mass():
     with pytest.raises(InfeasibleTruncationError):
         truncate_floor_positive(Deterministic(1.0), 2.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from ar1fpt import (
     simulate_stationary,
     stationary_reference,
 )
+from ar1fpt import montecarlo
+from ar1fpt.innovations import sample
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 
@@ -56,6 +59,51 @@ def test_never_crossing_runs_no_steps():
     assert json.dumps(full, sort_keys=True) == json.dumps(one, sort_keys=True)
     assert full["n_censored"] == 1000
     assert full["survival_n"] == [0] and full["survival_p"] == [1.0]
+
+
+def _direct_mgf_moments(u_nodes, vals):
+    # the whole u_nodes x vals matrix at once
+    with np.errstate(over="ignore"):
+        e1 = np.exp(np.minimum(np.multiply.outer(u_nodes, vals), 709.0))
+        return e1.sum(axis=1), (e1 * e1).sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "u_nodes,n_vals",
+    [
+        # 26 rows per chunk: 192 nodes leave a final chunk of 10 rows
+        (np.linspace(0.0, 3.0, 192), 5000),
+        # exp clips at 709 and the squares overflow to inf
+        (np.geomspace(1e-3, 800.0, 64), 3),
+        (np.linspace(0.0, 3.0, 192), 0),
+    ],
+    ids=["ragged-chunks", "clipped", "no-crossing"],
+)
+def test_chunked_mgf_moments_match_direct_formula(u_nodes, n_vals):
+    vals = 1.0 + np.random.default_rng(12).exponential(0.5, n_vals)
+    m1, m2 = montecarlo._mgf_moments(u_nodes, vals)
+    d1, d2 = _direct_mgf_moments(u_nodes, vals)
+    assert m1.tobytes() == d1.tobytes() and m2.tobytes() == d2.tobytes()
+
+
+def test_clipped_mgf_nodes_have_infinite_std_err():
+    nodes = np.array([0.5, 400.0])
+    sim = simulate_passage(GAUSS, n_paths=2000, max_steps=1000, seed=2, mgf_u_nodes=nodes)
+    assert math.isfinite(sim.mgf_std_err[0]) and sim.mgf_std_err[1] == math.inf
+
+
+def test_mgf_block_memory_stays_small():
+    # one 16,384-path block with 192 nodes; the whole node x path matrix
+    # and its square would take about 50 MB
+    nodes = np.linspace(0.0, 3.0, 192)
+    simulate_passage(GAUSS, n_paths=1 << 14, seed=1, mgf_u_nodes=nodes)
+    tracemalloc.start()
+    try:
+        simulate_passage(GAUSS, n_paths=1 << 14, seed=1, mgf_u_nodes=nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_seed_changes_results():
@@ -109,3 +157,18 @@ def test_empirical_martingale_drift(kind, v):
         lc, kind, v=v, y0=0.0, n_paths=40_000, n_steps=6, seed=10
     )
     assert rep.max_sigma < 4.0, rep
+
+
+def test_martingale_check_has_its_own_stream(monkeypatch):
+    first_draws = []
+
+    def recording_sample(spec, rng, n):
+        draws = sample(spec, rng, n)
+        first_draws.append(draws[0])
+        return draws
+
+    monkeypatch.setattr(montecarlo, "sample", recording_sample)
+    lc = LimitCumulant(GAUSS.spec, GAUSS.lam)
+    empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=8, n_steps=1, seed=10)
+    simulate_passage(GAUSS, n_paths=8, max_steps=1, seed=10)
+    assert len(first_draws) == 2 and first_draws[0] != first_draws[1]

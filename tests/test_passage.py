@@ -156,12 +156,15 @@ def test_certificate_dominates_survival_curve():
 
 
 def test_certificate_floored_family():
-    # flooring a floored family needs its partial MGF below each level
-    p = PassageProblem(
-        lam=0.3, x=0.0, a=1.0, spec=FlooredPositive(Gaussian(0.0, 1.0), 1.0)
-    )
-    cert = exponential_certificate(p)
-    assert cert.alpha > 0 and cert.c_bound > 0
+    # flooring a floored family needs its partial MGF below each level; at
+    # lam 0.5 the denominator 1 + 2v|C| is positive only for |v| < 7.5e-5,
+    # below the sweep's grid
+    for lam in (0.3, 0.5):
+        p = PassageProblem(
+            lam=lam, x=0.0, a=1.0, spec=FlooredPositive(Gaussian(0.0, 1.0), 1.0)
+        )
+        cert = exponential_certificate(p)
+        assert cert.alpha > 0 and cert.c_bound > 0
 
 
 def test_certificate_no_crossing():
