@@ -60,12 +60,12 @@ from .passage import (
 )
 from .quadrature import QuadratureResult, improper_integral
 from .transforms import (
-    BatchTransform,
     check_harmonic,
     eval_C,
     eval_H,
     eval_N,
     eval_W,
+    transform,
 )
 
 __version__ = "0.1.0"

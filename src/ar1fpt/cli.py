@@ -160,10 +160,7 @@ def parse_config(args: argparse.Namespace) -> dict:
     for key in ("lambda", "x", "a"):
         if key not in cfg:
             raise _fail(key, "required field missing")
-        try:
-            cfg[key] = float(cfg[key])
-        except (TypeError, ValueError):
-            raise _fail(key, "must be a number")
+        cfg[key] = _finite(cfg[key], key)
     if not 0.0 < cfg["lambda"] < 1.0:
         raise _fail("lambda", "violates 0 < lambda < 1")
     if cfg["a"] < cfg["x"]:
@@ -181,14 +178,28 @@ def parse_config(args: argparse.Namespace) -> dict:
     if not 0.0 < cfg["delta"] < 1.0:
         raise _fail("delta", "violates 0 < delta < 1")
     if cfg["cap"] is not None:
-        cfg["cap"] = float(cfg["cap"])
+        cfg["cap"] = _finite(cfg["cap"], "cap")
     cfg["_spec"] = spec
+    cfg["_u_grid"] = _parse_u_grid(cfg["u_grid"])
     return cfg
+
+
+def _finite(value, key: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise _fail(key, "must be a number")
+    if not math.isfinite(number):
+        raise _fail(key, "must be finite")
+    return number
 
 
 def _parse_u_grid(text) -> np.ndarray:
     if isinstance(text, (list, tuple)):
-        grid = np.asarray(text, dtype=float)
+        try:
+            grid = np.asarray(text, dtype=float)
+        except (TypeError, ValueError):
+            raise _fail("u_grid", "expected a list of numbers")
     else:
         parts = str(text).split(":")
         if len(parts) != 3:
@@ -197,9 +208,13 @@ def _parse_u_grid(text) -> np.ndarray:
             lo, hi, step = (float(p) for p in parts)
         except ValueError:
             raise _fail("u_grid", "expected numeric LO:HI:STEP")
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise _fail("u_grid", "LO, HI and STEP must be finite")
         if step <= 0 or hi < lo:
             raise _fail("u_grid", "needs HI >= LO and STEP > 0")
         grid = np.arange(lo, hi + 0.5 * step, step)
+    if not np.all(np.isfinite(grid)):
+        raise _fail("u_grid", "values must be finite")
     if np.any(grid < 0):
         raise _fail("u_grid", "phi is only defined for u >= 0")
     return grid
@@ -216,13 +231,13 @@ def _problem(cfg: dict) -> PassageProblem:
 
 def _cmd_phi(cfg):
     lc = LimitCumulant(cfg["_spec"], cfg["lambda"])
-    grid = _parse_u_grid(cfg["u_grid"])
+    grid = cfg["_u_grid"]
+    vals, errs = lc.phi(grid)
     rows = [("u", "phi", "abs_err")]
     out = []
-    for u in grid:
-        val, err = lc.phi(float(u))
-        rows.append((float(u), val, err))
-        out.append({"u": float(u), "phi": val, "abs_err": err})
+    for u, val, err in zip(grid.tolist(), vals.tolist(), errs.tolist()):
+        rows.append((u, val, err))
+        out.append({"u": u, "phi": val, "abs_err": err})
     return {"mode": lc.mode, "grid": out}, rows
 
 
@@ -299,7 +314,7 @@ def _cmd_validate(cfg):
     """Desk-scale consistency battery for the configured family."""
     spec, lam = cfg["_spec"], cfg["lambda"]
     lc = LimitCumulant(spec, lam)
-    grid = _parse_u_grid(cfg["u_grid"])
+    grid = cfg["_u_grid"]
     checks = []
 
     def record(name, value, tol):
@@ -310,10 +325,8 @@ def _cmd_validate(cfg):
     record("functional_equation_residual", check_functional_equation(lc, grid), 1e-8)
     if lc.mode != "series":
         series = LimitCumulant(spec, lam, mode="series")
-        resid = max(
-            abs(lc.phi(float(u))[0] - series.phi(float(u))[0]) for u in grid
-        )
-        record("series_vs_closed_form", resid, 1e-10)
+        resid = np.abs(lc.phi(grid)[0] - series.phi(grid)[0])
+        record("series_vs_closed_form", float(np.max(resid, initial=0.0)), 1e-10)
     y = min(0.0, cfg["x"])
     for kind, v in (("N", 1.0), ("H", None), ("W", -0.1)):
         try:

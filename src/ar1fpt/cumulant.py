@@ -24,6 +24,8 @@ from .innovations import Gaussian, InnovationSpec, StableSpectrallyNegative
 _U0_REF = 1.0
 #: Extra terms summed past the nominal horizon before tail tests engage.
 _K_MIN_PAD = 8
+#: Float64 capacity (1 MB) of one block of the u_i * lam**k psi matrix.
+_SERIES_BUF_LEN = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class LimitCumulant:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie in (0, 1)")
-        object.__setattr__(self, "_memo", {})
         atoms = self.spec.atoms()
         point_mass = atoms is not None and len(atoms) == 1
         mode = self.mode
@@ -101,26 +102,30 @@ class LimitCumulant:
 
     # -- evaluation --------------------------------------------------------
 
-    def phi(self, u: float) -> tuple[float, float]:
-        """(phi(u), absolute error bound); the bound is 0 for closed forms."""
-        if u < 0:
+    def phi(self, u):
+        """(phi(u), absolute error bound), elementwise for a u-array.
+
+        A scalar u gives a pair of floats, an array a pair of arrays of its
+        shape.  The bound is 0 for closed forms.
+        """
+        arr = np.asarray(u, dtype=float)
+        if np.any(arr < 0):
             raise ValueError("phi is only defined for u >= 0")
         if self.mode == "closed_form_deterministic":
-            return self.spec.upper_support() * u / (1.0 - self.lam), 0.0
-        if self.mode == "closed_form_stable":
-            return self._closed_form_stable(u), 0.0
-        return self._series(u)
+            val = self.spec.upper_support() * arr / (1.0 - self.lam)
+            err = np.zeros_like(arr)
+        elif self.mode == "closed_form_stable":
+            val, err = self._closed_form_stable(arr), np.zeros_like(arr)
+        else:
+            val, err = self._series(arr.ravel())
+            val, err = val.reshape(arr.shape), err.reshape(arr.shape)
+        if arr.ndim == 0:
+            return float(val), float(err)
+        return val, err
 
     def phi_value(self, u) -> np.ndarray | float:
-        """Vectorized phi without the error estimate."""
-        arr = np.asarray(u, dtype=float)
-        if self.mode == "closed_form_deterministic":
-            out = self.spec.upper_support() * arr / (1.0 - self.lam)
-        elif self.mode == "closed_form_stable":
-            out = self._closed_form_stable(arr)
-        else:
-            out = np.vectorize(lambda x: self._series(float(x))[0])(arr)
-        return float(out) if np.ndim(u) == 0 else out
+        """phi without the error bound."""
+        return self.phi(u)[0]
 
     def _closed_form_stable(self, u):
         spec = self.spec
@@ -134,61 +139,82 @@ class LimitCumulant:
             1.0 - self.lam**alpha
         )
 
-    def _k_min(self, u: float) -> int:
+    def _k_min(self, u: np.ndarray) -> np.ndarray:
         # psi can dip negative on (0, u0), so early terms may be non-monotone;
         # sum past the point where lam**k * u has dropped below the reference
         # scale before trusting the geometric tail extrapolation.
-        return (
-            math.ceil(math.log(max(u, 1.0) / _U0_REF) / math.log(1.0 / self.lam))
-            + _K_MIN_PAD
-        )
+        log_inv_lam = math.log(1.0 / self.lam)
+        ratio = np.log(np.maximum(u, 1.0) / _U0_REF) / log_inv_lam
+        # the ceiling is exact only with math.log's rounding; near-integer
+        # ratios (u a power of 1/lam) are recomputed with it
+        near = (u > _U0_REF) & (np.abs(ratio - np.rint(ratio)) < 1e-9)
+        for i in np.flatnonzero(near):
+            ratio[i] = math.log(u[i] / _U0_REF) / log_inv_lam
+        return np.ceil(ratio).astype(np.int64) + _K_MIN_PAD
 
-    def _series(self, u: float) -> tuple[float, float]:
-        if u == 0.0:
-            return 0.0, 0.0
-        cached = self._memo.get(u)
-        if cached is not None:
-            return cached
-        k_min = self._k_min(u)
+    def _series(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Series values and tail bounds for a 1-D array of u >= 0.
+
+        psi is evaluated on the u_i * lam**k matrix a block of rows and
+        columns at a time (at most _SERIES_BUF_LEN entries).  Each row is
+        summed in k order by a cumulative sum that starts from the row's
+        carried total, and stops at the first k >= k_min whose term and
+        predecessor are both 0 (bound 0) or whose geometric tail bound
+        |t| r/(1-r), r = |t/t_prev| clipped to [lam, 1-1e-12], is below
+        abs_term_floor.  That is the term-by-term rule, so every row's value
+        and bound do not depend on the other rows.
+        """
         lam = self.lam
-        total = 0.0
-        k = 0
-        prev_term = None
-        chunk = max(k_min + 16, 64)
-        while k < self.k_max:
-            hi = min(k + chunk, self.k_max)
-            ks = np.arange(k, hi)
-            terms = np.asarray(self.spec.psi(u * lam**ks), dtype=float)
-            for j, t in enumerate(terms):
-                kk = ks[j]
-                total += t
-                if kk >= k_min and prev_term is not None:
-                    if t == 0.0 and prev_term == 0.0:
-                        return total, 0.0
-                    if prev_term != 0.0:
-                        r = abs(t) / abs(prev_term)
-                        r = min(max(r, lam), 1.0 - 1e-12)
-                        bound = abs(t) * r / (1.0 - r)
-                        if bound < self.abs_term_floor:
-                            if len(self._memo) < 200_000:
-                                self._memo[u] = (total, bound)
-                            return total, bound
-                prev_term = t
-            k = hi
-        raise SeriesDivergenceError(
-            f"limit-cumulant series did not settle within k_max={self.k_max} terms"
-        )
+        val = np.zeros(len(u))
+        err = np.zeros(len(u))
+        rows = np.flatnonzero(u != 0.0)  # phi(0) = 0 exactly
+        k_min = self._k_min(u[rows])
+        width = int(max(k_min.max(initial=0) + 16, 64))
+        block = max(1, _SERIES_BUF_LEN // width)
+        for lo in range(0, len(rows), block):
+            idx = rows[lo : lo + block]
+            kmin = k_min[lo : lo + block]
+            total = np.zeros(len(idx))
+            prev = np.full(len(idx), np.nan)  # no term before k = 0
+            k = 0
+            while len(idx):
+                if k >= self.k_max:
+                    raise SeriesDivergenceError(
+                        "limit-cumulant series did not settle within "
+                        f"k_max={self.k_max} terms"
+                    )
+                hi = min(k + width, self.k_max)
+                args = np.multiply.outer(u[idx], lam ** np.arange(k, hi))
+                terms = np.asarray(self.spec.psi(args.ravel()), dtype=float)
+                terms = terms.reshape(args.shape)
+                sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
+                before = np.column_stack([prev, terms[:, :-1]])
+                mag = np.abs(terms)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    r = np.minimum(np.maximum(mag / np.abs(before), lam), 1.0 - 1e-12)
+                    bound = mag * r / (1.0 - r)
+                zero_pair = (terms == 0.0) & (before == 0.0)
+                stop = ((before != 0.0) & (bound < self.abs_term_floor)) | zero_pair
+                stop &= np.arange(k, hi) >= kmin[:, None]
+                done = stop.any(axis=1)
+                at = stop.argmax(axis=1)[done]
+                sel = np.flatnonzero(done)
+                val[idx[done]] = sums[sel, at]
+                err[idx[done]] = np.where(zero_pair[sel, at], 0.0, bound[sel, at])
+                kept = ~done
+                idx, kmin = idx[kept], kmin[kept]
+                total, prev = sums[kept, -1], terms[kept, -1]
+                k = hi
+        return val, err
 
 
 def check_functional_equation(lc: LimitCumulant, u_grid) -> float:
     """max over the grid of |phi(u) - phi(lam*u) - psi(u)|."""
     grid = np.asarray(u_grid, dtype=float)
-    resid = 0.0
-    for u in grid:
-        a, _ = lc.phi(float(u))
-        b, _ = lc.phi(float(u) * lc.lam)
-        resid = max(resid, abs(a - b - float(lc.spec.psi(float(u)))))
-    return resid
+    resid = np.abs(
+        lc.phi(grid)[0] - lc.phi(grid * lc.lam)[0] - np.asarray(lc.spec.psi(grid))
+    )
+    return float(np.max(resid, initial=0.0))
 
 
 def slope_probe(lc: LimitCumulant, u_probes) -> SlopeReport:
@@ -203,7 +229,7 @@ def slope_probe(lc: LimitCumulant, u_probes) -> SlopeReport:
         raise ValueError("u_probes must be strictly increasing")
     if probes[-1] < 1e3:
         raise ValueError("largest probe must be >= 1e3")
-    slopes = np.array([lc.phi(float(u))[0] / float(u) for u in probes])
+    slopes = lc.phi(probes)[0] / probes
     u_max = probes[-1]
     last_decade = probes >= u_max / 10.0
     ref = slopes[last_decade][0]

@@ -91,7 +91,11 @@ class InnovationSpec:
         raise NotImplementedError
 
     def expectation(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        """E g(eta) by exact sums (discrete) or quadrature (continuous)."""
+        """E g(eta) by exact sums (discrete) or quadrature (continuous).
+
+        The discrete and Gaussian families call g once on the array of all
+        their nodes; density quadrature calls it one point at a time.
+        """
         raise NotImplementedError
 
     def atoms(self) -> list[tuple[float, float]] | None:
@@ -154,7 +158,7 @@ class Gaussian(InnovationSpec):
     def expectation(self, g, n_nodes: int = 64):
         x, w = np.polynomial.hermite.hermgauss(n_nodes)
         pts = self.m + math.sqrt(self.sigma2) * _SQRT2 * x
-        return float(np.sum(w * np.asarray([g(p) for p in pts])) / math.sqrt(math.pi))
+        return float(np.sum(w * np.asarray(g(pts))) / math.sqrt(math.pi))
 
     def pdf(self, x):
         s = math.sqrt(self.sigma2)
@@ -233,7 +237,8 @@ class Discrete(InnovationSpec):
         return _maybe_scalar(_log_mgf(arr, vals[kept], probs[kept]), u)
 
     def expectation(self, g):
-        return float(sum(p * g(a) for a, p in self.pairs))
+        vals, probs = self._arrays()
+        return float(np.sum(probs * np.asarray(g(vals))))
 
 
 def _log_mgf(u, vals, probs):

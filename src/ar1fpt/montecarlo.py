@@ -19,7 +19,7 @@ from .cumulant import LimitCumulant
 from .errors import ConfigError
 from .innovations import InnovationSpec, sample
 from .passage import PassageProblem, feasibility_report
-from .transforms import BatchTransform
+from .transforms import transform
 
 BLOCK_SIZE = 1 << 14
 
@@ -34,6 +34,10 @@ _DOMAIN_STATIONARY = 0xC2B2AE3D27D4EB4F
 _DOMAIN_MARTINGALE = 0x165667B19E3779F9
 
 _MASK64 = (1 << 64) - 1
+
+#: Distinct states per engine call in empirical_martingale_check; bounds its
+#: states x nodes integrand arrays to a few MB.
+_STATE_BATCH = 256
 
 
 def _worker_count() -> int:
@@ -233,8 +237,10 @@ def simulate_passage(
         sum_xi += r.sum_xi
         sum_xi2 += r.sum_xi2
         if u_nodes is not None:
-            mgf_m1 += r.mgf_m1
-            mgf_m2 += r.mgf_m2
+            # sums at clipped nodes may overflow to inf, as in the block kernel
+            with np.errstate(over="ignore"):
+                mgf_m1 += r.mgf_m1
+                mgf_m2 += r.mgf_m2
 
     n_crossed = n_paths - n_censored
     if n_crossed > 0:
@@ -341,7 +347,9 @@ def empirical_martingale_check(
 
     States outside the admissible domain (where the transform integral
     diverges) are counted as escapes and dropped from the averages rather
-    than treated as fatal.
+    than treated as fatal.  The transform is evaluated once per distinct
+    state (a discrete family revisits few), so the cost grows with the
+    number of distinct states.
     """
     rng = _block_rng(seed, _DOMAIN_MARTINGALE, 0)
     states = np.empty((n_steps, n_paths))
@@ -350,30 +358,34 @@ def empirical_martingale_check(
         x_state = lc.lam * x_state + sample(lc.spec, rng, n_paths)
         states[n] = x_state
 
-    y_max = float(states.max())
+    kept = np.ones(states.shape, dtype=bool)
     escaped = 0
     if math.isfinite(lc.y_adm):
-        # keep the evaluator's domain strictly below the admissibility level
-        y_cut = lc.y_adm - 1e-9 * abs(lc.y_adm)
-        if y_max > y_cut:
-            escaped = int(np.sum(states > y_cut))
-            y_max = y_cut
-    evaluator = BatchTransform(lc, kind, v, y_hi=y_max)
+        # keep the evaluated states strictly below the admissibility level
+        kept = states <= lc.y_adm - 1e-9 * abs(lc.y_adm)
+        escaped = int(np.sum(~kept))
+
+    # the transform at each distinct state, a bounded batch per engine call
+    ys, where = np.unique(np.append(states[kept], y0), return_inverse=True)
+    vals = np.concatenate(
+        [
+            transform(lc, kind, ys[i : i + _STATE_BATCH], v).value
+            for i in range(0, len(ys), _STATE_BATCH)
+        ]
+    )
+    at_state = np.full(states.shape, np.nan)
+    at_state[kept] = vals[where[:-1]]
+    m0 = vals[where[-1]]
 
     v_eff = 0.0 if kind == "H" else float(v)
-    m0 = evaluator(float(y0))
     drifts = np.empty(n_steps)
     ses = np.empty(n_steps)
     for n in range(n_steps):
-        xs = states[n]
-        ok = xs <= y_max
-        vals = evaluator(xs[ok])
+        vals_n = at_state[n][kept[n]]
         if kind == "H":
-            m_n = vals - (n + 1)
-            base = m0
+            m_n = vals_n - (n + 1)
         else:
-            m_n = lc.lam ** (v_eff * (n + 1)) * vals
-            base = m0
-        drifts[n] = float(np.mean(m_n) - base)
-        ses[n] = float(np.std(m_n) / math.sqrt(max(np.sum(ok), 1)))
+            m_n = lc.lam ** (v_eff * (n + 1)) * vals_n
+        drifts[n] = float(np.mean(m_n) - m0)
+        ses[n] = float(np.std(m_n) / math.sqrt(max(len(vals_n), 1)))
     return DriftReport(drifts=drifts, std_errs=ses, n_escaped=escaped)

@@ -191,14 +191,19 @@ def identity_nodes(
             f"(y_adm={lc.y_adm:.6g})"
         )
 
-    def env(u: float) -> float:
-        return math.exp(min(u * y_env - lc.phi(u)[0], 700.0)) / max(u, 0.5)
-
-    u_hi = 2.0
-    while env(u_hi) >= cutoff and u_hi < DEFAULT_U_MAX:
-        u_hi *= 2.0
-    u, w = panel_nodes(u_hi, n_per_panel=n_per_panel)
-    phi_u = np.array([lc.phi(float(ui))[0] for ui in u])
+    # the envelope exp(u*y_env - phi(u))/u at u = 2, 4, ..., up to the first
+    # power of two at or above DEFAULT_U_MAX
+    u_hi = 2.0 ** np.arange(1, math.ceil(math.log2(DEFAULT_U_MAX)) + 1)
+    env = np.exp(np.minimum(u_hi * y_env - lc.phi(u_hi)[0], 700.0)) / u_hi
+    below = np.flatnonzero(env < cutoff)
+    if len(below) == 0:
+        raise DivergenceError(
+            f"identity integral envelope is still {env[-1]:.3g} at u={u_hi[-1]:.6g} "
+            f"(cutoff {cutoff:.3g}); y_env={y_env:.6g} is too close to "
+            f"y_adm={lc.y_adm:.6g}"
+        )
+    u, w = panel_nodes(u_hi[below[0]], n_per_panel=n_per_panel)
+    phi_u = lc.phi(u)[0]
     return IdentityNodes(u=u, w=w, phi_u=phi_u, y_env=y_env, env_is_hard=hard)
 
 

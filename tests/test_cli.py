@@ -131,6 +131,34 @@ def test_certificate_bad_options_fail_typed(tmp_path, capsys, flag, value, exit_
     assert f"error[{error}]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "subcommand,cfg,flags",
+    [
+        ("bounds", GAUSS_CFG, ["--cap", "inf"]),
+        ("bounds", GAUSS_CFG, ["--cap", "nan"]),
+        ("certificate", GAUSS_CFG, ["--cap", "nan"]),
+        ("phi", GAUSS_CFG, ["--u-grid", "0:inf:1"]),
+        ("phi", GAUSS_CFG, ["--u-grid", "0:1:nan"]),
+        ("phi", dict(GAUSS_CFG, u_grid=[0.0, math.inf]), []),
+        ("bounds", dict(GAUSS_CFG, x=math.nan), []),
+    ],
+    ids=["cap-inf", "cap-nan", "certificate-cap-nan", "grid-inf", "grid-step-nan", "grid-list-inf", "x-nan"],
+)
+def test_non_finite_inputs_fail_typed(tmp_path, capsys, subcommand, cfg, flags):
+    code, report, _ = run(tmp_path, subcommand, cfg, *flags)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "error[ConfigError]" in err and "Traceback" not in err
+
+
+def test_identity_check_truncated_envelope_fails_typed(tmp_path, capsys):
+    cfg = dict(DET_CFG, a=2.0 - 1e-4)
+    code, report, _ = run(tmp_path, "identity-check", cfg, "--paths", "100")
+    err = capsys.readouterr().err
+    assert code == 4 and report is None
+    assert "error[DivergenceError]" in err and "Traceback" not in err
+
+
 def test_bad_thread_count_fails_typed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FPT_THREADS", "abc")
     code, report, _ = run(tmp_path, "simulate", GAUSS_CFG, "--paths", "100")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ar1fpt import (
     CappedAbove,
     Deterministic,
+    Discrete,
     Gaussian,
     LimitCumulant,
     StableSpectrallyNegative,
@@ -102,6 +103,76 @@ def test_phi_midpoint_convex_two_point(u, lam):
     lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), lam)
     mid = lc.phi(0.5 * u)[0]
     assert mid <= 0.5 * (lc.phi(0.0)[0] + lc.phi(u)[0]) + 1e-9
+
+
+@st.composite
+def series_families(draw):
+    """A random Discrete law, or a Gaussian capped above or floored."""
+    kind = draw(st.sampled_from(["discrete", "capped", "floored"]))
+    if kind == "discrete":
+        values = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=4, unique=True))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+        total = sum(weights)
+        return Discrete(tuple((a, w / total) for a, w in zip(values, weights)))
+    base = Gaussian(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.25, 4.0)))
+    level = draw(st.floats(0.1, 3.0))
+    return CappedAbove(base, level) if kind == "capped" else truncate_floor_positive(base, level)
+
+
+u_arrays = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 1e-6),
+        st.floats(0.0, 50.0),
+        st.floats(9e3, 1.1e4),
+    ),
+    min_size=1,
+    max_size=30,
+).map(np.array)
+
+
+def series_by_terms(lc, u):
+    """phi(u) summed term by term: the reference for the batched series."""
+    if u == 0.0:
+        return 0.0, 0.0
+    lam = lc.lam
+    k_min = math.ceil(math.log(max(u, 1.0)) / math.log(1.0 / lam)) + 8
+    total, prev, k = 0.0, None, 0
+    chunk = max(k_min + 16, 64)
+    while k < lc.k_max:
+        ks = np.arange(k, min(k + chunk, lc.k_max))
+        for kk, t in zip(ks, np.asarray(lc.spec.psi(u * lam**ks), dtype=float)):
+            total += t
+            if kk >= k_min and prev is not None:
+                if t == 0.0 and prev == 0.0:
+                    return total, 0.0
+                if prev != 0.0:
+                    r = min(max(abs(t) / abs(prev), lam), 1.0 - 1e-12)
+                    bound = abs(t) * r / (1.0 - r)
+                    if bound < lc.abs_term_floor:
+                        return total, bound
+            prev = t
+        k = ks[-1] + 1
+    raise AssertionError("series did not settle")
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=series_families(), u=u_arrays, lam=st.sampled_from(LAMBDAS))
+def test_functional_equation_random_families(spec, u, lam):
+    assert check_functional_equation(LimitCumulant(spec, lam), u) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=series_families(), u=u_arrays, lam=st.sampled_from(LAMBDAS))
+def test_batched_series_equals_term_by_term_sum(spec, u, lam):
+    lc = LimitCumulant(spec, lam, mode="series")
+    value, abs_err = lc.phi(u)
+    ref = np.array([series_by_terms(lc, float(x)) for x in u]).reshape(-1, 2)
+    assert value.tobytes() == ref[:, 0].tobytes()
+    assert abs_err.tobytes() == ref[:, 1].tobytes()
+    # one u at a time through the same call gives the same bits
+    single = np.array([lc.phi(float(x)) for x in u]).reshape(-1, 2)
+    assert single.tobytes() == ref.tobytes()
 
 
 def test_phi_value_vectorized_matches_scalar():

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,15 @@ def test_mgf_block_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+def test_fold_of_overflowing_block_sums_is_silent():
+    # at u >= 100 each block's MGF sums are finite but their total is not
+    nodes = np.linspace(100.0, 400.0, 3000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sim = simulate_passage(GAUSS, n_paths=30_000, seed=1, mgf_u_nodes=nodes)
+    assert np.isinf(sim.mgf_value).any() and np.isinf(sim.mgf_std_err).any()
 
 
 def test_seed_changes_results():

@@ -92,6 +92,16 @@ def test_identity_nodes_deterministic_envelope_is_hard():
     assert not gn.env_is_hard
 
 
+def test_identity_nodes_raise_on_truncated_envelope():
+    # y_env = 1.9999 sits 5e-5 below y_adm = 2: at u = 2**17 the envelope
+    # exp(u*(y_env - 2))/u is still about 7e-8, far above the cutoff
+    p = PassageProblem(lam=0.5, x=0.0, a=2.0 - 1e-4, spec=Deterministic(1.0))
+    with pytest.raises(DivergenceError):
+        identity_nodes(p)
+    # the flagship envelope dies at u = 16: six 32-node panels
+    assert len(identity_nodes(GAUSS).u) == 192
+
+
 # -- bounds ------------------------------------------------------------------
 
 

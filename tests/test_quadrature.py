@@ -1,4 +1,8 @@
-"""Improper-integral engine against closed-form integrals."""
+"""Improper-integral engine against closed-form integrals.
+
+Integrands are vectorized: they map a node array to values at those nodes,
+with a leading axis when they stand for a batch of states.
+"""
 
 import math
 
@@ -11,27 +15,27 @@ from ar1fpt.quadrature import panel_nodes
 
 
 def test_exponential_integral():
-    res = improper_integral(lambda u: math.exp(-u))
+    res = improper_integral(lambda u: np.exp(-u))
     assert res.converged
     assert abs(res.value - 1.0) <= res.abs_err + 1e-12
 
 
 @pytest.mark.parametrize("v", [0.5, 0.25, 1.0, 3.0])
 def test_gamma_integral_with_singularity(v):
-    res = improper_integral(lambda u: math.exp(-u) * u ** (v - 1.0), singular_power=v - 1.0)
+    res = improper_integral(lambda u: np.exp(-u) * u ** (v - 1.0), singular_power=v - 1.0)
     assert res.converged
     assert math.isclose(res.value, gamma(v), rel_tol=1e-9)
 
 
 def test_frullani_integral():
     # int (e^-u - e^-2u)/u du = log 2
-    res = improper_integral(lambda u: (math.exp(-u) - math.exp(-2 * u)) / u if u > 0 else 1.0)
+    res = improper_integral(lambda u: (np.exp(-u) - np.exp(-2 * u)) / u)
     assert res.converged
     assert math.isclose(res.value, math.log(2.0), rel_tol=1e-9)
 
 
 def test_divergent_integrand_flagged():
-    res = improper_integral(lambda u: math.exp(min(0.01 * u, 700.0)) / (1.0 + u))
+    res = improper_integral(lambda u: np.exp(np.minimum(0.01 * u, 700.0)) / (1.0 + u))
     assert not res.converged
     assert res.tail_diagnostic == "diverged"
     assert math.isnan(res.value)
@@ -44,11 +48,49 @@ def test_slow_algebraic_tail_hits_ceiling():
 
 
 def test_halving_rel_tol_is_self_consistent():
-    f = lambda u: math.exp(-u) * math.cos(u)
+    f = lambda u: np.exp(-u) * np.cos(u)
     coarse = improper_integral(f, rel_tol=1e-6)
     fine = improper_integral(f, rel_tol=5e-7)
     assert abs(coarse.value - fine.value) < coarse.abs_err + 1e-12
     assert math.isclose(fine.value, 0.5, rel_tol=1e-6)
+
+
+def test_batch_of_states_matches_one_state_at_a_time():
+    # rates 1, 2, 3: int_0^inf e^{-c u} u^{-1/2} du = sqrt(pi / c)
+    rates = np.array([1.0, 2.0, 3.0])
+    batch = improper_integral(
+        lambda u: np.exp(-rates[:, None] * u) * u**-0.5, singular_power=-0.5
+    )
+    assert batch.value.shape == (3,) and batch.converged.all()
+    assert list(batch.tail_diagnostic) == ["decayed"] * 3
+    for c, value, err in zip(rates, batch.value, batch.abs_err):
+        one = improper_integral(lambda u: np.exp(-c * u) * u**-0.5, singular_power=-0.5)
+        assert abs(value - math.sqrt(math.pi / c)) <= err + 1e-12
+        assert abs(one.value - math.sqrt(math.pi / c)) <= one.abs_err + 1e-12
+
+
+def test_diverged_state_does_not_spoil_the_batch():
+    rates = np.array([1.0, -0.01])
+    res = improper_integral(lambda u: np.exp(np.minimum(-rates[:, None] * u, 700.0)) / (1.0 + u))
+    assert list(res.tail_diagnostic) == ["decayed", "diverged"]
+    assert res.converged.tolist() == [True, False]
+    assert math.isnan(res.value[1]) and res.abs_err[1] == math.inf
+    # int_0^inf e^{-u}/(1+u) du = e E_1(1)
+    assert math.isclose(res.value[0], 0.5963473623231940, rel_tol=1e-9)
+
+
+def test_offset_is_part_of_the_value():
+    # int_0^inf (e^{-u} - 1) u^{v-1} du = Gamma(v) for v in (-1, 0), split as
+    # the expm1 bracket on (0, 1], e^{-u} u^{v-1} beyond, and the exact
+    # -int_1^inf u^{v-1} du = 1/v
+    v = -0.4
+    res = improper_integral(
+        lambda u: np.where(u <= 1.0, np.expm1(-u), np.exp(-u)) * u ** (v - 1.0),
+        singular_power=v,
+        offset=1.0 / v,
+    )
+    assert res.converged
+    assert math.isclose(res.value, gamma(v), rel_tol=1e-9)
 
 
 def test_panel_nodes_integrate_smooth_decay():
