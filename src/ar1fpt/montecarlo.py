@@ -377,7 +377,6 @@ def empirical_martingale_check(
     at_state[kept] = vals[where[:-1]]
     m0 = vals[where[-1]]
 
-    v_eff = 0.0 if kind == "H" else float(v)
     drifts = np.empty(n_steps)
     ses = np.empty(n_steps)
     for n in range(n_steps):
@@ -385,7 +384,7 @@ def empirical_martingale_check(
         if kind == "H":
             m_n = vals_n - (n + 1)
         else:
-            m_n = lc.lam ** (v_eff * (n + 1)) * vals_n
+            m_n = lc.lam ** (v * (n + 1)) * vals_n
         drifts[n] = float(np.mean(m_n) - m0)
         ses[n] = float(np.std(m_n) / math.sqrt(max(len(vals_n), 1)))
     return DriftReport(drifts=drifts, std_errs=ses, n_escaped=escaped)
