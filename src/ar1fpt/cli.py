@@ -100,21 +100,21 @@ def _build_family(block, path: str = "family") -> InnovationSpec:
             vals[key] = default
         else:
             raise _fail(f"{path}.{key}", "required field missing")
+        if key != "base":
+            vals[key] = _finite(vals[key], f"{path}.{key}")
     try:
         if name == "gaussian":
-            return Gaussian(float(vals["m"]), float(vals["var"]))
+            return Gaussian(vals["m"], vals["var"])
         if name == "deterministic":
-            return Deterministic(float(vals["c"]))
+            return Deterministic(vals["c"])
         if name == "two_point":
-            return TwoPoint(float(vals["h_up"]), float(vals["h_down"]), float(vals["p"]))
+            return TwoPoint(vals["h_up"], vals["h_down"], vals["p"])
         if name == "stable":
-            return StableSpectrallyNegative(
-                float(vals["alpha"]), float(vals["c_scale"]), float(vals["m"])
-            )
+            return StableSpectrallyNegative(vals["alpha"], vals["c_scale"], vals["m"])
         base = _build_family(vals["base"], path=f"{path}.base")
         if name == "capped_above":
-            return CappedAbove(base, float(vals["cap"]))
-        return FlooredPositive(base, float(vals["floor"]))
+            return CappedAbove(base, vals["cap"])
+        return FlooredPositive(base, vals["floor"])
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -317,23 +317,26 @@ def _cmd_validate(cfg):
     grid = cfg["_u_grid"]
     checks = []
 
-    def record(name, value, tol):
-        checks.append(
-            {"check": name, "value": value, "tolerance": tol, "passed": value < tol}
-        )
+    def record(name, value, tol, error=None):
+        entry = {"check": name, "value": value, "tolerance": tol}
+        entry["passed"] = error is None and value < tol
+        if error is not None:
+            entry["error"] = error
+        checks.append(entry)
 
     record("functional_equation_residual", check_functional_equation(lc, grid), 1e-8)
     if lc.mode != "series":
         series = LimitCumulant(spec, lam, mode="series")
         resid = np.abs(lc.phi(grid)[0] - series.phi(grid)[0])
         record("series_vs_closed_form", float(np.max(resid, initial=0.0)), 1e-10)
-    y = min(0.0, cfg["x"])
+    # a state inside the admissible domain, below x and never above 0
+    y = min(0.0, cfg["x"], lc.y_adm - 1.0)
     for kind, v in (("N", 1.0), ("H", None), ("W", -0.1)):
         try:
-            resid = check_harmonic(lc, kind, y=y, v=v)
-        except Ar1FptError:
-            continue
-        record(f"harmonic_{kind}_residual", resid, 1e-6)
+            resid, error = check_harmonic(lc, kind, y=y, v=v), None
+        except Ar1FptError as exc:
+            resid, error = None, f"{type(exc).__name__}: {exc}"
+        record(f"harmonic_{kind}_residual", resid, 1e-6, error)
     rows = [("check", "value", "tolerance", "passed")]
     for c in checks:
         rows.append((c["check"], c["value"], c["tolerance"], c["passed"]))

@@ -8,6 +8,10 @@ are the only ones the rest of the package accepts.
 
 All families here are spectrally light on the right, i.e. E exp(u*eta) is
 finite for every u >= 0.
+
+Every expectation over eta goes through one primitive per family,
+expectation_below(g, t) = E[g(eta); eta <= t]; expectation(g) is its
+t = inf case, and the truncation wrappers' moments come from it.
 """
 
 from __future__ import annotations
@@ -19,17 +23,20 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InfeasibleTruncationError, UnsupportedSamplerError
+from .errors import DivergenceError, InfeasibleTruncationError, UnsupportedSamplerError
+from .quadrature import improper_integral
 
 _SQRT2 = math.sqrt(2.0)
+#: Gauss-Hermite rule of the Gaussian expectations (weight e^{-x^2}).
+_HERMITE_X, _HERMITE_W = np.polynomial.hermite.hermgauss(64)
 
 
 class InnovationSpec:
     """Abstract innovation family.
 
     Subclasses provide the cumulant, a sampler coupled to it, and enough
-    distributional metadata (support bound, tail probabilities, partial MGFs)
-    for the truncation transforms and the quadrature-based expectations.
+    distributional metadata (support bound, tail probabilities, partial MGFs
+    and expectations) for the truncation transforms and the harmonic checks.
     Instances are immutable values; samplers draw from caller-owned
     generators, so specs are safe to share across workers.
     """
@@ -76,9 +83,6 @@ class InnovationSpec:
         """P(eta > t)."""
         raise NotImplementedError
 
-    def cdf(self, t: float) -> float:
-        raise NotImplementedError
-
     def point_mass(self, t: float) -> float:
         """P(eta = t): the atoms of a discrete family, 0 for a continuous one."""
         atoms = self.atoms()
@@ -90,13 +94,18 @@ class InnovationSpec:
         """log E[exp(u*eta); eta <= t], vectorized in u (-inf when empty)."""
         raise NotImplementedError
 
-    def expectation(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        """E g(eta) by exact sums (discrete) or quadrature (continuous).
+    def expectation_below(self, g: Callable[[np.ndarray], np.ndarray], t: float) -> float:
+        """E[g(eta); eta <= t], never evaluating g above t.
 
-        The discrete and Gaussian families call g once on the array of all
-        their nodes; density quadrature calls it one point at a time.
+        g maps an array of innovation values to an array of its shape.  All
+        families but the stable one call it on whole node arrays: atoms,
+        Gauss-Hermite nodes or an engine node set.
         """
         raise NotImplementedError
+
+    def expectation(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
+        """E g(eta): expectation_below at t = inf."""
+        return self.expectation_below(g, math.inf)
 
     def atoms(self) -> list[tuple[float, float]] | None:
         """(value, probability) pairs for purely discrete families."""
@@ -112,6 +121,15 @@ def _as_u(u):
 
 def _maybe_scalar(value, u):
     return float(value) if np.ndim(u) == 0 else value
+
+
+def _atom_sum(g, vals, probs, t):
+    """sum p*g(a) over the atoms a <= t of positive mass, g called once."""
+    vals, probs = np.asarray(vals, dtype=float), np.asarray(probs, dtype=float)
+    kept = (vals <= t) & (probs > 0.0)
+    if not kept.any():
+        return 0.0
+    return float(np.sum(probs[kept] * np.asarray(g(vals[kept]))))
 
 
 @dataclass(frozen=True)
@@ -144,9 +162,6 @@ class Gaussian(InnovationSpec):
     def tail_prob(self, t):
         return float(special.ndtr((self.m - t) / math.sqrt(self.sigma2)))
 
-    def cdf(self, t):
-        return float(special.ndtr((t - self.m) / math.sqrt(self.sigma2)))
-
     def log_partial_mgf_below(self, u, t):
         # Exponential tilting: E[e^{u eta}; eta <= t] = e^{psi(u)} Phi((t - m - s2 u)/s).
         arr = _as_u(u)
@@ -155,14 +170,22 @@ class Gaussian(InnovationSpec):
         out = self.psi(arr) + special.log_ndtr(z)
         return _maybe_scalar(out, u)
 
-    def expectation(self, g, n_nodes: int = 64):
-        x, w = np.polynomial.hermite.hermgauss(n_nodes)
-        pts = self.m + math.sqrt(self.sigma2) * _SQRT2 * x
-        return float(np.sum(w * np.asarray(g(pts))) / math.sqrt(math.pi))
-
-    def pdf(self, x):
+    def expectation_below(self, g, t):
         s = math.sqrt(self.sigma2)
-        return np.exp(-0.5 * ((x - self.m) / s) ** 2) / (s * math.sqrt(2 * math.pi))
+        pts = self.m + s * _SQRT2 * _HERMITE_X
+        if pts[-1] <= t:
+            return float(np.sum(_HERMITE_W * np.asarray(g(pts))) / math.sqrt(math.pi))
+        # t below the top node: the engine on x = t - s*w, w > 0.  It cannot
+        # replace the rule: from z = 24 up it sees a dead integrand and says 0.
+        z = (t - self.m) / s
+        res = improper_integral(
+            lambda w: np.asarray(g(t - s * w)) * np.exp(-0.5 * (z - w) ** 2)
+        )
+        if not res.converged:
+            raise DivergenceError(
+                f"Gaussian expectation below t={t} did not converge ({res.tail_diagnostic})"
+            )
+        return res.value / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -219,14 +242,8 @@ class Discrete(InnovationSpec):
     def upper_support(self):
         return self.pairs[0][0]
 
-    def upper_quantile(self, q):
-        return self.upper_support()
-
     def tail_prob(self, t):
         return float(sum(p for a, p in self.pairs if a > t))
-
-    def cdf(self, t):
-        return float(sum(p for a, p in self.pairs if a <= t))
 
     def log_partial_mgf_below(self, u, t):
         arr = _as_u(u)
@@ -236,9 +253,8 @@ class Discrete(InnovationSpec):
             return _maybe_scalar(np.full_like(arr, -np.inf), u)
         return _maybe_scalar(_log_mgf(arr, vals[kept], probs[kept]), u)
 
-    def expectation(self, g):
-        vals, probs = self._arrays()
-        return float(np.sum(probs * np.asarray(g(vals))))
+    def expectation_below(self, g, t):
+        return _atom_sum(g, *self._arrays(), t)
 
 
 def _log_mgf(u, vals, probs):
@@ -343,9 +359,6 @@ class StableSpectrallyNegative(InnovationSpec):
         out = self._frozen().cdf(t)
         return float(out) if np.ndim(t) == 0 else out
 
-    def pdf(self, x):
-        return self._frozen().pdf(x)
-
     def log_partial_mgf_below(self, u, t):
         arr = np.atleast_1d(_as_u(u))
         frozen = self._frozen()
@@ -360,15 +373,32 @@ class StableSpectrallyNegative(InnovationSpec):
             out[i] = math.log(val) if val > 0 else -np.inf
         return _maybe_scalar(out[0] if np.ndim(u) == 0 else out, u)
 
-    def expectation(self, g):
+    def expectation_below(self, g, t):
         frozen = self._frozen()
-        lo, hi = frozen.ppf(1e-12), frozen.ppf(1.0 - 1e-12)
+        lo, hi = frozen.ppf(1e-12), min(frozen.ppf(1.0 - 1e-12), t)
+        if not lo < hi:
+            return 0.0
         val, _ = integrate.quad(lambda x: g(x) * frozen.pdf(x), lo, hi, limit=200)
         return float(val)
 
 
+class _Truncation(InnovationSpec):
+    """Moments of a wrapper: None where the base has none (it keeps the left tail)."""
+
+    def mean(self):
+        if self.base.mean() is None:
+            return None
+        return self.expectation(lambda e: e)
+
+    def var(self):
+        if self.base.var() is None:
+            return None
+        m = self.mean()
+        return self.expectation(lambda e: (e - m) ** 2)
+
+
 @dataclass(frozen=True)
-class CappedAbove(InnovationSpec):
+class CappedAbove(_Truncation):
     """eta~ = min(eta, h_cap) for a continuous base family.
 
     Coupled sampling (same draws, then the cap) guarantees eta~ <= eta
@@ -393,23 +423,6 @@ class CappedAbove(InnovationSpec):
     def sample(self, rng, n):
         return np.minimum(self.base.sample(rng, n), self.h_cap)
 
-    def mean(self):
-        return self._moment(1)
-
-    def var(self):
-        m = self._moment(1)
-        return self._moment(2) - m * m
-
-    def _moment(self, k):
-        pdf = getattr(self.base, "pdf", None)
-        if pdf is None:
-            return None
-        tail = self.base.tail_prob(self.h_cap)
-        body, _ = integrate.quad(
-            lambda x: x**k * pdf(x), -np.inf, self.h_cap, limit=200
-        )
-        return float(body + self.h_cap**k * tail)
-
     def scale(self):
         return self.base.scale()
 
@@ -417,14 +430,8 @@ class CappedAbove(InnovationSpec):
         ub = self.base.upper_support()
         return self.h_cap if ub is None else min(ub, self.h_cap)
 
-    def upper_quantile(self, q):
-        return min(self.base.upper_quantile(q), self.h_cap)
-
     def tail_prob(self, t):
         return 0.0 if t >= self.h_cap else self.base.tail_prob(t)
-
-    def cdf(self, t):
-        return 1.0 if t >= self.h_cap else self.base.cdf(t)
 
     def point_mass(self, t):
         if t > self.h_cap:
@@ -438,19 +445,15 @@ class CappedAbove(InnovationSpec):
             return self.psi(u)
         return self.base.log_partial_mgf_below(u, t)
 
-    def expectation(self, g):
-        pdf = getattr(self.base, "pdf", None)
-        if pdf is None:
-            return self.base.expectation(lambda e: g(np.minimum(e, self.h_cap)))
-        tail = self.base.tail_prob(self.h_cap)
-        body, _ = integrate.quad(
-            lambda x: g(x) * pdf(x), -np.inf, self.h_cap, limit=200
-        )
-        return float(body + tail * g(self.h_cap))
+    def expectation_below(self, g, t):
+        if t < self.h_cap:
+            return self.base.expectation_below(g, t)
+        body = self.base.expectation_below(g, self.h_cap)
+        return body + _atom_sum(g, [self.h_cap], [self.base.tail_prob(self.h_cap)], t)
 
 
 @dataclass(frozen=True)
-class FlooredPositive(InnovationSpec):
+class FlooredPositive(_Truncation):
     """Zero out (0, n_cap) and collapse [n_cap, inf) to an atom at n_cap.
 
     The transformed variable is eta~ = eta on {eta <= 0}, 0 on
@@ -476,7 +479,7 @@ class FlooredPositive(InnovationSpec):
 
     def _pieces(self):
         p = self.atom_mass()
-        q = max(1.0 - self.base.cdf(0.0) - p, 0.0)  # mass moved to the origin
+        q = max(self.base.tail_prob(0.0) - p, 0.0)  # mass moved to the origin
         return p, q
 
     def psi(self, u):
@@ -498,25 +501,10 @@ class FlooredPositive(InnovationSpec):
     def sample(self, rng, n):
         return self._transform(self.base.sample(rng, n))
 
-    def mean(self):
-        p, _ = self._pieces()
-        pdf = getattr(self.base, "pdf", None)
-        if pdf is not None:
-            neg, _ = integrate.quad(lambda x: x * pdf(x), -np.inf, 0.0, limit=200)
-        else:
-            atoms = self.base.atoms()
-            if atoms is None:
-                return None
-            neg = sum(a * pr for a, pr in atoms if a <= 0)
-        return float(neg + self.n_cap * p)
-
     def scale(self):
         return max(self.base.scale(), self.n_cap)
 
     def upper_support(self):
-        return self.n_cap
-
-    def upper_quantile(self, q):
         return self.n_cap
 
     def tail_prob(self, t):
@@ -524,10 +512,7 @@ class FlooredPositive(InnovationSpec):
             return 0.0
         if t >= 0.0:
             return self.atom_mass()
-        return self.base.tail_prob(t) - (1.0 - self.base.cdf(0.0)) + self.atom_mass()
-
-    def cdf(self, t):
-        return 1.0 - self.tail_prob(t)
+        return self.base.tail_prob(t) - self.base.tail_prob(0.0) + self.atom_mass()
 
     def point_mass(self, t):
         if t == self.n_cap:
@@ -548,13 +533,12 @@ class FlooredPositive(InnovationSpec):
             return log_neg
         return _maybe_scalar(np.logaddexp(log_neg, math.log(q)), u)
 
-    def expectation(self, g):
-        pdf = getattr(self.base, "pdf", None)
-        if pdf is None:
-            return self.base.expectation(lambda e: g(self._transform(e)))
+    def expectation_below(self, g, t):
+        if t < 0.0:
+            return self.base.expectation_below(g, t)
         p, q = self._pieces()
-        body, _ = integrate.quad(lambda x: g(x) * pdf(x), -np.inf, 0.0, limit=200)
-        return float(body + q * g(0.0) + p * g(self.n_cap))
+        body = self.base.expectation_below(g, 0.0)
+        return body + _atom_sum(g, [0.0, self.n_cap], [q, p], t)
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,13 @@ def check_harmonic(
     For kinds "N" and "W": |lam**v * E f(lam*y + eta) - f(y)|.
     For kind "H":          |E H(lam*y + eta) - H(y) - 1|.
 
-    The expectation over the innovation is exact for discrete families,
-    Gauss-Hermite for Gaussian, and density quadrature otherwise.  The first
-    two hand all their innovation nodes to one engine call, which also
-    evaluates f(y).
+    The expectation over the innovation is the family's expectation_below
+    at t = inf: exact atom sums for discrete families, Gauss-Hermite for
+    Gaussian, the base's partial expectation plus the atoms for the
+    truncation wrappers, and density quadrature for stable families.  Each
+    call of the integrand hands its whole node array, together with y, to
+    one engine call; the stable quadrature calls it one point at a time.
+    Raises DivergenceError when a transform value it needs did not converge.
     """
     if kind not in ("N", "H", "W"):
         raise ValueError(f"unknown transform kind {kind!r}")
@@ -189,7 +192,13 @@ def check_harmonic(
     def f_after_step(eta):
         eta = np.asarray(eta, dtype=float)
         states = np.append(lc.lam * y + eta, y)
-        vals = transform(lc, kind, states, v, rel_tol=rel_tol, abs_tol=abs_tol).value
+        res = transform(lc, kind, states, v, rel_tol=rel_tol, abs_tol=abs_tol)
+        if not np.all(res.converged):
+            raise DivergenceError(
+                f"{kind} transform did not converge on the states "
+                f"[{states.min():.6g}, {states.max():.6g}]"
+            )
+        vals = res.value
         f_y.append(vals[-1])
         return vals[:-1].reshape(eta.shape)
 

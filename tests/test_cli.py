@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ar1fpt import DivergenceError, cli
 from ar1fpt.cli import main
 
 GAUSS_CFG = {
@@ -179,6 +180,78 @@ def test_validate_all_checks_pass(tmp_path):
     assert code == 0
     assert report["results"]["all_passed"]
     assert (out / "table.csv").exists()
+
+
+GAUSS = GAUSS_CFG["family"]
+CAPPED = {"name": "capped_above", "cap": 1.5, "base": GAUSS}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        CAPPED,
+        {"name": "floored_positive", "floor": 1, "base": GAUSS},
+        {"name": "floored_positive", "floor": 1, "base": CAPPED},
+    ],
+    ids=["capped", "floored", "floored-capped"],
+)
+def test_validate_truncated_gaussian_passes_every_check(tmp_path, family):
+    code, report, _ = run(tmp_path, "validate", dict(GAUSS_CFG, family=family))
+    assert code == 0
+    names = [c["check"] for c in report["results"]["checks"]]
+    assert names == ["functional_equation_residual"] + [
+        f"harmonic_{kind}_residual" for kind in "NHW"
+    ]
+    assert report["results"]["all_passed"]
+
+
+def test_validate_keeps_checks_below_the_admissible_level(tmp_path):
+    # a constant -1 innovation has y_adm = -2 < x = 0, so the harmonic checks
+    # run at y = y_adm - 1.  H itself diverges there (e^{-phi(u)} = e^{2u}),
+    # and the report says so instead of dropping the check.
+    cfg = dict(GAUSS_CFG, family={"name": "deterministic", "c": -1})
+    code, report, _ = run(tmp_path, "validate", cfg)
+    assert code == 0
+    checks = {c["check"]: c for c in report["results"]["checks"]}
+    assert checks["harmonic_N_residual"]["passed"]
+    assert checks["harmonic_W_residual"]["passed"]
+    h = checks["harmonic_H_residual"]
+    assert not h["passed"] and h["error"].startswith("DivergenceError: H transform")
+    assert not report["results"]["all_passed"]
+
+
+def test_validate_records_a_raising_check(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise DivergenceError("no convergence")
+
+    monkeypatch.setattr(cli, "check_harmonic", diverge)
+    code, report, _ = run(tmp_path, "validate", GAUSS_CFG)
+    assert code == 0
+    res = report["results"]
+    assert not res["all_passed"]
+    failed = [c for c in res["checks"] if c["check"].startswith("harmonic_")]
+    assert len(failed) == 3
+    for c in failed:
+        assert not c["passed"] and c["error"] == "DivergenceError: no convergence"
+
+
+@pytest.mark.parametrize(
+    "subcommand,family,path",
+    [
+        ("bounds", {"name": "deterministic", "c": math.inf}, "family.c"),
+        ("bounds", dict(CAPPED, cap=math.inf), "family.cap"),
+        ("bounds", dict(GAUSS, var=math.inf), "family.var"),
+        ("phi", dict(GAUSS, m=math.nan), "family.m"),
+        ("phi", {"name": "two_point", "h_up": 1, "h_down": -1, "p": math.nan}, "family.p"),
+        ("phi", {"name": "floored_positive", "floor": 1, "base": dict(CAPPED, cap=math.nan)}, "family.base.cap"),
+    ],
+    ids=["deterministic-inf", "cap-inf", "var-inf", "m-nan", "p-nan", "nested-cap-nan"],
+)
+def test_non_finite_family_fields_fail_typed(tmp_path, capsys, subcommand, family, path):
+    code, report, _ = run(tmp_path, subcommand, dict(GAUSS_CFG, family=family))
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert f"error[ConfigError]: {path}: must be finite" in err and "Traceback" not in err
 
 
 def test_nested_family_config(tmp_path):

@@ -280,3 +280,66 @@ def test_discrete_cap_and_floor_are_atom_maps(atoms, level):
     got = dict(truncate_floor_positive(spec, level).atoms())
     assert got.keys() == want.keys()
     assert all(math.isclose(got[k], want[k], rel_tol=1e-12) for k in want)
+
+
+# -- partial expectations ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "m,var,t",
+    [
+        (0.0, 1.0, 0.3),
+        (1.0, 4.0, -1.0),
+        (0.5, 2.0, 0.5 + 10.0 * math.sqrt(2.0)),  # z = 10: past the midpoint of the nodes
+        (0.0, 1.0, 20.0),  # z = 20: every Gauss-Hermite node below t
+        (0.0, 1.0, -8.0),
+        (5.0, 1e-12, 0.0),
+        (-5.0, 1e-12, 0.0),
+    ],
+)
+def test_gaussian_expectation_below_matches_closed_form(m, var, t):
+    g = Gaussian(m, var)
+    s = math.sqrt(var)
+    z = (t - m) / s
+    mass = g.expectation_below(np.ones_like, t)
+    first = g.expectation_below(lambda e: e, t)
+    assert math.isclose(mass, special.ndtr(z), rel_tol=1e-9, abs_tol=1e-12)
+    want = m * special.ndtr(z) - s * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    assert math.isclose(first, want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@st.composite
+def truncated_laws(draw):
+    kind = draw(st.sampled_from(("discrete", "capped", "floored", "floored_capped")))
+    if kind == "discrete":
+        return Discrete(tuple(draw(discrete_laws())))
+    base = Gaussian(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 4.0)))
+    level = draw(st.floats(0.1, 3.0))
+    if kind == "capped":
+        return CappedAbove(base, level)
+    if kind == "floored":
+        return FlooredPositive(base, level)
+    return FlooredPositive(CappedAbove(base, level + draw(st.floats(0.0, 1.0))), level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=truncated_laws(), u=st.floats(0.0, 3.0), t=st.floats(-3.0, 4.0))
+def test_expectation_below_matches_partial_mgf(spec, u, t):
+    got = spec.expectation_below(lambda e: np.exp(u * e), t)
+    want = math.exp(float(spec.log_partial_mgf_below(u, t)))
+    if want > 1e-6:
+        assert abs(got - want) <= 1e-8 * want
+
+
+def test_truncated_moments_come_from_the_expectation():
+    # the whole mass sits 5000 sd below the cap
+    assert math.isclose(CappedAbove(Gaussian(-5.0, 1e-6), 0.0).mean(), -5.0, rel_tol=1e-12)
+    capped = CappedAbove(TwoPoint(1.0, -1.0, 0.5), 0.5)
+    assert math.isclose(capped.mean(), -0.25, rel_tol=1e-15)
+    assert math.isclose(capped.var(), 0.5625, rel_tol=1e-15)
+    # E[eta; eta <= 0] + P(eta >= 1) for a standard normal floored at 1
+    floored = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
+    want = -1.0 / math.sqrt(2.0 * math.pi) + special.ndtr(-1.0)
+    assert math.isclose(floored.mean(), want, rel_tol=1e-9)
+    # truncation above keeps the heavy left tail: no variance
+    assert CappedAbove(StableSpectrallyNegative(1.5, 1.0), 1.0).var() is None

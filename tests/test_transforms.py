@@ -7,8 +7,10 @@ import pytest
 from scipy.special import gamma
 
 from ar1fpt import (
+    CappedAbove,
     Deterministic,
     DivergenceError,
+    FlooredPositive,
     Gaussian,
     LimitCumulant,
     StableSpectrallyNegative,
@@ -121,12 +123,17 @@ def test_order_domain_validation():
 
 # -- harmonic equations ------------------------------------------------------
 
+LC_CAPPED = LimitCumulant(CappedAbove(Gaussian(0.0, 1.0), 1.0), 0.5)
 HARMONIC_FAMILIES = [
     LC_GAUSS,
     LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5),
     LC_DET,
+    LC_CAPPED,
+    LimitCumulant(FlooredPositive(Gaussian(0.0, 1.0), 1.0), 0.5),
+    # the capped base puts an atom exactly at the floor level
+    LimitCumulant(FlooredPositive(CappedAbove(Gaussian(0.0, 1.0), 1.0), 1.0), 0.5),
 ]
-HARMONIC_IDS = ["Gaussian", "TwoPoint", "Deterministic"]
+HARMONIC_IDS = ["Gaussian", "TwoPoint", "Deterministic", "Capped", "Floored", "FlooredCapped"]
 
 
 @pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=HARMONIC_IDS)
@@ -144,7 +151,15 @@ def test_harmonic_H(lc):
 
 @pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=HARMONIC_IDS)
 @pytest.mark.parametrize("v", [-0.1, -0.4])
-def test_harmonic_W(lc, v):
+def test_harmonic_W(lc, v, request):
+    if lc is LC_CAPPED and v == -0.4:
+        # A known fault: the capped series phi carries rounding noise of
+        # about 1e-14 near u = 0, which the u**(v-1) weight turns into a
+        # non-integrable spike, so W_{-0.4} does not converge at states below
+        # about -12; E f(lam*y + eta) reaches them from every y here.
+        request.node.add_marker(
+            pytest.mark.xfail(raises=DivergenceError, strict=True, reason="capped phi noise near 0")
+        )
     for y in (-2.0, 0.0, 0.5):
         assert check_harmonic(lc, "W", y=y, v=v) < 1e-6
 
