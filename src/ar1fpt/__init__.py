@@ -32,6 +32,7 @@ from .innovations import (
     Gaussian,
     InnovationSpec,
     StableSpectrallyNegative,
+    Truncated,
     TwoPoint,
     psi,
     sample,

@@ -3,21 +3,23 @@
 Each family bundles a cumulant psi(u) = log E exp(u*eta) with a sampler that
 draws from exactly the same law, so analytic evaluations and the Monte Carlo
 oracle can be cross-checked against each other.  The registry is closed: the
-Gaussian, Discrete and stable families and the two truncation wrappers below
-are the only ones the rest of the package accepts.
+Gaussian, Discrete and stable families and the Truncated law over any of
+them (built by CappedAbove and FlooredPositive) are the only ones the rest of
+the package accepts.
 
 All families here are spectrally light on the right, i.e. E exp(u*eta) is
 finite for every u >= 0.
 
 Every expectation over eta goes through one primitive per family,
 expectation_below(g, t) = E[g(eta); eta <= t]; expectation(g) is its
-t = inf case, and the truncation wrappers' moments come from it.
+t = inf case, and the moments of a Truncated law come from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -382,163 +384,133 @@ class StableSpectrallyNegative(InnovationSpec):
         return float(val)
 
 
-class _Truncation(InnovationSpec):
-    """Moments of a wrapper: None where the base has none (it keeps the left tail)."""
+def _level_map(levels, eta):
+    """eta where eta <= levels[0], else the largest level at or below eta."""
+    eta, levels = np.asarray(eta, dtype=float), np.asarray(levels, dtype=float)
+    below = np.maximum(np.searchsorted(levels, eta, side="right") - 1, 0)
+    return np.where(eta <= levels[0], eta, levels[below])
+
+
+@dataclass(frozen=True)
+class Truncated(InnovationSpec):
+    """The innovation truncated at the increasing levels l_0 < ... < l_k.
+
+    eta~ = eta where eta <= l_0; otherwise eta~ is the largest level at or
+    below eta.  The sampler sends the base's draws through this level map,
+    so eta~ <= eta pathwise, which makes passage times of the truncated
+    process dominate those of the base process.  The law is the base below
+    l_0 (with its own atom at l_0) plus an atom at each level: masses holds
+    P(l_0 < eta < l_1) and then P(l_i <= eta < l_{i+1}).
+
+    psi is u*l_k plus the log of a sum of the shifted pieces.  As u -> 0
+    that sum rounds to 1, leaving about 1e-16 of absolute noise, which the
+    u**(v-1) weight of W_v turns into a non-integrable spike.  So where
+    u*scale <= 1e-5, psi is its cumulant expansion u*mean + u**2*var/2,
+    both fitted to the log form at u0 = 1e-5/scale and 2*u0: two cheap
+    evaluations (mean() and var() are quadratures) that give the mean to
+    5e-11*scale and psi to 1e-16 at u0.  A base without variance keeps the
+    log form, as psi is then not quadratic at 0.
+    """
+
+    base: InnovationSpec
+    levels: tuple[float, ...]
+    masses: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        levels = tuple(float(x) for x in self.levels)
+        if not (levels and np.isfinite(levels).all() and (np.diff(levels) > 0).all()):
+            raise ValueError("truncation levels must be finite and strictly increasing")
+        object.__setattr__(self, "levels", levels)
+        # P(eta > l_0), P(eta >= l_i) at the higher levels, 0 beyond the last
+        upper = [self.base.tail_prob(levels[0])]
+        upper += [self.base.tail_prob(x) + self.base.point_mass(x) for x in levels[1:]] + [0.0]
+        masses = tuple(max(a - b, 0.0) for a, b in zip(upper, upper[1:]))
+        object.__setattr__(self, "masses", masses)
 
     def mean(self):
-        if self.base.mean() is None:
-            return None
-        return self.expectation(lambda e: e)
+        return None if self.base.mean() is None else self.expectation(lambda e: e)
 
     def var(self):
-        if self.base.var() is None:
+        if self.base.var() is None:  # the base's left tail is kept
             return None
         m = self.mean()
         return self.expectation(lambda e: (e - m) ** 2)
 
+    def _log_mgf_to(self, u, n):
+        """log E[e^{u eta~}; eta~ <= l_{n-1}], u an array."""
+        top = self.levels[n - 1]
+        acc = np.exp(self.base.log_partial_mgf_below(u, self.levels[0]) - u * top)
+        acc += self.masses[n - 1]
+        for level, mass in zip(self.levels[: n - 1], self.masses[: n - 1]):
+            acc += mass * np.exp(u * (level - top))
+        return u * top + np.log(acc)
 
-@dataclass(frozen=True)
-class CappedAbove(_Truncation):
-    """eta~ = min(eta, h_cap) for a continuous base family.
-
-    Coupled sampling (same draws, then the cap) guarantees eta~ <= eta
-    pathwise, which is what makes passage times of the capped process
-    dominate those of the base process.
-    """
-
-    base: InnovationSpec
-    h_cap: float
+    @cached_property
+    def _expansion(self):
+        """(reach, mean, var/2): the expansion holds where u*scale <= reach."""
+        if self.base.var() is None:
+            return 0.0, 0.0, 0.0  # only psi(0) = 0 is exact
+        u0 = 1e-5 / self.scale()
+        p1, p2 = self._log_mgf_to(np.array([u0, 2.0 * u0]), len(self.levels))
+        return 1e-5, (2.0 * p1 - 0.5 * p2) / u0, (p2 - 2.0 * p1) / (2.0 * u0 * u0)
 
     def psi(self, u):
         arr = _as_u(u)
-        tail = self.base.tail_prob(self.h_cap)
-        log_below = np.atleast_1d(self.base.log_partial_mgf_below(arr, self.h_cap))
-        if tail <= 0.0:
-            out = np.atleast_1d(self.base.psi(arr))
-        else:
-            out = np.logaddexp(log_below, arr * self.h_cap + math.log(tail))
-        out = np.where(np.atleast_1d(arr) == 0.0, 0.0, out)
-        return _maybe_scalar(out[0] if np.ndim(u) == 0 else out, u)
+        reach, m, half_var = self._expansion
+        small = arr * self.scale() <= reach
+        out = np.empty_like(arr)
+        out[small] = arr[small] * (m + half_var * arr[small])
+        out[~small] = self._log_mgf_to(arr[~small], len(self.levels))
+        return _maybe_scalar(out, u)
 
     def sample(self, rng, n):
-        return np.minimum(self.base.sample(rng, n), self.h_cap)
+        return _level_map(self.levels, self.base.sample(rng, n))
 
     def scale(self):
-        return self.base.scale()
+        return max(self.base.scale(), self.levels[-1] - self.levels[0])
 
     def upper_support(self):
         ub = self.base.upper_support()
-        return self.h_cap if ub is None else min(ub, self.h_cap)
+        return self.levels[-1] if ub is None else min(ub, self.levels[-1])
 
     def tail_prob(self, t):
-        return 0.0 if t >= self.h_cap else self.base.tail_prob(t)
+        if t < self.levels[0]:
+            return self.base.tail_prob(t)  # eta~ >= l_0 > t wherever eta > l_0
+        return float(sum(m for x, m in zip(self.levels, self.masses) if x > t))
 
     def point_mass(self, t):
-        if t > self.h_cap:
-            return 0.0
-        if t == self.h_cap:
-            return self.base.tail_prob(t) + self.base.point_mass(t)
-        return self.base.point_mass(t)
+        own = self.base.point_mass(t) if t <= self.levels[0] else 0.0
+        return own + sum(m for x, m in zip(self.levels, self.masses) if x == t)
 
     def log_partial_mgf_below(self, u, t):
-        if t >= self.h_cap:
-            return self.psi(u)
-        return self.base.log_partial_mgf_below(u, t)
-
-    def expectation_below(self, g, t):
-        if t < self.h_cap:
-            return self.base.expectation_below(g, t)
-        body = self.base.expectation_below(g, self.h_cap)
-        return body + _atom_sum(g, [self.h_cap], [self.base.tail_prob(self.h_cap)], t)
-
-
-@dataclass(frozen=True)
-class FlooredPositive(_Truncation):
-    """Zero out (0, n_cap) and collapse [n_cap, inf) to an atom at n_cap.
-
-    The transformed variable is eta~ = eta on {eta <= 0}, 0 on
-    {0 < eta < n_cap} and n_cap on {eta >= n_cap}; its support is
-    (-inf, 0] united with {n_cap} and eta~ <= eta pathwise under coupled
-    draws.  The positive atom mass p = P(eta >= n_cap) must be positive.
-    """
-
-    base: InnovationSpec
-    n_cap: float
-
-    def __post_init__(self):
-        if self.n_cap <= 0:
-            raise ValueError("n_cap must be positive")
-        if self.atom_mass() <= 0.0:
-            raise InfeasibleTruncationError(
-                f"no innovation mass at or above n_cap={self.n_cap}"
-            )
-
-    def atom_mass(self) -> float:
-        """p = P(eta >= n_cap), counting an atom of the base at n_cap."""
-        return self.base.tail_prob(self.n_cap) + self.base.point_mass(self.n_cap)
-
-    def _pieces(self):
-        p = self.atom_mass()
-        q = max(self.base.tail_prob(0.0) - p, 0.0)  # mass moved to the origin
-        return p, q
-
-    def psi(self, u):
-        arr = _as_u(u)
-        p, q = self._pieces()
-        log_neg = np.atleast_1d(self.base.log_partial_mgf_below(arr, 0.0))
-        a_term = np.exp(log_neg) + q
-        out = np.atleast_1d(arr) * self.n_cap + np.log(
-            p + a_term * np.exp(-np.atleast_1d(arr) * self.n_cap)
-        )
-        out = np.where(np.atleast_1d(arr) == 0.0, 0.0, out)
-        return _maybe_scalar(out[0] if np.ndim(u) == 0 else out, u)
-
-    def _transform(self, eta):
-        return np.where(
-            eta <= 0.0, eta, np.where(eta >= self.n_cap, self.n_cap, 0.0)
-        )
-
-    def sample(self, rng, n):
-        return self._transform(self.base.sample(rng, n))
-
-    def scale(self):
-        return max(self.base.scale(), self.n_cap)
-
-    def upper_support(self):
-        return self.n_cap
-
-    def tail_prob(self, t):
-        if t >= self.n_cap:
-            return 0.0
-        if t >= 0.0:
-            return self.atom_mass()
-        return self.base.tail_prob(t) - self.base.tail_prob(0.0) + self.atom_mass()
-
-    def point_mass(self, t):
-        if t == self.n_cap:
-            return self.atom_mass()
-        if t == 0.0:
-            return self._pieces()[1] + self.base.point_mass(0.0)
-        return self.base.point_mass(t) if t < 0.0 else 0.0
-
-    def log_partial_mgf_below(self, u, t):
-        if t < 0.0:
+        if t < self.levels[0]:
             return self.base.log_partial_mgf_below(u, t)
-        if t >= self.n_cap:
+        if t >= self.levels[-1]:
             return self.psi(u)
-        # t in [0, n_cap): the base's part on eta <= 0 plus the mass moved to 0
-        _, q = self._pieces()
-        log_neg = self.base.log_partial_mgf_below(u, 0.0)
-        if q <= 0.0:
-            return log_neg
-        return _maybe_scalar(np.logaddexp(log_neg, math.log(q)), u)
+        n = int(np.searchsorted(self.levels, t, side="right"))
+        return _maybe_scalar(self._log_mgf_to(_as_u(u), n), u)
 
     def expectation_below(self, g, t):
-        if t < 0.0:
-            return self.base.expectation_below(g, t)
-        p, q = self._pieces()
-        body = self.base.expectation_below(g, 0.0)
-        return body + _atom_sum(g, [0.0, self.n_cap], [q, p], t)
+        body = self.base.expectation_below(g, min(t, self.levels[0]))
+        return body + _atom_sum(g, self.levels, self.masses, t)
+
+
+def CappedAbove(base: InnovationSpec, h_cap: float) -> Truncated:
+    """eta~ = min(eta, h_cap)."""
+    return Truncated(base, (h_cap,))
+
+
+def FlooredPositive(base: InnovationSpec, n_cap: float) -> Truncated:
+    """eta~ = eta on {eta <= 0}, 0 on {0 < eta < n_cap}, n_cap on {eta >= n_cap}.
+
+    Raises InfeasibleTruncationError if P(eta >= n_cap) = 0: eta~ could never move up.
+    """
+    if n_cap <= 0:
+        raise ValueError("n_cap must be positive")
+    floored = Truncated(base, (0.0, n_cap))
+    if floored.point_mass(n_cap) <= 0.0:
+        raise InfeasibleTruncationError(f"no innovation mass at or above n_cap={n_cap}")
+    return floored
 
 
 # ---------------------------------------------------------------------------
@@ -558,36 +530,21 @@ def sample(spec: InnovationSpec, rng: np.random.Generator, n: int) -> np.ndarray
     return spec.sample(rng, n)
 
 
-def _map_atoms(spec: InnovationSpec, f) -> Discrete:
-    """The discrete law of f(eta); atoms that land on one value merge."""
-    return Discrete(tuple((f(a), p) for a, p in spec.atoms()))
+def _atoms_mapped(law: Truncated) -> InnovationSpec:
+    """law itself, or for a discrete base the Discrete law of its mapped atoms."""
+    if law.base.atoms() is None:
+        return law
+    vals, probs = np.array(law.base.atoms()).T
+    return Discrete(tuple(zip(_level_map(law.levels, vals).tolist(), probs.tolist())))
 
 
 def truncate_cap_above(spec: InnovationSpec, h_cap: float) -> InnovationSpec:
-    """Replace eta by min(eta, h_cap).
-
-    Discrete families map to a new discrete family; continuous ones are
-    wrapped, with the capped cumulant computed from the base partial MGF.
-    """
-    if not math.isfinite(h_cap):
-        raise ValueError("h_cap must be finite")
-    if spec.atoms() is not None:
-        return _map_atoms(spec, lambda a: min(a, h_cap))
+    """CappedAbove(spec, h_cap), Discrete for a discrete spec; spec if nothing is capped."""
+    capped = CappedAbove(spec, h_cap)
     ub = spec.upper_support()
-    if ub is not None and ub <= h_cap:
-        return spec
-    return CappedAbove(spec, h_cap)
+    return spec if ub is not None and ub <= h_cap else _atoms_mapped(capped)
 
 
 def truncate_floor_positive(spec: InnovationSpec, n_cap: float) -> InnovationSpec:
-    """Map eta to eta*1{eta<=0} + n_cap*1{eta>=n_cap} (zero in between).
-
-    Raises InfeasibleTruncationError when the base family has no mass at or
-    above n_cap, since the resulting process could never move up.
-    """
-    if spec.atoms() is None:
-        return FlooredPositive(spec, n_cap)
-    floored = _map_atoms(spec, lambda a: a if a <= 0 else (n_cap if a >= n_cap else 0.0))
-    if floored.upper_support() != n_cap:
-        raise InfeasibleTruncationError(f"no innovation mass at or above n_cap={n_cap}")
-    return floored
+    """FlooredPositive(spec, n_cap), Discrete for a discrete spec."""
+    return _atoms_mapped(FlooredPositive(spec, n_cap))

@@ -77,8 +77,8 @@ class QuadratureResult:
 
     tail_diagnostic is one of "decayed" (tail integrand fell below threshold),
     "truncated_at_umax" (ceiling reached with a still-visible integrand) or
-    "diverged" (tail contributions growing; value is NaN).  For a batch of
-    integrals each field is an array of the batch's shape.
+    "diverged" (growing tail, or a non-finite value or error; value NaN).
+    For a batch of integrals each field is an array of the batch's shape.
     """
 
     value: float
@@ -108,6 +108,7 @@ def _panels(f, a, b, head, p):
     return k15, np.abs(k15 - vals @ _WG15), np.abs(raw[..., -1]), state_shape
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def improper_integral(
     f,
     singular_power: float = 0.0,
@@ -122,8 +123,9 @@ def improper_integral(
     s = singular_power > -1.  offset, an exactly known part of the integral
     (such as an analytic tail), is added to every value before the
     convergence test.  A state converges when its tail decayed and its
-    error is at most rel_tol * |value| + abs_tol; a diverged state gets a
-    NaN value and an infinite error.  The result's fields have the states'
+    error is at most rel_tol * |value| + abs_tol; a state whose tail grows or
+    whose value or error is not finite (float warnings are silenced) diverges,
+    with a NaN value and an infinite error.  Result fields have the states'
     shape, and are Python scalars when f returns a 1-D array.
     """
     if singular_power <= -1.0:
@@ -156,8 +158,7 @@ def improper_integral(
     # states still alive at the ceiling: diverged if the tail grows, else
     # truncated; the unseen tail is bounded by geometric extrapolation
     growing = ~dead & ((np.abs(last) > np.abs(prev)) | (edge[:, -1] >= edge[:, -2]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.minimum(np.abs(last) / np.abs(prev), np.where(dead, 0.9, 0.99))
+    r = np.minimum(np.abs(last) / np.abs(prev), np.where(dead, 0.9, 0.99))
     tail_err = np.where(np.abs(prev) > 0, np.abs(last) * r / (1.0 - r), 0.0)
 
     # bisect, one integrand call per round, every panel whose error exceeds
@@ -180,10 +181,11 @@ def improper_integral(
         a, b, head = np.append(a[keep], na), np.append(b[keep], nb), np.append(head[keep], nh)
         val, err = np.hstack([val[:, keep], nv]), np.hstack([err[:, keep], ne])
 
-    diag = np.where(dead, "decayed", np.where(growing, "diverged", "truncated_at_umax"))
-    value = np.where(growing, np.nan, value)
-    abs_err = np.where(growing, np.inf, abs_err)
-    converged = dead & (abs_err <= tol)
+    diverged = growing | ~np.isfinite(value) | ~np.isfinite(abs_err)
+    diag = np.where(diverged, "diverged", np.where(dead, "decayed", "truncated_at_umax"))
+    value = np.where(diverged, np.nan, value)
+    abs_err = np.where(diverged, np.inf, abs_err)
+    converged = dead & ~diverged & (abs_err <= tol)
     if state_shape == ():
         return QuadratureResult(
             float(value[0]), float(abs_err[0]), bool(converged[0]), str(diag[0])

@@ -121,6 +121,15 @@ def test_bounds_with_cap(tmp_path):
     assert res["lower_bound_e_tau"] <= res["upper_bound_e_tau"]
 
 
+def test_bounds_crossing_mass_of_floored_family(tmp_path):
+    # crossing needs eta~ > a(1 - lam) = -0.5, which holds iff eta > -0.5 as
+    # eta~ >= 0 wherever eta > 0: the mass is Phi(0.5)
+    family = {"name": "floored_positive", "floor": 1, "base": GAUSS_CFG["family"]}
+    code, report, _ = run(tmp_path, "bounds", dict(GAUSS_CFG, family=family, x=-3, a=-1))
+    assert code == 0
+    assert math.isclose(report["results"]["crossing_mass"], 0.6914624612740131, rel_tol=1e-12)
+
+
 @pytest.mark.parametrize(
     "flag,value,exit_code,error",
     [("--delta", "1.0", 2, "ConfigError"), ("--cap", "0.4", 5, "InfeasibleTruncationError")],

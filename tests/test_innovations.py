@@ -17,6 +17,7 @@ from ar1fpt import (
     InfeasibleTruncationError,
     LimitCumulant,
     StableSpectrallyNegative,
+    Truncated,
     TwoPoint,
     UnsupportedSamplerError,
     psi,
@@ -165,12 +166,20 @@ def test_cap_discrete_merges_atoms():
 
 def test_floor_positive_atom_mass():
     fl = truncate_floor_positive(Gaussian(0.0, 1.0), 1.0)
-    assert isinstance(fl, FlooredPositive)
-    assert math.isclose(fl.atom_mass(), 1.0 - stats.norm.cdf(1.0), rel_tol=1e-12)
+    assert isinstance(fl, Truncated)
+    assert math.isclose(fl.point_mass(1.0), 1.0 - stats.norm.cdf(1.0), rel_tol=1e-12)
     draws = sample(fl, RNG(8), 50_000)
     pos = draws[draws > 0]
     assert np.all(pos == 1.0)
-    assert abs((draws == 1.0).mean() - fl.atom_mass()) < 0.01
+    assert abs((draws == 1.0).mean() - fl.point_mass(1.0)) < 0.01
+
+
+def test_floored_tail_counts_the_mass_moved_to_zero():
+    # P(eta~ > -1) = P(eta > -1): eta~ >= 0 wherever eta > 0
+    fl = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
+    assert math.isclose(fl.tail_prob(-1.0), special.ndtr(1.0), rel_tol=1e-12)
+    assert math.isclose(fl.tail_prob(0.5), special.ndtr(-1.0), rel_tol=1e-12)
+    assert fl.tail_prob(1.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -181,7 +190,8 @@ def test_floor_positive_atom_mass():
 def test_floor_counts_base_atom_at_level(base):
     # the base's only mass at or above 1 is its atom at 1: P(eta >= 1) = 0.1587
     nested = truncate_floor_positive(base, 1.0)
-    assert math.isclose(nested.atom_mass(), special.ndtr(-1.0), rel_tol=1e-12)
+    assert isinstance(nested, Truncated)
+    assert math.isclose(nested.point_mass(1.0), special.ndtr(-1.0), rel_tol=1e-12)
     single = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
     u = np.array([0.0, 0.5, 2.0, 5.0])
     np.testing.assert_allclose(psi(nested, u), psi(single, u), rtol=1e-12)
@@ -329,6 +339,15 @@ def test_expectation_below_matches_partial_mgf(spec, u, t):
     want = math.exp(float(spec.log_partial_mgf_below(u, t)))
     if want > 1e-6:
         assert abs(got - want) <= 1e-8 * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=truncated_laws().filter(lambda s: isinstance(s, Truncated)))
+def test_truncated_psi_is_mean_times_u_near_zero(spec):
+    # psi(u)/u -> mean: the log form alone rounds to 1e-16 absolute noise
+    m = spec.mean()
+    for u in (1e-20, 1e-12, 1e-8):
+        assert abs(float(psi(spec, u)) / u - m) <= 1e-6 * (1.0 + abs(m))
 
 
 def test_truncated_moments_come_from_the_expectation():

@@ -5,12 +5,13 @@ with a leading axis when they stand for a batch of states.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
-from ar1fpt import improper_integral
+from ar1fpt import Gaussian, LimitCumulant, improper_integral, transform
 from ar1fpt.quadrature import panel_nodes
 
 
@@ -77,6 +78,29 @@ def test_diverged_state_does_not_spoil_the_batch():
     assert math.isnan(res.value[1]) and res.abs_err[1] == math.inf
     # int_0^inf e^{-u}/(1+u) du = e E_1(1)
     assert math.isclose(res.value[0], 0.5963473623231940, rel_tol=1e-9)
+
+
+def test_non_finite_state_reads_diverged():
+    # the first state divides by zero below u = 0.5, the second is e^{-u}
+    def f(u):
+        return np.stack([np.exp(-u) / np.where(u < 0.5, 0.0, 1.0), np.exp(-u)])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = improper_integral(f)
+    assert list(res.tail_diagnostic) == ["diverged", "decayed"]
+    assert res.converged.tolist() == [False, True]
+    assert math.isnan(res.value[0]) and res.abs_err[0] == math.inf
+    assert math.isclose(res.value[1], 1.0, rel_tol=1e-9)
+
+
+def test_overflowing_order_weight_reads_diverged():
+    # u**(v-1) overflows at the head panel's nodes for v = -0.95
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = transform(LimitCumulant(Gaussian(0.0, 1.0), 0.5), "W", 0.0, -0.95)
+    assert res.tail_diagnostic == "diverged" and not res.converged
+    assert math.isnan(res.value) and res.abs_err == math.inf
 
 
 def test_offset_is_part_of_the_value():

@@ -151,17 +151,27 @@ def test_harmonic_H(lc):
 
 @pytest.mark.parametrize("lc", HARMONIC_FAMILIES, ids=HARMONIC_IDS)
 @pytest.mark.parametrize("v", [-0.1, -0.4])
-def test_harmonic_W(lc, v, request):
-    if lc is LC_CAPPED and v == -0.4:
-        # A known fault: the capped series phi carries rounding noise of
-        # about 1e-14 near u = 0, which the u**(v-1) weight turns into a
-        # non-integrable spike, so W_{-0.4} does not converge at states below
-        # about -12; E f(lam*y + eta) reaches them from every y here.
-        request.node.add_marker(
-            pytest.mark.xfail(raises=DivergenceError, strict=True, reason="capped phi noise near 0")
-        )
+def test_harmonic_W(lc, v):
     for y in (-2.0, 0.0, 0.5):
         assert check_harmonic(lc, "W", y=y, v=v) < 1e-6
+
+
+@pytest.mark.parametrize("lc", HARMONIC_FAMILIES[3:5], ids=HARMONIC_IDS[3:5])
+def test_truncated_W_converges_near_the_singular_order(lc):
+    # the u**(v-1) weight amplifies any noise of phi near u = 0
+    res = eval_W(lc, 0.0, -0.5)
+    assert res.converged and res.tail_diagnostic == "decayed"
+
+
+def test_truncated_W_batch_matches_single_states():
+    # the states share every panel, so phi noise near 0 at one spoils all
+    y = [-0.5, -3.0, -8.0, -15.0]
+    batch = transform(LC_CAPPED, "W", y, -0.4)
+    assert batch.converged.all()
+    for yi, value, err in zip(y, batch.value, batch.abs_err):
+        one = eval_W(LC_CAPPED, yi, -0.4)
+        assert one.converged
+        assert abs(value - one.value) <= err + one.abs_err
 
 
 # -- batch evaluator ---------------------------------------------------------
