@@ -21,10 +21,10 @@ from ar1fpt import (
     Gaussian,
     LimitCumulant,
     check_harmonic,
-    eval_C,
     eval_H,
     eval_N,
     eval_W,
+    transform,
 )
 
 lam = 0.5
@@ -45,7 +45,7 @@ for y in (0.5, 1.0, 1.75):
 got = eval_W(lc_det, 1.0, -0.5)
 print(f"W_-0.5(1) = {got.value:.12f}   gamma(-1/2) = {-2 * math.sqrt(math.pi):.12f}")
 
-got = eval_C(lc_det, 1.0, 0.0)
+got = transform(lc_det, "C", 1.0, 0.0)
 print(f"C(1, 0) = {got.value:.12f}   -euler_gamma = {-0.5772156649015329:.12f}")
 
 print()

@@ -1,11 +1,12 @@
 """A provable geometric tail bound P(tau > n) <= c * e^{-alpha n}.
 
-Flooring the positive part of the innovation (values in (0, N) moved to 0,
-values >= N moved to an atom at N) only enlarges tau, so a certificate for
-the floored process transfers to the original one.  For the floored family
-the W_v martingale with v < 0 plus optional stopping yields the pair
-(alpha, c) with alpha = |v| log(1/lam).  The bound is then checked against
-an independent simulated survival curve.
+Capping the innovation above at h (eta replaced by min(eta, h)) only
+enlarges tau, so a certificate for the capped process transfers to the
+original one.  Every capped state up to the passage is at most
+y_top = lam*a + h.  For v < 0, lam^{vn} W_v(X_n) is a martingale and W_v
+increases in y, so once W_v(y_top) < 0 optional stopping gives
+P(tau > n) <= (W_v(x)/W_v(a)) e^{-alpha n} with alpha = |v| log(1/lam).
+The bound is then checked against an independent simulated survival curve.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from ar1fpt import Gaussian, PassageProblem, exponential_certificate, simulate_p
 p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 cert = exponential_certificate(p)
 print(f"certificate: alpha = {cert.alpha:.6e}, c = {cert.c_bound:.4f} "
-      f"(v* = {cert.v_star:.6f}, floor N = {cert.n_cap_used})")
+      f"(v* = {cert.v_star:.6f}, cap h = {cert.h_cap})")
 print(f"so E e^(alpha tau) < inf: tau is exponentially bounded.")
 
 sim = simulate_passage(p, n_paths=200_000, max_steps=10**4, seed=1)

@@ -62,7 +62,6 @@ from .passage import (
 from .quadrature import QuadratureResult, improper_integral
 from .transforms import (
     check_harmonic,
-    eval_C,
     eval_H,
     eval_N,
     eval_W,

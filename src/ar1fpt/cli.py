@@ -301,12 +301,12 @@ def _cmd_identity_check(cfg):
 
 def _cmd_certificate(cfg):
     p = _problem(cfg)
-    cert = exponential_certificate(p, delta=cfg["delta"], n_cap=cfg["cap"])
+    cert = exponential_certificate(p, delta=cfg["delta"], h_cap=cfg["cap"])
     return {
         "v_star": cert.v_star,
         "alpha": cert.alpha,
         "c_bound": cert.c_bound,
-        "n_cap_used": cert.n_cap_used,
+        "h_cap": cert.h_cap,
     }, None
 
 

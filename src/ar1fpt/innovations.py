@@ -223,9 +223,15 @@ class Discrete(InnovationSpec):
         )
 
     def psi(self, u):
+        # near 0 the shifted log-sum rounds psi(u) to u*(top atom); the log1p
+        # form keeps it accurate relative to u*mean
         arr = _as_u(u)
-        out = _log_mgf(arr, *self._arrays())
-        out = np.where(arr == 0.0, 0.0, out)
+        vals, probs = self._arrays()
+        expo = np.multiply.outer(arr, vals)
+        small = np.abs(expo).max(axis=-1) <= 0.5
+        out = np.empty_like(arr)
+        out[small] = np.log1p(np.expm1(expo[small]) @ probs)
+        out[~small] = _log_mgf(arr[~small], vals, probs)
         return _maybe_scalar(out, u)
 
     def sample(self, rng, n):

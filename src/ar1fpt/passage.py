@@ -7,8 +7,8 @@ Given the problem (lam, x, a, innovation family) this module produces:
   * the overshoot-free lower bound H(a) - H(x);
   * an upper bound from capping the innovation above;
   * an exponential tail certificate (alpha, c_bound) with
-    P(tau > n) <= c_bound * exp(-alpha * n), obtained by flooring the
-    positive part of the innovation and sweeping the transform order.
+    P(tau > n) <= c_bound * exp(-alpha * n), from the sign of W_v at the
+    highest state the same capped process can reach.
 
 Everything here is a pure function of immutable inputs; Monte Carlo data
 arrives as a finished summary, never as shared state.
@@ -29,14 +29,14 @@ from .errors import (
     InfeasibleTruncationError,
     NoCrossingError,
 )
-from .innovations import InnovationSpec, truncate_cap_above, truncate_floor_positive
+from .innovations import InnovationSpec, truncate_cap_above
 from .quadrature import DEFAULT_U_MAX, QuadratureResult, panel_nodes
-from .transforms import eval_C, eval_H, eval_W
+from .transforms import eval_H, transform
 
 #: Nodes with empirical MGF relative standard error above this are clipped.
 MGF_REL_SE_CLIP = 0.10
-#: Minimum positive-atom mass accepted when choosing the flooring level.
-N_CAP_MASS_FLOOR = 1e-3
+#: Transform orders the certificate scans at lam*a + cap.
+_CERT_ORDERS = 64
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class ExponentialCertificate:
     v_star: float
     alpha: float
     c_bound: float
-    n_cap_used: float
+    h_cap: float
 
     def survival_bound(self, n) -> np.ndarray:
         return self.c_bound * np.exp(-self.alpha * np.asarray(n, dtype=float))
@@ -127,10 +127,8 @@ def lower_bound_e_tau(p: PassageProblem, lc: LimitCumulant | None = None) -> flo
     return max(value, 0.0)
 
 
-def upper_bound_e_tau(
-    p: PassageProblem, h_cap: float, lc_capped: LimitCumulant | None = None
-) -> float:
-    """Expected passage time of the capped-above process, which dominates.
+def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
+    """The limit cumulant of eta capped above at h_cap, and the cap in force.
 
     The cap is reduced to the essential supremum of the innovation when that
     is smaller (capping beyond the support is a no-op, but the state at
@@ -143,12 +141,15 @@ def upper_bound_e_tau(
             f"cap {h_eff} <= a*(1-lam) = {p.a * (1.0 - p.lam)}: "
             "the capped process can never cross"
         )
-    if lc_capped is None:
-        capped = truncate_cap_above(p.spec, h_eff)
-        lc_capped = LimitCumulant(capped, p.lam)
+    return LimitCumulant(truncate_cap_above(p.spec, h_eff), p.lam), h_eff
+
+
+def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> float:
+    """Expected passage time of the capped-above process, which dominates."""
+    lc, h_eff = _capped(p, h_cap)
     y_top = p.lam * p.a + h_eff
-    return _converged(eval_H(lc_capped, y_top), "capped H(lam*a + cap)") - _converged(
-        eval_H(lc_capped, p.x), "capped H(x)"
+    return _converged(eval_H(lc, y_top), "capped H(lam*a + cap)") - _converged(
+        eval_H(lc, p.x), "capped H(x)"
     )
 
 
@@ -262,94 +263,59 @@ def identity_e_tau(
 # ---------------------------------------------------------------------------
 
 
-def _choose_n_cap(p: PassageProblem) -> float:
-    """Smallest grid level above a*(1-lam) keeping the positive atom heavy.
-
-    The atom mass floor keeps the floored family's upward drift
-    well-conditioned: a vanishing atom would make the truncated series (and
-    the resulting certificate) numerically useless.
-    """
-    threshold = max(p.a * (1.0 - p.lam), 0.0)
-    offsets = p.spec.scale() * np.geomspace(0.05, 8.0, 24)
-    for off in offsets:
-        n_cap = threshold + float(off)
-        if p.spec.tail_prob(n_cap) >= N_CAP_MASS_FLOOR:
-            return n_cap
-    raise InfeasibleTruncationError(
-        "no flooring level above a*(1-lam) retains enough positive mass"
-    )
-
-
-def _v_sweep(delta: float, v_grid_size: int, c_top: float) -> np.ndarray:
-    """|v| values of the certificate sweep, largest first.
-
-    A geometric grid from just below delta to 1e-4.  When 1/(4*c_top) lies
-    below 1e-4, 16 more geometric steps carry the sweep on down to it, where
-    the denominator 1 - 2|v|*c_top is 1/2; problems whose grid certifies
-    never reach them.
-    """
-    grid = np.geomspace(delta * (1.0 - 1e-3), 1e-4, v_grid_size)
-    if 4.0 * 1e-4 * c_top <= 1.0:
-        return grid
-    return np.concatenate([grid, np.geomspace(1e-4, 0.25 / c_top, 17)[1:]])
-
-
 def exponential_certificate(
-    p: PassageProblem,
-    delta: float = 0.5,
-    n_cap: float | None = None,
-    v_grid_size: int = 64,
+    p: PassageProblem, delta: float = 0.5, h_cap: float | None = None
 ) -> ExponentialCertificate:
     """Certify P(tau > n) <= c_bound * exp(-alpha * n) with alpha > 0.
 
-    Floors the positive part of the innovation at n_cap (which only enlarges
-    the passage time, so the certificate transfers to the original process),
-    then sweeps the transform order v over (-delta, 0) from the most negative
-    end, keeping the first v whose optional-stopping bound is valid:
-    1 + 2*v*|C(lam*a + n_cap, 0)| > 0 and the two-sided slack
-    |W_v(y) - 1/v| <= 2*|C(y, 0)| verified numerically at both endpoints.
+    The argument.  Cap eta above at h_cap (by default max(a*(1-lam), 0) plus
+    the family's scale): capping lowers every state, so it only enlarges tau,
+    and a bound for the capped process holds for the original one.  Before
+    tau every capped state is at most a, and X_tau = lam*X_{tau-1} + eta~ is
+    at most y_top = lam*a + h; a < y_top as h > a*(1-lam).  For v in
+    (-delta, 0), lam**(v*n) * W_v(X_n) is a martingale, and W_v increases in
+    y (its y-derivative is the positive integral of exp(u*y - phi(u)) u**v).
+    So if W_v(y_top) < 0, optional stopping at the bounded time tau ^ n gives
+
+        W_v(x) = E[lam**(v*tau) W_v(X_tau); tau <= n]
+                 + lam**(v*n) E[W_v(X_n); tau > n]
+              <= lam**(v*n) W_v(a) P(tau > n),
+
+    since W_v(X_tau) <= W_v(y_top) < 0 in the first term and
+    W_v(X_n) <= W_v(a) < 0 on {tau > n}.  W_v(x) <= W_v(a) < 0 as well, so
+    P(tau > n) <= (W_v(x)/W_v(a)) exp(-|v| log(1/lam) n).
+
+    The numbers.  One engine call evaluates W_v(y_top) on a geometric grid
+    of orders from -delta*(1 - 1e-3) to -1e-6, and the most negative order
+    with a converged value + abs_err < 0 is taken.  A second call evaluates
+    W_v at x and a; c_bound = (|W_v(x)| + err)/(|W_v(a)| - err) bounds their
+    ratio from above.  If those two are unconverged or W_v(a) + err >= 0,
+    the next such order is tried.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    threshold = max(p.a * (1.0 - p.lam), 0.0)
-    if p.spec.tail_prob(threshold) <= 0.0:
-        raise NoCrossingError(
-            "no innovation mass above a*(1-lam): tau may be infinite"
-        )
-    if n_cap is None:
-        n_cap = _choose_n_cap(p)
-    elif n_cap <= threshold:
-        raise InfeasibleTruncationError(
-            f"floor level {n_cap} <= max(a*(1-lam), 0) = {threshold}: "
-            "the floored process can never cross"
-        )
-    floored = truncate_floor_positive(p.spec, n_cap)
-    lc = LimitCumulant(floored, p.lam)
-    y_top = p.lam * p.a + n_cap
+    if not feasibility_report(p).crossing_possible:
+        raise NoCrossingError("the level is never crossed: tau may be infinite")
+    if h_cap is None:
+        h_cap = max(p.a * (1.0 - p.lam), 0.0) + p.spec.scale()
+    lc, h_eff = _capped(p, h_cap)
+    y_top = p.lam * p.a + h_eff
 
-    c_x = abs(_converged(eval_C(lc, p.x, 0.0), "C(x, 0)"))
-    c_top = abs(_converged(eval_C(lc, y_top, 0.0), "C(lam*a + n_cap, 0)"))
-
-    log_inv_lam = math.log(1.0 / p.lam)
-    slack = 1e-8
-    for v in -_v_sweep(delta, v_grid_size, c_top):
-        v = float(v)
-        denom = 1.0 + 2.0 * v * c_top
-        if denom <= 0.0:
+    orders = -np.geomspace(delta * (1.0 - 1e-3), 1e-6, _CERT_ORDERS)
+    top = transform(lc, "W", y_top, orders)
+    for v in orders[top.converged & (top.value + top.abs_err < 0.0)]:
+        w = transform(lc, "W", [p.x, p.a], float(v))
+        # bounds on |W_v(x)| from above and on |W_v(a)| from below
+        w_x, w_a = -w.value + w.abs_err * [1.0, -1.0]
+        if not w.converged.all() or w_a <= 0.0:
             continue
-        w_x = _converged(eval_W(lc, p.x, v, delta=delta), f"W_{v:.6g}(x)")
-        if w_x < 1.0 / v - 2.0 * c_x - slack * (1.0 + c_x):
-            continue
-        w_top = _converged(eval_W(lc, y_top, v, delta=delta), f"W_{v:.6g}(lam*a + n_cap)")
-        if w_top > 1.0 / v + 2.0 * c_top + slack * (1.0 + c_top):
-            continue
-        c_bound = (1.0 - 2.0 * v * c_x) / denom
         return ExponentialCertificate(
-            v_star=v,
-            alpha=abs(v) * log_inv_lam,
-            c_bound=c_bound,
-            n_cap_used=n_cap,
+            v_star=float(v),
+            alpha=-float(v) * math.log(1.0 / p.lam),
+            c_bound=float(w_x / w_a),
+            h_cap=h_eff,
         )
     raise CertificateInfeasibleError(
-        "no transform order in (-delta, 0) yields a valid optional-stopping bound"
+        f"no transform order in (-delta, 0) makes W_v(lam*a + cap) = W_v({y_top:.6g}) "
+        "certifiably negative; a lower cap may"
     )

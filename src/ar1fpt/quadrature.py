@@ -121,8 +121,9 @@ def improper_integral(
     f maps a 1-D array of u > 0 to an array of shape (states..., len(u)),
     finite on (0, DEFAULT_U_MAX], with f(u) ~ c * u**s near 0 where
     s = singular_power > -1.  offset, an exactly known part of the integral
-    (such as an analytic tail), is added to every value before the
-    convergence test.  A state converges when its tail decayed and its
+    (such as an analytic tail), is added to the values before the
+    convergence test: one number for every state, or an array of the
+    states' shape.  A state converges when its tail decayed and its
     error is at most rel_tol * |value| + abs_tol; a state whose tail grows or
     whose value or error is not finite (float warnings are silenced) diverges,
     with a NaN value and an infinite error.  Result fields have the states'
@@ -132,6 +133,7 @@ def improper_integral(
         raise ValueError("singular_power must exceed -1")
     p = 1.0 if singular_power == 0.0 else _HEAD_ORDER / (1.0 + singular_power)
     threshold = abs_tol * 1e-2
+    offset = np.ravel(offset)
 
     # the head panel and the first tail panels
     edges = np.minimum(2.0 ** np.arange(_TAIL_PANELS_PER_CALL + 1), DEFAULT_U_MAX)

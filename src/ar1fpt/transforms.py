@@ -18,7 +18,8 @@ Each transform is only an integrand definition for the engine
 quadrature.improper_integral: the integrand takes the engine's node array
 u, evaluates phi(u) once, and returns the (states x nodes) array of
 integrand values for a whole batch of states.  transform evaluates any
-batch; eval_N/H/W/C are its scalar forms.
+batch, with one order v or one order per state; eval_N/H/W are its scalar
+forms.
 """
 
 from __future__ import annotations
@@ -52,41 +53,44 @@ def transform(
     lc: LimitCumulant,
     kind: str,
     y,
-    v: float | None = None,
+    v=None,
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
 ) -> QuadratureResult:
     """N_v, H, W_v or C(., v) at every state of y in one engine call.
 
-    phi is evaluated once per node set and shared by all states.  The
-    result's fields have the shape of y (Python scalars for a scalar y).
-    W_v is the C(., v) integral plus 1/v, the exact value of
-    -int_1^inf u**(v-1) du: beyond u = 1 the bracket of W_v is
-    exp(u*y - phi(u)) - 1, and the -1 integrates in closed form, leaving the
-    decaying integrand of C.
+    phi is evaluated once per node set and shared by all states.  v is one
+    order or an array of orders broadcast against y; the result's fields
+    have the broadcast shape (Python scalars when both are scalars).  The
+    engine's singular power is that of the most singular order.  W_v is the
+    C(., v) integral plus 1/v, the exact value of -int_1^inf u**(v-1) du:
+    beyond u = 1 the bracket of W_v is exp(u*y - phi(u)) - 1, and the -1
+    integrates in closed form, leaving the decaying integrand of C.
     """
+    orders = np.asarray(0.0 if kind == "H" else np.nan if v is None else v, dtype=float)
     if kind == "N":
-        if v is None or v <= 0:
-            raise ValueError("N_v requires v > 0")
-        power = min(v - 1.0, 0.0)
-    elif kind == "H":
-        v, power = 0.0, 0.0
+        valid, power = orders > 0.0, min(float(orders.min()) - 1.0, 0.0)
     elif kind in ("W", "C"):
-        if v is None or not -1.0 < v <= 0.0 or (kind == "W" and v == 0.0):
-            raise ValueError(f"{kind} requires an order v in (-1, 0), or v = 0 for C")
-        power = v
+        valid = (-1.0 < orders) & ((orders < 0.0) | (orders == 0.0) & (kind == "C"))
+        power = float(orders.min())
+    elif kind == "H":
+        v, valid, power = 0.0, True, 0.0
     else:
         raise ValueError(f"unknown transform kind {kind!r}")
+    if not np.all(valid):
+        raise ValueError(f"{kind} needs v > 0 for N, v in (-1, 0) for W, v in (-1, 0] for C")
     y = np.asarray(y, dtype=float)
     _require_admissible(lc, y)
-    ys = y[..., None]
+    if np.ndim(v) > 0:  # one order per state
+        y, v = np.broadcast_arrays(y, orders)
+    ys, vs = y[..., None], v[..., None] if np.ndim(v) > 0 else v
 
     def integrand(u):
         phi_u = lc.phi(u)[0]
         uy = u * ys
         expo = np.minimum(uy - phi_u, _EXP_CLIP)
         if kind == "N":
-            return np.exp(expo) * u ** (v - 1.0)
+            return np.exp(expo) * u ** (vs - 1.0)
         if kind == "H":
             e0 = np.exp(np.minimum(-phi_u, _EXP_CLIP))
             # the expm1 form where the difference of exponentials cancels;
@@ -94,7 +98,7 @@ def transform(
             small = e0 * np.expm1(np.clip(uy, -1.0, 1.0))
             return np.where(np.abs(uy) < 0.5, small, np.exp(expo) - e0) / u
         bracket = np.where(u <= 1.0, np.expm1(expo), np.exp(expo))
-        return bracket * u ** (v - 1.0)
+        return bracket * u ** (vs - 1.0)
 
     res = improper_integral(
         integrand,
@@ -146,17 +150,6 @@ def eval_W(
     if not -delta < v < 0.0:
         raise ValueError(f"eval_W requires v in (-delta, 0) = ({-delta}, 0)")
     return transform(lc, "W", float(y), v, rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-def eval_C(
-    lc: LimitCumulant,
-    y: float,
-    v: float = 0.0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> QuadratureResult:
-    """C(y, v) for v in (-1, 0]; the v = 0 value feeds the exponential certificate."""
-    return transform(lc, "C", float(y), v, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------

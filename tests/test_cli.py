@@ -184,6 +184,24 @@ def test_certificate_report(tmp_path):
     assert res["alpha"] > 0 and res["c_bound"] > 0 and res["v_star"] < 0
 
 
+def test_certificate_cap_beyond_the_support(tmp_path):
+    family = {"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5}
+    code, report, _ = run(tmp_path, "certificate", dict(GAUSS_CFG, family=family), "--cap", "100")
+    assert code == 0
+    assert report["results"]["alpha"] > 0 and report["results"]["h_cap"] == 1.0
+
+
+def test_certificate_cap_too_high_fails_typed(tmp_path, capsys):
+    # W_v(lam*a + 100) is of order exp(3787) for every order on the scan, so
+    # the sign condition cannot hold; a moderate cap certifies
+    code, report, _ = run(tmp_path, "certificate", GAUSS_CFG, "--cap", "100")
+    err = capsys.readouterr().err
+    assert code == 5 and report is None
+    assert "error[CertificateInfeasibleError]" in err and "Traceback" not in err
+    code, report, _ = run(tmp_path, "certificate", GAUSS_CFG, "--cap", "3")
+    assert code == 0 and report["results"]["h_cap"] == 3.0
+
+
 def test_validate_all_checks_pass(tmp_path):
     code, report, out = run(tmp_path, "validate", GAUSS_CFG)
     assert code == 0

@@ -262,6 +262,13 @@ def test_discrete_psi_is_log_sum_exp(atoms, u):
     assert math.isclose(float(psi(Discrete(tuple(atoms)), u)), direct, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def test_discrete_psi_near_zero_follows_the_mean():
+    # the log-sum shifted by the top atom would give psi(u)/u -> 1
+    spec = TwoPoint(1.0, -1.0, 0.3)
+    assert math.isclose(float(psi(spec, 1e-20)) / 1e-20, -0.4, rel_tol=1e-12)
+    assert LimitCumulant(spec, 0.5).phi(1e-20)[0] < 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(atoms=discrete_laws(), u=st.floats(0.0, 20.0), lam=st.sampled_from((0.3, 0.5, 0.9)))
 def test_discrete_functional_equation(atoms, u, lam):
@@ -341,10 +348,11 @@ def test_expectation_below_matches_partial_mgf(spec, u, t):
         assert abs(got - want) <= 1e-8 * want
 
 
-@settings(max_examples=40, deadline=None)
-@given(spec=truncated_laws().filter(lambda s: isinstance(s, Truncated)))
+@settings(max_examples=60, deadline=None)
+@given(spec=truncated_laws())
 def test_truncated_psi_is_mean_times_u_near_zero(spec):
-    # psi(u)/u -> mean: the log form alone rounds to 1e-16 absolute noise
+    # psi(u)/u -> mean, discrete laws included: a log-sum alone rounds to
+    # 1e-16 absolute noise
     m = spec.mean()
     for u in (1e-20, 1e-12, 1e-8):
         assert abs(float(psi(spec, u)) / u - m) <= 1e-6 * (1.0 + abs(m))

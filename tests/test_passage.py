@@ -1,11 +1,13 @@
 """Passage problems: feasibility, expectation identity, bounds, certificates."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from ar1fpt import (
+    CappedAbove,
     CertificateInfeasibleError,
     CoverageError,
     Deterministic,
@@ -149,9 +151,10 @@ def test_lower_bound_nonnegative():
 
 def test_certificate_structure_and_validity():
     cert = exponential_certificate(GAUSS)
-    assert cert.alpha > 0 and cert.c_bound > 0
+    assert cert.alpha > 0 and cert.c_bound >= 1.0
     assert math.isclose(cert.alpha, -cert.v_star * math.log(1.0 / 0.5), rel_tol=1e-12)
-    assert cert.n_cap_used > GAUSS.a * (1.0 - GAUSS.lam)
+    # the default cap: max(a*(1-lam), 0) plus the family's scale
+    assert cert.h_cap == GAUSS.a * (1.0 - GAUSS.lam) + 1.0
     bound = cert.survival_bound(np.array([0, 10, 100]))
     assert np.all(np.diff(bound) < 0)
 
@@ -165,16 +168,95 @@ def test_certificate_dominates_survival_curve():
     assert np.all(sim.survival_p <= cert.survival_bound(sim.survival_n) + allowance)
 
 
+def _enumerated_survival(atoms, lam, x, a, steps):
+    """[P_x(tau > n) for n = 0..steps], following every path that stays <= a."""
+    vals, probs = np.array(atoms).T
+    states, weight = np.array([x]), np.array([1.0])
+    out = [1.0]
+    for _ in range(steps):
+        nxt = (lam * states[:, None] + vals).ravel()
+        w = (weight[:, None] * probs).ravel()
+        alive = nxt <= a
+        states, inverse = np.unique(nxt[alive], return_inverse=True)
+        weight = np.bincount(inverse, weights=w[alive], minlength=len(states))
+        out.append(weight.sum())
+    return np.array(out)
+
+
+def _nystrom_survival(lam, x, a, steps, lower=-12.0, panels=52, order=16):
+    """[P_x(tau > n) for n = 0..steps] for N(0, 1) innovations.
+
+    Composite Gauss-Legendre on [lower, a]: the states below lower, 10
+    stationary standard deviations down at lam = 0.5, carry no visible mass.
+    """
+    g, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lower, a, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    nodes, weights = (mid[:, None] + half[:, None] * g).ravel(), (half[:, None] * w).ravel()
+
+    def step(frm):  # [i, j]: weight of one step from frm[i] to nodes[j]
+        z = nodes - lam * np.asarray(frm)[..., None]
+        return weights * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    kernel, start = step(nodes), step(x)
+    s, out = np.ones(len(nodes)), [1.0]
+    for _ in range(steps):
+        out.append(start @ s)
+        s = kernel @ s
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "p,exact,min_alpha",
+    [
+        (GAUSS, lambda: _nystrom_survival(0.5, 0.0, 1.0, 300), 7.9e-3),
+        (
+            PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5)),
+            lambda: _enumerated_survival([(1.0, 0.5), (-1.0, 0.5)], 0.5, 0.0, 1.0, 22),
+            5.2e-2,
+        ),
+        (
+            PassageProblem(lam=0.5, x=0.0, a=0.8, spec=TwoPoint(1.0, -1.0, 0.4)),
+            lambda: _enumerated_survival([(1.0, 0.4), (-1.0, 0.6)], 0.5, 0.0, 0.8, 22),
+            1.7e-2,
+        ),
+    ],
+    ids=["gaussian-nystrom", "two-point-0.5", "two-point-0.4"],
+)
+def test_certificate_dominates_exact_survival(p, exact, min_alpha):
+    cert = exponential_certificate(p)
+    surv = exact()
+    assert cert.alpha >= min_alpha
+    assert np.all(cert.survival_bound(np.arange(len(surv))) >= surv)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Gaussian(0.0, 1.0),
+        TwoPoint(1.0, -1.0, 0.5),
+        CappedAbove(Gaussian(0.0, 1.0), 1.5),
+        FlooredPositive(Gaussian(0.0, 1.0), 1.0),
+    ],
+    ids=["gaussian", "two_point", "capped_above", "floored_positive"],
+)
+def test_certificate_finishes_within_a_second(spec):
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=spec)
+    start = time.perf_counter()
+    cert = exponential_certificate(p)
+    assert time.perf_counter() - start < 1.0
+    assert cert.alpha > 0
+
+
 def test_certificate_floored_family():
-    # flooring a floored family needs its partial MGF below each level; at
-    # lam 0.5 the denominator 1 + 2v|C| is positive only for |v| < 7.5e-5,
-    # below the sweep's grid
+    # the default cap sits above the floored law's top atom, so the
+    # certificate works on the floored law itself
     for lam in (0.3, 0.5):
         p = PassageProblem(
             lam=lam, x=0.0, a=1.0, spec=FlooredPositive(Gaussian(0.0, 1.0), 1.0)
         )
         cert = exponential_certificate(p)
-        assert cert.alpha > 0 and cert.c_bound > 0
+        assert cert.alpha > 0 and cert.c_bound > 0 and cert.h_cap == 1.0
 
 
 def test_certificate_no_crossing():

@@ -16,7 +16,6 @@ from ar1fpt import (
     StableSpectrallyNegative,
     TwoPoint,
     check_harmonic,
-    eval_C,
     eval_H,
     eval_N,
     eval_W,
@@ -64,7 +63,7 @@ def test_W_deterministic_gamma_oracle(y, v):
 
 def test_C_deterministic_euler_gamma():
     # s = 1: C(y, 0) = -gamma - log s = -gamma
-    res = eval_C(LC_DET, 1.0, 0.0)
+    res = transform(LC_DET, "C", 1.0, 0.0)
     assert res.converged
     assert math.isclose(res.value, -EULER_GAMMA, rel_tol=1e-9)
 
@@ -72,7 +71,7 @@ def test_C_deterministic_euler_gamma():
 def test_W_equals_C_plus_reciprocal_order():
     v, y = -0.5, 1.0
     w = eval_W(LC_DET, y, v)
-    c = eval_C(LC_DET, y, v)
+    c = transform(LC_DET, "C", y, v)
     assert abs(w.value - (1.0 / v + c.value)) <= w.abs_err + c.abs_err + 1e-12
 
 
@@ -189,6 +188,19 @@ def test_batch_transform_matches_scalar_eval():
             else:
                 ref = eval_W(LC_DET, float(yi), v).value
             assert math.isclose(got[i], ref, rel_tol=1e-7, abs_tol=1e-9), (kind, yi)
+
+
+def test_batch_transform_takes_one_order_per_state():
+    # W_v(1) = gamma(v) * (2 - 1)**-v for the deterministic law
+    v = np.array([-0.8, -0.5, -0.1, -1e-6])
+    res = transform(LC_DET, "W", 1.0, v)
+    assert res.converged.all() and res.value.shape == v.shape
+    for vi, value in zip(v, res.value):
+        assert math.isclose(value, gamma(vi), rel_tol=1e-8)
+    y = np.array([-1.0, 0.5])
+    grid = transform(LC_DET, "W", y[:, None], v[None, :])
+    assert grid.value.shape == (2, 4)
+    assert np.allclose(grid.value, gamma(v) * (2.0 - y[:, None]) ** -v, rtol=1e-8)
 
 
 def test_batch_transform_rejects_out_of_domain_state():
