@@ -10,22 +10,15 @@ They solve lam^v E f(lam*y + eta) = f(y) (multiplicative) or
 E H(lam*y + eta) = H(y) + 1 (additive), which is what makes lam^{vn} f(X_n)
 and H(X_n) - n martingales.  Deterministic innovations turn every one of
 these into a gamma or Frullani integral we can check in closed form.
+transform(lc, kind, y, v) evaluates every one of them, for one state or a
+whole array of states in one engine call.
 """
 
 import math
 
 from scipy.special import gamma
 
-from ar1fpt import (
-    Deterministic,
-    Gaussian,
-    LimitCumulant,
-    check_harmonic,
-    eval_H,
-    eval_N,
-    eval_W,
-    transform,
-)
+from ar1fpt import Deterministic, Gaussian, LimitCumulant, check_harmonic, transform
 
 lam = 0.5
 lc_det = LimitCumulant(Deterministic(1.0), lam)  # phi(u) = 2u, so s = 2 - y
@@ -33,16 +26,17 @@ lc_gauss = LimitCumulant(Gaussian(0.0, 1.0), lam)
 
 print("== deterministic closed forms (theta = 2) ==")
 for y, v in [(0.0, 0.5), (1.0, 1.0), (1.5, 2.0)]:
-    got = eval_N(lc_det, y, v)
+    got = transform(lc_det, "N", y, v)
     want = gamma(v) * (2.0 - y) ** -v
     print(f"N_{v}({y}) = {got.value:.12f}   gamma(v) s^-v = {want:.12f}")
 
-for y in (0.5, 1.0, 1.75):
-    got = eval_H(lc_det, y)
+ys = [0.5, 1.0, 1.75]
+got = transform(lc_det, "H", ys)  # three states, one engine call
+for y, value in zip(ys, got.value):
     want = math.log(2.0 / (2.0 - y)) / math.log(2.0)
-    print(f"H({y}) = {got.value:.12f}   Frullani log_2(2/(2-y)) = {want:.12f}")
+    print(f"H({y}) = {value:.12f}   Frullani log_2(2/(2-y)) = {want:.12f}")
 
-got = eval_W(lc_det, 1.0, -0.5)
+got = transform(lc_det, "W", 1.0, -0.5)
 print(f"W_-0.5(1) = {got.value:.12f}   gamma(-1/2) = {-2 * math.sqrt(math.pi):.12f}")
 
 got = transform(lc_det, "C", 1.0, 0.0)

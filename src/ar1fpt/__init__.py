@@ -60,12 +60,6 @@ from .passage import (
     upper_bound_e_tau,
 )
 from .quadrature import QuadratureResult, improper_integral
-from .transforms import (
-    check_harmonic,
-    eval_H,
-    eval_N,
-    eval_W,
-    transform,
-)
+from .transforms import check_harmonic, transform
 
 __version__ = "0.1.0"

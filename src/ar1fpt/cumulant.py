@@ -26,6 +26,10 @@ _U0_REF = 1.0
 _K_MIN_PAD = 8
 #: Float64 capacity (1 MB) of one block of the u_i * lam**k psi matrix.
 _SERIES_BUF_LEN = 1 << 17
+#: The series stops once its geometric tail bound is below this.
+ABS_TERM_FLOOR = 1e-12
+#: The series raises SeriesDivergenceError if it has not stopped by this term.
+K_MAX = 10**4
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,6 @@ class LimitCumulant:
     spec: InnovationSpec
     lam: float
     mode: str = "auto"
-    abs_term_floor: float = 1e-12
-    k_max: int = 10**4
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -123,10 +125,6 @@ class LimitCumulant:
             return float(val), float(err)
         return val, err
 
-    def phi_value(self, u) -> np.ndarray | float:
-        """phi without the error bound."""
-        return self.phi(u)[0]
-
     def _closed_form_stable(self, u):
         spec = self.spec
         if isinstance(spec, Gaussian):
@@ -161,7 +159,7 @@ class LimitCumulant:
         carried total, and stops at the first k >= k_min whose term and
         predecessor are both 0 (bound 0) or whose geometric tail bound
         |t| r/(1-r), r = |t/t_prev| clipped to [lam, 1-1e-12], is below
-        abs_term_floor.  That is the term-by-term rule, so every row's value
+        ABS_TERM_FLOOR.  That is the term-by-term rule, so every row's value
         and bound do not depend on the other rows.
         """
         lam = self.lam
@@ -178,12 +176,11 @@ class LimitCumulant:
             prev = np.full(len(idx), np.nan)  # no term before k = 0
             k = 0
             while len(idx):
-                if k >= self.k_max:
+                if k >= K_MAX:
                     raise SeriesDivergenceError(
-                        "limit-cumulant series did not settle within "
-                        f"k_max={self.k_max} terms"
+                        f"limit-cumulant series did not settle within {K_MAX} terms"
                     )
-                hi = min(k + width, self.k_max)
+                hi = min(k + width, K_MAX)
                 args = np.multiply.outer(u[idx], lam ** np.arange(k, hi))
                 terms = np.asarray(self.spec.psi(args.ravel()), dtype=float)
                 terms = terms.reshape(args.shape)
@@ -194,7 +191,7 @@ class LimitCumulant:
                     r = np.minimum(np.maximum(mag / np.abs(before), lam), 1.0 - 1e-12)
                     bound = mag * r / (1.0 - r)
                 zero_pair = (terms == 0.0) & (before == 0.0)
-                stop = ((before != 0.0) & (bound < self.abs_term_floor)) | zero_pair
+                stop = ((before != 0.0) & (bound < ABS_TERM_FLOOR)) | zero_pair
                 stop &= np.arange(k, hi) >= kmin[:, None]
                 done = stop.any(axis=1)
                 at = stop.argmax(axis=1)[done]

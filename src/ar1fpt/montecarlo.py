@@ -298,17 +298,14 @@ def simulate_stationary(
     spec: InnovationSpec,
     lam: float,
     n_draws: int,
-    k_horizon: int | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Draws of Theta = sum_{k < k_horizon} lam**k * eta_{k+1}."""
+    """Draws of Theta = sum_{k < K} lam**k * eta_{k+1}, K the default_stationary_horizon."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    if k_horizon is None:
-        k_horizon = default_stationary_horizon(spec, lam)
     rng = _block_rng(seed, _DOMAIN_STATIONARY, 0)
     theta = np.zeros(n_draws)
-    for k in range(k_horizon):
+    for k in range(default_stationary_horizon(spec, lam)):
         theta += lam**k * sample(spec, rng, n_draws)
     return theta
 

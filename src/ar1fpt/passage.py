@@ -30,13 +30,16 @@ from .errors import (
     NoCrossingError,
 )
 from .innovations import InnovationSpec, truncate_cap_above
-from .quadrature import DEFAULT_U_MAX, QuadratureResult, panel_nodes
-from .transforms import eval_H, transform
+from .quadrature import DEFAULT_U_MAX, panel_nodes
+from .transforms import transform
 
 #: Nodes with empirical MGF relative standard error above this are clipped.
 MGF_REL_SE_CLIP = 0.10
 #: Transform orders the certificate scans at lam*a + cap.
 _CERT_ORDERS = 64
+#: The identity's nodes end where its envelope exp(u*y_env - phi(u))/u
+#: falls below this.
+_ENV_CUTOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ class PassageProblem:
         if self.a < self.x:
             raise ValueError("the level a must satisfy a >= x")
 
-    def limit_cumulant(self, mode: str = "auto") -> LimitCumulant:
-        return LimitCumulant(self.spec, self.lam, mode=mode)
+    def limit_cumulant(self) -> LimitCumulant:
+        return LimitCumulant(self.spec, self.lam)
 
 
 @dataclass(frozen=True)
@@ -110,21 +113,21 @@ def feasibility_report(p: PassageProblem) -> FeasibilityReport:
     )
 
 
-def _converged(res: QuadratureResult, what: str) -> float:
-    """The value of a transform integral, or DivergenceError if unconverged."""
-    if not res.converged:
+def _h_increment(lc: LimitCumulant, y: float, x: float, what: str) -> float:
+    """H(y) - H(x) from one engine call, or DivergenceError if unconverged."""
+    res = transform(lc, "H", [y, x])
+    if not res.converged.all():
         raise DivergenceError(
-            f"{what} did not converge ({res.tail_diagnostic}, "
-            f"value {res.value:.6g} +- {res.abs_err:.3g})"
+            f"{what} did not converge ({', '.join(res.tail_diagnostic)}, "
+            f"values {res.value} +- {res.abs_err})"
         )
-    return res.value
+    return float(res.value[0] - res.value[1])
 
 
 def lower_bound_e_tau(p: PassageProblem, lc: LimitCumulant | None = None) -> float:
     """H(a) - H(x): drops the (nonnegative) overshoot from the identity."""
     lc = lc or p.limit_cumulant()
-    value = _converged(eval_H(lc, p.a), "H(a)") - _converged(eval_H(lc, p.x), "H(x)")
-    return max(value, 0.0)
+    return max(_h_increment(lc, p.a, p.x, "H(a), H(x)"), 0.0)
 
 
 def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
@@ -147,10 +150,7 @@ def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
 def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> float:
     """Expected passage time of the capped-above process, which dominates."""
     lc, h_eff = _capped(p, h_cap)
-    y_top = p.lam * p.a + h_eff
-    return _converged(eval_H(lc, y_top), "capped H(lam*a + cap)") - _converged(
-        eval_H(lc, p.x), "capped H(x)"
-    )
+    return _h_increment(lc, p.lam * p.a + h_eff, p.x, "capped H(lam*a + cap), H(x)")
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +173,15 @@ class IdentityNodes:
     env_is_hard: bool  # True when y_env comes from a hard support bound
 
 
-def identity_nodes(
-    p: PassageProblem,
-    lc: LimitCumulant | None = None,
-    cutoff: float = 1e-15,
-    n_per_panel: int = 32,
-) -> IdentityNodes:
+def identity_nodes(p: PassageProblem, lc: LimitCumulant | None = None) -> IdentityNodes:
+    """The engine's K15 nodes and weights for the identity's H integrand.
+
+    They lie on the engine's own partition for H: the unsubstituted head
+    panel [0, 1], then the dyadic panels [1, 2], ..., [u_hi/2, u_hi].  u_hi
+    is the first power of two at which the envelope exp(u*y_env - phi(u))/u
+    has fallen below _ENV_CUTOFF, y_env = lam*a plus the ess-sup of eta
+    (or its 1 - 1e-9 quantile when eta is unbounded above).
+    """
     lc = lc or p.limit_cumulant()
     ub = p.spec.upper_support()
     if ub is not None:
@@ -196,14 +199,14 @@ def identity_nodes(
     # power of two at or above DEFAULT_U_MAX
     u_hi = 2.0 ** np.arange(1, math.ceil(math.log2(DEFAULT_U_MAX)) + 1)
     env = np.exp(np.minimum(u_hi * y_env - lc.phi(u_hi)[0], 700.0)) / u_hi
-    below = np.flatnonzero(env < cutoff)
+    below = np.flatnonzero(env < _ENV_CUTOFF)
     if len(below) == 0:
         raise DivergenceError(
             f"identity integral envelope is still {env[-1]:.3g} at u={u_hi[-1]:.6g} "
-            f"(cutoff {cutoff:.3g}); y_env={y_env:.6g} is too close to "
+            f"(cutoff {_ENV_CUTOFF:.3g}); y_env={y_env:.6g} is too close to "
             f"y_adm={lc.y_adm:.6g}"
         )
-    u, w = panel_nodes(u_hi[below[0]], n_per_panel=n_per_panel)
+    u, w = panel_nodes(u_hi[below[0]])
     phi_u = lc.phi(u)[0]
     return IdentityNodes(u=u, w=w, phi_u=phi_u, y_env=y_env, env_is_hard=hard)
 
@@ -236,7 +239,9 @@ def identity_e_tau(
     scale = 1.0 / math.log(1.0 / p.lam)
     coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u * scale
     base = np.exp(nodes.u * p.x)
-    rel_se = np.divide(se, np.abs(mgf), out=np.full_like(se, np.inf), where=mgf != 0)
+    # moments that overflowed give inf/inf: a NaN that counts as clipped
+    with np.errstate(invalid="ignore"):
+        rel_se = np.divide(se, np.abs(mgf), out=np.full_like(se, np.inf), where=mgf != 0)
     active = rel_se <= MGF_REL_SE_CLIP
 
     value = float(np.sum(coef[active] * (mgf[active] - base[active])))

@@ -12,17 +12,21 @@ u**s cusp; the tail is covered by the dyadic panels [1, 2], [2, 4], ...,
 added a few at a time until every state's integrand has died out or the
 ceiling DEFAULT_U_MAX is reached.  A panel's error is |K15 - G7|, and the
 panels whose error exceeds their share of some state's tolerance are
-bisected, all of them in one integrand call per round.
+bisected, all of them in one integrand call per round.  panel_nodes freezes
+the K15 nodes of that partition, before bisection, for integrands known only
+at fixed nodes, such as an empirical moment generating function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-12
+#: A state converges when its error is at most REL_TOL * |value| + ABS_TOL.
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
 DEFAULT_U_MAX = 1e5
 
 #: Dyadic tail panels added per integrand call while the tail is alive.
@@ -87,11 +91,16 @@ class QuadratureResult:
     tail_diagnostic: str
 
 
-def _panels(f, a, b, head, p):
-    """K15 values, |K15 - G7| and |f| at the last node of the panels [a, b].
+def _dyadic_panels(n):
+    """The head panel [0, 1] and the n dyadic panels [1, 2], ..., [2**(n-1), 2**n]."""
+    edges = 2.0 ** np.arange(n + 1)
+    return np.concatenate([[0.0], edges[:-1]]), np.concatenate([[1.0], edges[1:]])
 
-    Head panels live in w with u = w**p; the others in u.  The first three
-    results have shape (states, panels); the last is the states' shape.
+
+def _nodes(a, b, head, p):
+    """K15 nodes u of the panels [a, b], shape (panels, 15), and du/dx there.
+
+    Head panels live in w with u = w**p; the others in u.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _X15
@@ -100,9 +109,19 @@ def _panels(f, a, b, head, p):
     if p != 1.0:
         u[head] = x[head] ** p
         jac[head] *= p * x[head] ** (p - 1.0)
+    return u, jac
+
+
+def _panels(f, a, b, head, p):
+    """K15 values, |K15 - G7| and |f| at the last node of the panels [a, b].
+
+    The first three results have shape (states, panels); the last is the
+    states' shape.
+    """
+    u, jac = _nodes(a, b, head, p)
     raw = np.asarray(f(u.ravel()), dtype=float)
     state_shape = raw.shape[:-1]
-    raw = raw.reshape(-1, *x.shape)
+    raw = raw.reshape(-1, *u.shape)
     vals = raw * jac
     k15 = vals @ _WK15
     return k15, np.abs(k15 - vals @ _WG15), np.abs(raw[..., -1]), state_shape
@@ -112,8 +131,6 @@ def _panels(f, a, b, head, p):
 def improper_integral(
     f,
     singular_power: float = 0.0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
     offset: float = 0.0,
 ) -> QuadratureResult:
     """Integrate f over (0, inf), for every state at once.
@@ -124,7 +141,7 @@ def improper_integral(
     (such as an analytic tail), is added to the values before the
     convergence test: one number for every state, or an array of the
     states' shape.  A state converges when its tail decayed and its
-    error is at most rel_tol * |value| + abs_tol; a state whose tail grows or
+    error is at most REL_TOL * |value| + ABS_TOL; a state whose tail grows or
     whose value or error is not finite (float warnings are silenced) diverges,
     with a NaN value and an infinite error.  Result fields have the states'
     shape, and are Python scalars when f returns a 1-D array.
@@ -132,20 +149,18 @@ def improper_integral(
     if singular_power <= -1.0:
         raise ValueError("singular_power must exceed -1")
     p = 1.0 if singular_power == 0.0 else _HEAD_ORDER / (1.0 + singular_power)
-    threshold = abs_tol * 1e-2
+    threshold = ABS_TOL * 1e-2
     offset = np.ravel(offset)
 
     # the head panel and the first tail panels
-    edges = np.minimum(2.0 ** np.arange(_TAIL_PANELS_PER_CALL + 1), DEFAULT_U_MAX)
-    a = np.concatenate([[0.0], edges[:-1]])
-    b = np.concatenate([[1.0], edges[1:]])
+    a, b = _dyadic_panels(_TAIL_PANELS_PER_CALL)
     head = np.arange(len(a)) == 0
     val, err, edge, state_shape = _panels(f, a, b, head, p)
     # extend the dyadic tail until every state's integrand has died
     while True:
         last, prev = val[:, -1], val[:, -2]
         dead = (edge[:, -1] < threshold) & (
-            np.abs(last) < np.maximum(threshold, rel_tol * np.abs(val.sum(axis=1)))
+            np.abs(last) < np.maximum(threshold, REL_TOL * np.abs(val.sum(axis=1)))
         )
         if dead.all() or b[-1] >= DEFAULT_U_MAX:
             break
@@ -168,7 +183,7 @@ def improper_integral(
     while True:
         value = val.sum(axis=1) + offset
         abs_err = err.sum(axis=1) + tail_err
-        tol = rel_tol * np.abs(value) + abs_tol
+        tol = REL_TOL * np.abs(value) + ABS_TOL
         budget = (tol - tail_err) / len(a)
         short = ~growing & (abs_err > tol) & (budget > 0)
         split = (err[short] > budget[short, None]).any(axis=0)
@@ -201,27 +216,19 @@ def improper_integral(
 
 
 # ---------------------------------------------------------------------------
-# Fixed Gauss-Legendre node sets (for empirical plug-ins)
+# Fixed node sets (for empirical plug-ins)
 # ---------------------------------------------------------------------------
 
 
-def panel_nodes(u_hi: float, n_per_panel: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 0.5], [0.5, 1] and dyadic panels.
+def panel_nodes(u_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's K15 nodes and weights on its first partition of [0, u_hi].
 
-    Panels double in width from [1, 2] up to [u_hi/2, u_hi]; u_hi is rounded
-    up to the next power of two.  Suitable for integrands that are smooth on
-    (0, u_hi) and negligible beyond.
+    The panels are the unsubstituted head panel [0, 1] and the dyadic panels
+    [1, 2], [2, 4], ..., [u_hi/2, u_hi], u_hi rounded up to a power of two
+    (at least 2): the panels improper_integral lays down for s = 0 before
+    it bisects.  Suitable for integrands that are smooth on (0, u_hi) and
+    negligible beyond.
     """
-    x, w = np.polynomial.legendre.leggauss(n_per_panel)
-    edges = [0.0, 0.5, 1.0]
-    hi = 1.0
-    target = max(2.0, u_hi)
-    while hi < target:
-        hi *= 2.0
-        edges.append(hi)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = _dyadic_panels(max(1, math.ceil(math.log2(u_hi))))
+    u, jac = _nodes(a, b, None, 1.0)
+    return u.ravel(), (jac * _WK15).ravel()

@@ -17,9 +17,9 @@ linearly, i.e. iff y lies below the admissibility level lc.y_adm.
 Each transform is only an integrand definition for the engine
 quadrature.improper_integral: the integrand takes the engine's node array
 u, evaluates phi(u) once, and returns the (states x nodes) array of
-integrand values for a whole batch of states.  transform evaluates any
-batch, with one order v or one order per state; eval_N/H/W are its scalar
-forms.
+integrand values for a whole batch of states.  transform is the one
+entry point: it evaluates any batch, a single state included, with one
+order v or one order per state.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ import numpy as np
 
 from .cumulant import LimitCumulant
 from .errors import DivergenceError
-from .quadrature import (
-    DEFAULT_ABS_TOL,
-    DEFAULT_REL_TOL,
-    QuadratureResult,
-    improper_integral,
-)
+from .quadrature import QuadratureResult, improper_integral
 
 _EXP_CLIP = 700.0  # exp() overflow guard; exponents this large mean divergence
 
@@ -49,14 +44,7 @@ def _require_admissible(lc, y):
         )
 
 
-def transform(
-    lc: LimitCumulant,
-    kind: str,
-    y,
-    v=None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> QuadratureResult:
+def transform(lc: LimitCumulant, kind: str, y, v=None) -> QuadratureResult:
     """N_v, H, W_v or C(., v) at every state of y in one engine call.
 
     phi is evaluated once per node set and shared by all states.  v is one
@@ -101,11 +89,7 @@ def transform(
         return bracket * u ** (vs - 1.0)
 
     res = improper_integral(
-        integrand,
-        singular_power=power,
-        rel_tol=rel_tol,
-        abs_tol=abs_tol,
-        offset=1.0 / v if kind == "W" else 0.0,
+        integrand, singular_power=power, offset=1.0 / v if kind == "W" else 0.0
     )
     if kind != "H":
         return res
@@ -113,43 +97,6 @@ def transform(
     return QuadratureResult(
         res.value * scale, res.abs_err * scale, res.converged, res.tail_diagnostic
     )
-
-
-def eval_N(
-    lc: LimitCumulant,
-    y: float,
-    v: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> QuadratureResult:
-    """N_v(y) for v > 0."""
-    return transform(lc, "N", float(y), v, rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-def eval_H(
-    lc: LimitCumulant,
-    y: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> QuadratureResult:
-    """H(y); H(0) = 0 exactly."""
-    if y == 0.0:
-        return QuadratureResult(0.0, 0.0, True, "decayed")
-    return transform(lc, "H", float(y), rel_tol=rel_tol, abs_tol=abs_tol)
-
-
-def eval_W(
-    lc: LimitCumulant,
-    y: float,
-    v: float,
-    delta: float = 1.0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-) -> QuadratureResult:
-    """W_v(y) for v in (-delta, 0); delta from the left-tail moment order."""
-    if not -delta < v < 0.0:
-        raise ValueError(f"eval_W requires v in (-delta, 0) = ({-delta}, 0)")
-    return transform(lc, "W", float(y), v, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +109,6 @@ def check_harmonic(
     kind: str,
     y: float,
     v: float | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
 ) -> float:
     """Residual of the martingale harmonic equation at state y.
 
@@ -185,7 +130,7 @@ def check_harmonic(
     def f_after_step(eta):
         eta = np.asarray(eta, dtype=float)
         states = np.append(lc.lam * y + eta, y)
-        res = transform(lc, kind, states, v, rel_tol=rel_tol, abs_tol=abs_tol)
+        res = transform(lc, kind, states, v)
         if not np.all(res.converged):
             raise DivergenceError(
                 f"{kind} transform did not converge on the states "

@@ -70,6 +70,19 @@ def test_identity_check_deterministic_zero_discrepancy(tmp_path, capsys):
     assert "combined std errs" in capsys.readouterr().out
 
 
+def test_identity_check_with_overflowing_moments(tmp_path):
+    # near y_adm the nodes reach u = 2**13 or more, where the MGF moments of
+    # X_tau overflow to inf; those nodes are clipped, silently
+    det = {"family": {"name": "deterministic", "c": 0.5}, "lambda": 0.5, "x": 0, "a": 0.99}
+    code, report, _ = run(tmp_path, "identity-check", det, "--paths", "100")
+    assert code == 0
+    res = report["results"]
+    assert abs(res["identity_value"] - 7.0) <= res["identity_std_err"]  # tau = 7 exactly
+    two_point = dict(det, family={"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5}, a=1.9)
+    code, report, _ = run(tmp_path, "identity-check", two_point, "--paths", "100")
+    assert code == 0 and report["results"]["discrepancy_sigmas"] <= 3.0
+
+
 def test_lambda_out_of_range_rejected(tmp_path):
     cfg = dict(GAUSS_CFG, **{"lambda": 1.2})
     code, report, _ = run(tmp_path, "phi", cfg)

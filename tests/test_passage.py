@@ -25,6 +25,7 @@ from ar1fpt import (
     identity_nodes,
     lower_bound_e_tau,
     simulate_passage,
+    transform,
     upper_bound_e_tau,
 )
 
@@ -100,8 +101,34 @@ def test_identity_nodes_raise_on_truncated_envelope():
     p = PassageProblem(lam=0.5, x=0.0, a=2.0 - 1e-4, spec=Deterministic(1.0))
     with pytest.raises(DivergenceError):
         identity_nodes(p)
-    # the flagship envelope dies at u = 16: six 32-node panels
-    assert len(identity_nodes(GAUSS).u) == 192
+    # the flagship envelope dies at u = 16: five 15-node panels, [0, 1] to [8, 16]
+    assert len(identity_nodes(GAUSS).u) == 75
+
+
+NODE_RULE_PROBLEMS = [
+    GAUSS,
+    PassageProblem(lam=0.9, x=0.0, a=4.0, spec=Gaussian(0.0, 1.0)),
+    PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5)),
+    PassageProblem(lam=0.5, x=0.0, a=1.0, spec=CappedAbove(Gaussian(0.0, 1.0), 1.5)),
+    PassageProblem(lam=0.5, x=-1.0, a=1.0, spec=FlooredPositive(Gaussian(0.0, 1.0), 1.0)),
+    PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Deterministic(0.75)),
+]
+
+
+@pytest.mark.parametrize(
+    "p", NODE_RULE_PROBLEMS, ids=["flagship", "lam0.9", "TwoPoint", "Capped", "Floored", "Deterministic"]
+)
+def test_identity_nodes_reproduce_H_increments(p):
+    # the identity's sum with the MGF of a point mass at y is H(y) - H(x)
+    lc = p.limit_cumulant()
+    nodes = identity_nodes(p, lc)
+    y = np.linspace(p.a, nodes.y_env, 9)
+    coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u / math.log(1.0 / p.lam)
+    frozen = (np.exp(np.outer(y, nodes.u)) - np.exp(nodes.u * p.x)) @ coef
+    ref = transform(lc, "H", np.append(y, p.x))
+    assert ref.converged.all()
+    want = ref.value[:-1] - ref.value[-1]
+    np.testing.assert_allclose(frozen, want, rtol=1e-10, atol=0.0)
 
 
 # -- bounds ------------------------------------------------------------------

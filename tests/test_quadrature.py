@@ -12,6 +12,7 @@ import pytest
 from scipy.special import gamma
 
 from ar1fpt import Gaussian, LimitCumulant, improper_integral, transform
+from ar1fpt import quadrature
 from ar1fpt.quadrature import panel_nodes
 
 
@@ -48,10 +49,12 @@ def test_slow_algebraic_tail_hits_ceiling():
     assert res.tail_diagnostic == "truncated_at_umax"
 
 
-def test_halving_rel_tol_is_self_consistent():
+def test_halving_rel_tol_is_self_consistent(monkeypatch):
     f = lambda u: np.exp(-u) * np.cos(u)
-    coarse = improper_integral(f, rel_tol=1e-6)
-    fine = improper_integral(f, rel_tol=5e-7)
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-6)
+    coarse = improper_integral(f)
+    monkeypatch.setattr(quadrature, "REL_TOL", 5e-7)
+    fine = improper_integral(f)
     assert abs(coarse.value - fine.value) < coarse.abs_err + 1e-12
     assert math.isclose(fine.value, 0.5, rel_tol=1e-6)
 

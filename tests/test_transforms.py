@@ -16,9 +16,6 @@ from ar1fpt import (
     StableSpectrallyNegative,
     TwoPoint,
     check_harmonic,
-    eval_H,
-    eval_N,
-    eval_W,
     transform,
 )
 
@@ -35,28 +32,28 @@ LC_GAUSS = LimitCumulant(Gaussian(0.0, 1.0), 0.5)
 @pytest.mark.parametrize("y,v", [(0.0, 0.5), (1.0, 1.0), (1.5, 2.0), (-2.0, 0.5)])
 def test_N_deterministic_gamma_oracle(y, v):
     s = 2.0 - y
-    res = eval_N(LC_DET, y, v)
+    res = transform(LC_DET, "N", y, v)
     assert res.converged
     assert math.isclose(res.value, gamma(v) * s**-v, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("y", [0.5, 1.0, 1.75, 1.99, -1.0])
 def test_H_deterministic_frullani_oracle(y):
-    res = eval_H(LC_DET, y)
+    res = transform(LC_DET, "H", y)
     assert res.converged
     oracle = math.log(2.0 / (2.0 - y)) / math.log(2.0)
     assert math.isclose(res.value, oracle, rel_tol=1e-9)
 
 
 def test_H_at_zero_is_exactly_zero():
-    res = eval_H(LC_DET, 0.0)
-    assert res.value == 0.0 and res.abs_err == 0.0
+    res = transform(LC_DET, "H", 0.0)
+    assert res.value == 0.0 and res.abs_err == 0.0 and res.converged
 
 
 @pytest.mark.parametrize("y,v", [(1.0, -0.5), (0.5, -0.3), (1.5, -0.8), (-1.0, -0.5)])
 def test_W_deterministic_gamma_oracle(y, v):
     s = 2.0 - y
-    res = eval_W(LC_DET, y, v, delta=1.0)
+    res = transform(LC_DET, "W", y, v)
     assert res.converged
     assert math.isclose(res.value, gamma(v) * s**-v, rel_tol=1e-8)
 
@@ -70,7 +67,7 @@ def test_C_deterministic_euler_gamma():
 
 def test_W_equals_C_plus_reciprocal_order():
     v, y = -0.5, 1.0
-    w = eval_W(LC_DET, y, v)
+    w = transform(LC_DET, "W", y, v)
     c = transform(LC_DET, "C", y, v)
     assert abs(w.value - (1.0 / v + c.value)) <= w.abs_err + c.abs_err + 1e-12
 
@@ -78,7 +75,7 @@ def test_W_equals_C_plus_reciprocal_order():
 def test_N_gaussian_closed_form_at_zero():
     # N_1(0) = int e^{-b u^2} du = sqrt(pi/b)/2 with b = 1/(2(1 - lam^2))
     b = 1.0 / (2.0 * (1.0 - 0.25))
-    res = eval_N(LC_GAUSS, 0.0, 1.0)
+    res = transform(LC_GAUSS, "N", 0.0, 1.0)
     assert res.converged
     assert math.isclose(res.value, 0.5 * math.sqrt(math.pi / b), rel_tol=1e-9)
 
@@ -106,18 +103,16 @@ def test_condition_19_heavy_stable_needs_negative_state():
 
 def test_transforms_raise_on_divergent_state():
     with pytest.raises(DivergenceError):
-        eval_H(LC_DET, 2.5)
+        transform(LC_DET, "H", 2.5)
     with pytest.raises(DivergenceError):
-        eval_N(LC_DET, 2.5, 1.0)
+        transform(LC_DET, "N", 2.5, 1.0)
 
 
 def test_order_domain_validation():
     with pytest.raises(ValueError):
-        eval_N(LC_DET, 0.0, -1.0)
+        transform(LC_DET, "N", 0.0, -1.0)
     with pytest.raises(ValueError):
-        eval_W(LC_DET, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        eval_W(LC_DET, 0.0, -0.9, delta=0.5)
+        transform(LC_DET, "W", 0.0, 0.5)
 
 
 # -- harmonic equations ------------------------------------------------------
@@ -158,7 +153,7 @@ def test_harmonic_W(lc, v):
 @pytest.mark.parametrize("lc", HARMONIC_FAMILIES[3:5], ids=HARMONIC_IDS[3:5])
 def test_truncated_W_converges_near_the_singular_order(lc):
     # the u**(v-1) weight amplifies any noise of phi near u = 0
-    res = eval_W(lc, 0.0, -0.5)
+    res = transform(lc, "W", 0.0, -0.5)
     assert res.converged and res.tail_diagnostic == "decayed"
 
 
@@ -168,7 +163,7 @@ def test_truncated_W_batch_matches_single_states():
     batch = transform(LC_CAPPED, "W", y, -0.4)
     assert batch.converged.all()
     for yi, value, err in zip(y, batch.value, batch.abs_err):
-        one = eval_W(LC_CAPPED, yi, -0.4)
+        one = transform(LC_CAPPED, "W", yi, -0.4)
         assert one.converged
         assert abs(value - one.value) <= err + one.abs_err
 
@@ -177,16 +172,12 @@ def test_truncated_W_batch_matches_single_states():
 
 
 def test_batch_transform_matches_scalar_eval():
+    # the batch against one-state calls
     y = np.array([-1.0, 0.0, 0.5, 1.5])
     for kind, v in (("N", 1.0), ("N", 0.5), ("H", None), ("W", -0.4)):
         got = transform(LC_DET, kind, y, v=v).value
         for i, yi in enumerate(y):
-            if kind == "N":
-                ref = eval_N(LC_DET, float(yi), v).value
-            elif kind == "H":
-                ref = eval_H(LC_DET, float(yi)).value
-            else:
-                ref = eval_W(LC_DET, float(yi), v).value
+            ref = transform(LC_DET, kind, float(yi), v).value
             assert math.isclose(got[i], ref, rel_tol=1e-7, abs_tol=1e-9), (kind, yi)
 
 
