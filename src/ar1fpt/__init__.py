@@ -34,10 +34,6 @@ from .innovations import (
     StableSpectrallyNegative,
     Truncated,
     TwoPoint,
-    psi,
-    sample,
-    truncate_cap_above,
-    truncate_floor_positive,
 )
 from .montecarlo import (
     DriftReport,

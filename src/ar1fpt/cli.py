@@ -312,8 +312,7 @@ def _cmd_certificate(cfg):
 
 def _cmd_validate(cfg):
     """Desk-scale consistency battery for the configured family."""
-    spec, lam = cfg["_spec"], cfg["lambda"]
-    lc = LimitCumulant(spec, lam)
+    lc = LimitCumulant(cfg["_spec"], cfg["lambda"])
     grid = cfg["_u_grid"]
     checks = []
 
@@ -326,8 +325,7 @@ def _cmd_validate(cfg):
 
     record("functional_equation_residual", check_functional_equation(lc, grid), 1e-8)
     if lc.mode != "series":
-        series = LimitCumulant(spec, lam, mode="series")
-        resid = np.abs(lc.phi(grid)[0] - series.phi(grid)[0])
+        resid = np.abs(lc.phi(grid)[0] - lc.series(grid)[0])
         record("series_vs_closed_form", float(np.max(resid, initial=0.0)), 1e-10)
     # a state inside the admissible domain, below x and never above 0
     y = min(0.0, cfg["x"], lc.y_adm - 1.0)

@@ -7,7 +7,8 @@ lim phi'(u) = ess-sup(eta)/(1 - lam) is the admissibility level y_adm: the
 martingale integrals of exp(u*y - phi(u)) converge exactly for y < y_adm.
 
 Series summation uses a geometric tail bound; closed forms exist for the
-stable (hence Gaussian) and deterministic families.
+stable (hence Gaussian) and deterministic families, and the family alone
+decides which path phi takes.
 """
 
 from __future__ import annotations
@@ -58,39 +59,31 @@ class SlopeReport:
 class LimitCumulant:
     """Evaluator of phi for one (innovation family, lam) pair.
 
-    mode selects between straight series summation and the closed forms:
-      - "series": sum psi(lam**k u) with a geometric tail bound
-      - "closed_form_stable": m*u/(1-lam) + sgn(alpha-1)*C*u**alpha/(1-lam**alpha)
+    The family decides phi's path, reported by mode:
       - "closed_form_deterministic": c*u/(1-lam) for a one-atom law eta = c
-      - "auto" (default at construction): closed form when one exists
+      - "closed_form_stable": m*u/(1-lam) + sgn(alpha-1)*C*u**alpha/(1-lam**alpha)
+        for a Gaussian or stable law
+      - "series": sum psi(lam**k u) with a geometric tail bound, for every
+        other law
+    series(u) sums the series for any family, to cross-check a closed form.
     """
 
     spec: InnovationSpec
     lam: float
-    mode: str = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie in (0, 1)")
+
+    @property
+    def mode(self) -> str:
+        """The path phi takes for this family."""
         atoms = self.spec.atoms()
-        point_mass = atoms is not None and len(atoms) == 1
-        mode = self.mode
-        if mode == "auto":
-            if point_mass:
-                mode = "closed_form_deterministic"
-            elif isinstance(self.spec, (Gaussian, StableSpectrallyNegative)):
-                mode = "closed_form_stable"
-            else:
-                mode = "series"
-            object.__setattr__(self, "mode", mode)
-        if mode not in ("series", "closed_form_stable", "closed_form_deterministic"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "closed_form_deterministic" and not point_mass:
-            raise ValueError("deterministic closed form needs a one-atom spec")
-        if mode == "closed_form_stable" and not isinstance(
-            self.spec, (Gaussian, StableSpectrallyNegative)
-        ):
-            raise ValueError("stable closed form needs a Gaussian or stable spec")
+        if atoms is not None and len(atoms) == 1:
+            return "closed_form_deterministic"
+        if isinstance(self.spec, (Gaussian, StableSpectrallyNegative)):
+            return "closed_form_stable"
+        return "series"
 
     @property
     def y_adm(self) -> float:
@@ -110,20 +103,15 @@ class LimitCumulant:
         A scalar u gives a pair of floats, an array a pair of arrays of its
         shape.  The bound is 0 for closed forms.
         """
-        arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0):
-            raise ValueError("phi is only defined for u >= 0")
-        if self.mode == "closed_form_deterministic":
+        mode = self.mode
+        if mode == "series":
+            return self.series(u)
+        arr = _as_u(u)
+        if mode == "closed_form_deterministic":
             val = self.spec.upper_support() * arr / (1.0 - self.lam)
-            err = np.zeros_like(arr)
-        elif self.mode == "closed_form_stable":
-            val, err = self._closed_form_stable(arr), np.zeros_like(arr)
         else:
-            val, err = self._series(arr.ravel())
-            val, err = val.reshape(arr.shape), err.reshape(arr.shape)
-        if arr.ndim == 0:
-            return float(val), float(err)
-        return val, err
+            val = self._closed_form_stable(arr)
+        return _pair(val, np.zeros_like(arr))
 
     def _closed_form_stable(self, u):
         spec = self.spec
@@ -150,10 +138,11 @@ class LimitCumulant:
             ratio[i] = math.log(u[i] / _U0_REF) / log_inv_lam
         return np.ceil(ratio).astype(np.int64) + _K_MIN_PAD
 
-    def _series(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Series values and tail bounds for a 1-D array of u >= 0.
+    def series(self, u):
+        """(sum_k psi(lam**k u), geometric tail bound) for any family.
 
-        psi is evaluated on the u_i * lam**k matrix a block of rows and
+        Shapes as in phi; phi returns this when the family has no closed
+        form.  psi is evaluated on the u_i * lam**k matrix a block of rows and
         columns at a time (at most _SERIES_BUF_LEN entries).  Each row is
         summed in k order by a cumulative sum that starts from the row's
         carried total, and stops at the first k >= k_min whose term and
@@ -162,6 +151,8 @@ class LimitCumulant:
         ABS_TERM_FLOOR.  That is the term-by-term rule, so every row's value
         and bound do not depend on the other rows.
         """
+        arr = _as_u(u)
+        u = arr.ravel()
         lam = self.lam
         val = np.zeros(len(u))
         err = np.zeros(len(u))
@@ -202,7 +193,21 @@ class LimitCumulant:
                 idx, kmin = idx[kept], kmin[kept]
                 total, prev = sums[kept, -1], terms[kept, -1]
                 k = hi
-        return val, err
+        return _pair(val.reshape(arr.shape), err.reshape(arr.shape))
+
+
+def _as_u(u) -> np.ndarray:
+    arr = np.asarray(u, dtype=float)
+    if np.any(arr < 0):
+        raise ValueError("phi is only defined for u >= 0")
+    return arr
+
+
+def _pair(val, err):
+    """(value, bound): floats for a scalar u, arrays otherwise."""
+    if np.ndim(val) == 0:
+        return float(val), float(err)
+    return val, err
 
 
 def check_functional_equation(lc: LimitCumulant, u_grid) -> float:

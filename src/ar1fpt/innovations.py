@@ -4,8 +4,13 @@ Each family bundles a cumulant psi(u) = log E exp(u*eta) with a sampler that
 draws from exactly the same law, so analytic evaluations and the Monte Carlo
 oracle can be cross-checked against each other.  The registry is closed: the
 Gaussian, Discrete and stable families and the Truncated law over any of
-them (built by CappedAbove and FlooredPositive) are the only ones the rest of
-the package accepts.
+them are the only ones the rest of the package accepts.
+
+CappedAbove and FlooredPositive are the truncation constructors, and each
+law they build has one representation: over a Discrete base they give the
+Discrete law of the mapped atoms, so they build a Truncated law only over a
+continuous base, and CappedAbove gives its base back when the base never
+exceeds the cap.
 
 All families here are spectrally light on the right, i.e. E exp(u*eta) is
 finite for every u >= 0.
@@ -501,56 +506,36 @@ class Truncated(InnovationSpec):
         return body + _atom_sum(g, self.levels, self.masses, t)
 
 
-def CappedAbove(base: InnovationSpec, h_cap: float) -> Truncated:
-    """eta~ = min(eta, h_cap)."""
-    return Truncated(base, (h_cap,))
-
-
-def FlooredPositive(base: InnovationSpec, n_cap: float) -> Truncated:
-    """eta~ = eta on {eta <= 0}, 0 on {0 < eta < n_cap}, n_cap on {eta >= n_cap}.
-
-    Raises InfeasibleTruncationError if P(eta >= n_cap) = 0: eta~ could never move up.
-    """
-    if n_cap <= 0:
-        raise ValueError("n_cap must be positive")
-    floored = Truncated(base, (0.0, n_cap))
-    if floored.point_mass(n_cap) <= 0.0:
-        raise InfeasibleTruncationError(f"no innovation mass at or above n_cap={n_cap}")
-    return floored
-
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-
-def psi(spec: InnovationSpec, u):
-    """Cumulant log E exp(u*eta) of one innovation; psi(0) = 0 exactly."""
-    return spec.psi(u)
-
-
-def sample(spec: InnovationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws; deterministic given the generator state."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return spec.sample(rng, n)
-
-
-def _atoms_mapped(law: Truncated) -> InnovationSpec:
-    """law itself, or for a discrete base the Discrete law of its mapped atoms."""
-    if law.base.atoms() is None:
+def _truncate(base: InnovationSpec, levels: tuple[float, ...]) -> InnovationSpec:
+    """Truncated(base, levels), or for a discrete base the Discrete law of its mapped atoms."""
+    law, atoms = Truncated(base, levels), base.atoms()
+    if atoms is None:
         return law
-    vals, probs = np.array(law.base.atoms()).T
+    vals, probs = np.array(atoms).T
     return Discrete(tuple(zip(_level_map(law.levels, vals).tolist(), probs.tolist())))
 
 
-def truncate_cap_above(spec: InnovationSpec, h_cap: float) -> InnovationSpec:
-    """CappedAbove(spec, h_cap), Discrete for a discrete spec; spec if nothing is capped."""
-    capped = CappedAbove(spec, h_cap)
-    ub = spec.upper_support()
-    return spec if ub is not None and ub <= h_cap else _atoms_mapped(capped)
+def CappedAbove(base: InnovationSpec, h_cap: float) -> InnovationSpec:
+    """eta~ = min(eta, h_cap).
+
+    base itself when eta never exceeds h_cap; over a discrete base, the
+    Discrete law of the capped atoms.
+    """
+    ub = base.upper_support()
+    if ub is not None and ub <= h_cap:
+        return base
+    return _truncate(base, (h_cap,))
 
 
-def truncate_floor_positive(spec: InnovationSpec, n_cap: float) -> InnovationSpec:
-    """FlooredPositive(spec, n_cap), Discrete for a discrete spec."""
-    return _atoms_mapped(FlooredPositive(spec, n_cap))
+def FlooredPositive(base: InnovationSpec, n_cap: float) -> InnovationSpec:
+    """eta~ = eta on {eta <= 0}, 0 on {0 < eta < n_cap}, n_cap on {eta >= n_cap}.
+
+    Over a discrete base, the Discrete law of the floored atoms.  Raises
+    InfeasibleTruncationError if P(eta >= n_cap) = 0: eta~ could never move up.
+    """
+    if n_cap <= 0:
+        raise ValueError("n_cap must be positive")
+    floored = _truncate(base, (0.0, n_cap))
+    if floored.point_mass(n_cap) <= 0.0:
+        raise InfeasibleTruncationError(f"no innovation mass at or above n_cap={n_cap}")
+    return floored

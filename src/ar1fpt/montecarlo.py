@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulant import LimitCumulant
-from .errors import ConfigError
-from .innovations import InnovationSpec, sample
+from .errors import ConfigError, DivergenceError
+from .innovations import InnovationSpec
 from .passage import PassageProblem, feasibility_report
 from .transforms import transform
 
@@ -134,7 +134,7 @@ def _run_block(
     step = 0
     while len(alive_idx) and step < max_steps:
         step += 1
-        x_new = p.lam * x_alive + sample(p.spec, rng, len(alive_idx))
+        x_new = p.lam * x_alive + p.spec.sample(rng, len(alive_idx))
         crossed = x_new > p.a
         done = alive_idx[crossed]
         tau[done] = step
@@ -203,8 +203,8 @@ def simulate_passage(
     the survival curve.  When feasibility_report proves that no path can
     cross, no step is run and every path is censored.
     """
-    if n_paths < 1 or max_steps < 1:
-        raise ValueError("n_paths and max_steps must be >= 1")
+    if n_paths < 1 or max_steps < 1 or block_size < 1:
+        raise ValueError("n_paths, max_steps and block_size must be >= 1")
     u_nodes = None if mgf_u_nodes is None else np.asarray(mgf_u_nodes, dtype=float)
     steps = max_steps if feasibility_report(p).crossing_possible else 0
 
@@ -303,10 +303,12 @@ def simulate_stationary(
     """Draws of Theta = sum_{k < K} lam**k * eta_{k+1}, K the default_stationary_horizon."""
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
+    if n_draws < 1:
+        raise ValueError("n_draws must be >= 1")
     rng = _block_rng(seed, _DOMAIN_STATIONARY, 0)
     theta = np.zeros(n_draws)
     for k in range(default_stationary_horizon(spec, lam)):
-        theta += lam**k * sample(spec, rng, n_draws)
+        theta += lam**k * spec.sample(rng, n_draws)
     return theta
 
 
@@ -346,13 +348,16 @@ def empirical_martingale_check(
     diverges) are counted as escapes and dropped from the averages rather
     than treated as fatal.  The transform is evaluated once per distinct
     state (a discrete family revisits few), so the cost grows with the
-    number of distinct states.
+    number of distinct states.  Raises DivergenceError when its value at an
+    admissible state did not converge.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
     rng = _block_rng(seed, _DOMAIN_MARTINGALE, 0)
     states = np.empty((n_steps, n_paths))
     x_state = np.full(n_paths, float(y0))
     for n in range(n_steps):
-        x_state = lc.lam * x_state + sample(lc.spec, rng, n_paths)
+        x_state = lc.lam * x_state + lc.spec.sample(rng, n_paths)
         states[n] = x_state
 
     kept = np.ones(states.shape, dtype=bool)
@@ -364,12 +369,17 @@ def empirical_martingale_check(
 
     # the transform at each distinct state, a bounded batch per engine call
     ys, where = np.unique(np.append(states[kept], y0), return_inverse=True)
-    vals = np.concatenate(
-        [
-            transform(lc, kind, ys[i : i + _STATE_BATCH], v).value
-            for i in range(0, len(ys), _STATE_BATCH)
-        ]
-    )
+    batches = [
+        transform(lc, kind, ys[i : i + _STATE_BATCH], v)
+        for i in range(0, len(ys), _STATE_BATCH)
+    ]
+    converged = np.concatenate([b.converged for b in batches])
+    if not converged.all():
+        raise DivergenceError(
+            f"{kind} transform did not converge at {np.sum(~converged)} of "
+            f"{len(ys)} states in [{ys.min():.6g}, {ys.max():.6g}]"
+        )
+    vals = np.concatenate([b.value for b in batches])
     at_state = np.full(states.shape, np.nan)
     at_state[kept] = vals[where[:-1]]
     m0 = vals[where[-1]]

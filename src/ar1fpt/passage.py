@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleTruncationError,
     NoCrossingError,
 )
-from .innovations import InnovationSpec, truncate_cap_above
+from .innovations import CappedAbove, InnovationSpec
 from .quadrature import DEFAULT_U_MAX, panel_nodes
 from .transforms import transform
 
@@ -144,7 +144,7 @@ def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
             f"cap {h_eff} <= a*(1-lam) = {p.a * (1.0 - p.lam)}: "
             "the capped process can never cross"
         )
-    return LimitCumulant(truncate_cap_above(p.spec, h_eff), p.lam), h_eff
+    return LimitCumulant(CappedAbove(p.spec, h_eff), p.lam), h_eff
 
 
 def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> float:
@@ -249,17 +249,19 @@ def identity_e_tau(
     if not np.all(active):
         clipped = ~active
         if nodes.env_is_hard:
-            neglected = np.abs(
-                np.exp(np.minimum(nodes.u[clipped] * nodes.y_env, 700.0))
-                - base[clipped]
-            )
+            # w*scale/u * |e^{u*y_env - phi} - e^{u*x - phi}|, each exponent
+            # formed whole: e^{u*y_env} alone overflows where e^{-phi} is tiny
+            uc, phic = nodes.u[clipped], nodes.phi_u[clipped]
+            gap = np.exp(uc * nodes.y_env - phic) - np.exp(uc * p.x - phic)
+            neglected = nodes.w[clipped] * scale / uc * np.abs(gap)
         else:
             # no a.s. envelope exists; bound the dropped nodes by their own
             # noisy estimates
-            neglected = np.abs(mgf[clipped] - base[clipped]) + np.where(
-                np.isfinite(se[clipped]), se[clipped], np.abs(mgf[clipped])
+            neglected = np.abs(coef[clipped]) * (
+                np.abs(mgf[clipped] - base[clipped])
+                + np.where(np.isfinite(se[clipped]), se[clipped], np.abs(mgf[clipped]))
             )
-        std_err += float(np.sum(np.abs(coef[clipped]) * neglected))
+        std_err += float(np.sum(neglected))
     return value, std_err
 
 

@@ -14,6 +14,7 @@ from scipy import stats
 from ar1fpt import (
     CappedAbove,
     Deterministic,
+    FlooredPositive,
     Gaussian,
     LimitCumulant,
     PassageProblem,
@@ -29,7 +30,6 @@ from ar1fpt import (
     simulate_passage,
     simulate_stationary,
     slope_probe,
-    truncate_floor_positive,
     upper_bound_e_tau,
 )
 
@@ -55,10 +55,9 @@ def flagship_run():
 def test_criterion_01_series_matches_closed_form():
     worst = 0.0
     for lam in (0.3, 0.5, 0.9):
-        closed = LimitCumulant(Gaussian(0.0, 1.0), lam)
-        series = LimitCumulant(Gaussian(0.0, 1.0), lam, mode="series")
+        lc = LimitCumulant(Gaussian(0.0, 1.0), lam)
         for u in np.linspace(0.0, 50.0, 51):
-            worst = max(worst, abs(closed.phi(float(u))[0] - series.phi(float(u))[0]))
+            worst = max(worst, abs(lc.phi(float(u))[0] - lc.series(float(u))[0]))
     assert worst < 1e-10
     print(f"PASS criterion 1: series vs closed form, max |delta| = {worst:.3e} < 1e-10")
 
@@ -71,7 +70,7 @@ def test_criterion_02_functional_equation_all_families():
         StableSpectrallyNegative(1.5, 1.0, 0.0),
         StableSpectrallyNegative(0.7, 1.0, 0.0),
         CappedAbove(Gaussian(0.0, 1.0), 1.0),
-        truncate_floor_positive(Gaussian(0.0, 1.0), 1.0),
+        FlooredPositive(Gaussian(0.0, 1.0), 1.0),
     ]
     grid = np.linspace(0.0, 50.0, 26)
     worst = 0.0
@@ -167,7 +166,7 @@ def test_criterion_07_exponential_certificate():
 
 
 def test_criterion_08_floored_slope():
-    fl = truncate_floor_positive(Gaussian(0.0, 1.0), 1.0)
+    fl = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
     lc = LimitCumulant(fl, 0.5)
     rep = slope_probe(lc, np.array([1e2, 1e3, 1e4]))
     gap = abs(rep.slope_estimate - 2.0)

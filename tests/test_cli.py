@@ -83,6 +83,35 @@ def test_identity_check_with_overflowing_moments(tmp_path):
     assert code == 0 and report["results"]["discrepancy_sigmas"] <= 3.0
 
 
+def _two_point(h_up, p):
+    return {"name": "two_point", "h_up": h_up, "h_down": -1, "p": p}
+
+
+@pytest.mark.parametrize("subcommand", ["phi", "bounds", "certificate", "validate", "simulate"])
+@pytest.mark.parametrize(
+    "truncated,plain",
+    [
+        ({"name": "capped_above", "cap": 0.5, "base": _two_point(1, 0.5)}, _two_point(0.5, 0.5)),
+        ({"name": "floored_positive", "floor": 1.5, "base": _two_point(2, 0.4)}, _two_point(1.5, 0.4)),
+        (
+            {"name": "capped_above", "cap": 1, "base": {"name": "deterministic", "c": 2}},
+            {"name": "deterministic", "c": 1},
+        ),
+    ],
+    ids=["capped_two_point", "floored_two_point", "capped_deterministic"],
+)
+def test_truncated_discrete_config_reports_its_plain_law(tmp_path, subcommand, truncated, plain):
+    # a truncated discrete law is the Discrete law of its mapped atoms, on
+    # every path from the config to the results
+    results = []
+    for family in (truncated, plain):
+        cfg = dict(GAUSS_CFG, family=family, a=0.5)
+        code, report, _ = run(tmp_path, subcommand, cfg, "--paths", "2000")
+        assert code == 0
+        results.append(json.dumps(report["results"], sort_keys=True))
+    assert results[0] == results[1]
+
+
 def test_lambda_out_of_range_rejected(tmp_path):
     cfg = dict(GAUSS_CFG, **{"lambda": 1.2})
     code, report, _ = run(tmp_path, "phi", cfg)

@@ -11,6 +11,7 @@ from ar1fpt import (
     CappedAbove,
     Deterministic,
     Discrete,
+    FlooredPositive,
     Gaussian,
     LimitCumulant,
     StableSpectrallyNegative,
@@ -18,7 +19,6 @@ from ar1fpt import (
     check_functional_equation,
     slope_probe,
     stationary_reference,
-    truncate_floor_positive,
 )
 from ar1fpt.cumulant import ABS_TERM_FLOOR, K_MAX
 
@@ -33,7 +33,7 @@ FAMILIES = [
     StableSpectrallyNegative(1.5, 1.0, 0.0),
     StableSpectrallyNegative(0.7, 1.0, 0.0),
     CappedAbove(Gaussian(0.0, 1.0), 1.0),
-    truncate_floor_positive(Gaussian(0.0, 1.0), 1.0),
+    FlooredPositive(Gaussian(0.0, 1.0), 1.0),
 ]
 FAMILY_IDS = [
     "Gaussian0",
@@ -54,23 +54,21 @@ FAMILY_IDS = [
     ids=["std", "shifted"],
 )
 def test_series_matches_gaussian_closed_form(spec, lam):
-    closed = LimitCumulant(spec, lam)
-    series = LimitCumulant(spec, lam, mode="series")
-    assert closed.mode == "closed_form_stable"
+    lc = LimitCumulant(spec, lam)
+    assert lc.mode == "closed_form_stable"
     for u in U_GRID:
-        a, _ = closed.phi(float(u))
-        b, err = series.phi(float(u))
+        a, _ = lc.phi(float(u))
+        b, err = lc.series(float(u))
         assert abs(a - b) < 1e-10 + err, f"u={u}"
 
 
 @pytest.mark.parametrize("alpha", [1.5, 0.7])
 def test_series_matches_stable_closed_form(alpha):
     spec = StableSpectrallyNegative(alpha, 1.0, 0.1)
-    closed = LimitCumulant(spec, 0.5)
-    series = LimitCumulant(spec, 0.5, mode="series")
+    lc = LimitCumulant(spec, 0.5)
     for u in np.linspace(0.0, 20.0, 21):
-        a, _ = closed.phi(float(u))
-        b, err = series.phi(float(u))
+        a, _ = lc.phi(float(u))
+        b, err = lc.series(float(u))
         assert abs(a - b) < 1e-10 + err
 
 
@@ -117,7 +115,7 @@ def series_families(draw):
         return Discrete(tuple((a, w / total) for a, w in zip(values, weights)))
     base = Gaussian(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.25, 4.0)))
     level = draw(st.floats(0.1, 3.0))
-    return CappedAbove(base, level) if kind == "capped" else truncate_floor_positive(base, level)
+    return CappedAbove(base, level) if kind == "capped" else FlooredPositive(base, level)
 
 
 u_arrays = st.lists(
@@ -166,13 +164,13 @@ def test_functional_equation_random_families(spec, u, lam):
 @settings(max_examples=40, deadline=None)
 @given(spec=series_families(), u=u_arrays, lam=st.sampled_from(LAMBDAS))
 def test_batched_series_equals_term_by_term_sum(spec, u, lam):
-    lc = LimitCumulant(spec, lam, mode="series")
-    value, abs_err = lc.phi(u)
+    lc = LimitCumulant(spec, lam)
+    value, abs_err = lc.series(u)
     ref = np.array([series_by_terms(lc, float(x)) for x in u]).reshape(-1, 2)
     assert value.tobytes() == ref[:, 0].tobytes()
     assert abs_err.tobytes() == ref[:, 1].tobytes()
     # one u at a time through the same call gives the same bits
-    single = np.array([lc.phi(float(x)) for x in u]).reshape(-1, 2)
+    single = np.array([lc.series(float(x)) for x in u]).reshape(-1, 2)
     assert single.tobytes() == ref.tobytes()
 
 
@@ -184,10 +182,14 @@ def test_phi_value_vectorized_matches_scalar():
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        LimitCumulant(Gaussian(0, 1), 0.5, mode="closed_form_deterministic")
-    with pytest.raises(ValueError):
-        LimitCumulant(Deterministic(1.0), 0.5, mode="closed_form_stable")
+    # the family decides phi's path; no argument selects it
+    capped_point = CappedAbove(Deterministic(2.0), 1.0)
+    assert LimitCumulant(capped_point, 0.5).mode == "closed_form_deterministic"
+    assert LimitCumulant(StableSpectrallyNegative(0.7, 1.0), 0.5).mode == "closed_form_stable"
+    capped_pair = CappedAbove(TwoPoint(1.0, -1.0, 0.5), 0.5)
+    assert LimitCumulant(capped_pair, 0.5).mode == "series"
+    with pytest.raises(TypeError):
+        LimitCumulant(Gaussian(0, 1), 0.5, mode="series")
     with pytest.raises(ValueError):
         LimitCumulant(Gaussian(0, 1), 1.5)
 
@@ -217,7 +219,7 @@ def test_slope_probe_gaussian_superlinear():
 
 
 def test_slope_probe_floored_linear_limit():
-    fl = truncate_floor_positive(Gaussian(0.0, 1.0), 1.0)
+    fl = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
     rep = slope_probe(LimitCumulant(fl, 0.5), np.geomspace(1.0, 1e4, 17))
     assert rep.theoretical_slope == 2.0
     assert not rep.superlinear

@@ -20,10 +20,6 @@ from ar1fpt import (
     Truncated,
     TwoPoint,
     UnsupportedSamplerError,
-    psi,
-    sample,
-    truncate_cap_above,
-    truncate_floor_positive,
 )
 
 RNG = lambda s=0: np.random.default_rng(s)
@@ -36,27 +32,27 @@ def test_gaussian_psi_closed_form():
     g = Gaussian(0.3, 2.0)
     u = np.linspace(0.0, 10.0, 21)
     expected = 0.3 * u + 0.5 * 2.0 * u**2
-    np.testing.assert_allclose(psi(g, u), expected, rtol=1e-14)
+    np.testing.assert_allclose(g.psi(u), expected, rtol=1e-14)
 
 
 def test_deterministic_psi():
     d = Deterministic(1.5)
     u = np.linspace(0.0, 5.0, 11)
-    np.testing.assert_allclose(psi(d, u), 1.5 * u, rtol=1e-14)
+    np.testing.assert_allclose(d.psi(u), 1.5 * u, rtol=1e-14)
 
 
 def test_two_point_psi():
     tp = TwoPoint(1.0, -1.0, 0.5)
     u = np.linspace(0.0, 20.0, 41)
     expected = np.log(0.5 * np.exp(u) + 0.5 * np.exp(-u))
-    np.testing.assert_allclose(psi(tp, u), expected, rtol=1e-12)
+    np.testing.assert_allclose(tp.psi(u), expected, rtol=1e-12)
 
 
 def test_stable_psi_signs():
     heavy = StableSpectrallyNegative(1.5, 1.0, 0.0)  # alpha > 1: +C u^alpha
     light = StableSpectrallyNegative(0.7, 1.0, 0.0)  # alpha < 1: -C u^alpha
-    assert math.isclose(float(psi(heavy, 2.0)), 2.0**1.5, rel_tol=1e-12)
-    assert math.isclose(float(psi(light, 2.0)), -(2.0**0.7), rel_tol=1e-12)
+    assert math.isclose(float(heavy.psi(2.0)), 2.0**1.5, rel_tol=1e-12)
+    assert math.isclose(float(light.psi(2.0)), -(2.0**0.7), rel_tol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -67,10 +63,10 @@ def test_stable_psi_signs():
 )
 def test_gaussian_psi_zero_and_convex(m, var, u):
     g = Gaussian(m, var)
-    assert float(psi(g, 0.0)) == 0.0
+    assert float(g.psi(0.0)) == 0.0
     # midpoint convexity on [0, u]
-    half = float(psi(g, 0.5 * u))
-    assert half <= 0.5 * (float(psi(g, 0.0)) + float(psi(g, u))) + 1e-9
+    half = float(g.psi(0.5 * u))
+    assert half <= 0.5 * (float(g.psi(0.0)) + float(g.psi(u))) + 1e-9
 
 
 def test_gaussian_partial_mgf_matches_quadrature():
@@ -90,7 +86,7 @@ def test_gaussian_partial_mgf_matches_quadrature():
 
 
 def test_gaussian_sampler_moments():
-    draws = sample(Gaussian(0.5, 2.0), RNG(1), 200_000)
+    draws = Gaussian(0.5, 2.0).sample(RNG(1), 200_000)
     assert abs(draws.mean() - 0.5) < 0.02
     assert abs(draws.var() - 2.0) < 0.05
 
@@ -98,7 +94,7 @@ def test_gaussian_sampler_moments():
 def test_stable_alpha_two_is_gaussian():
     # alpha = 2 with scale C is Gaussian with variance 2C
     s = StableSpectrallyNegative(2.0, 0.5, 0.0)
-    draws = sample(s, RNG(2), 200_000)
+    draws = s.sample(RNG(2), 200_000)
     assert abs(draws.mean()) < 0.02
     assert abs(draws.var() - 1.0) < 0.05
     ks = stats.kstest(draws[:20_000], "norm")
@@ -107,7 +103,7 @@ def test_stable_alpha_two_is_gaussian():
 
 def test_stable_heavy_tail_sampler_matches_cdf():
     s = StableSpectrallyNegative(1.5, 1.0, 0.0)
-    draws = sample(s, RNG(3), 50_000)
+    draws = s.sample(RNG(3), 50_000)
     ks = stats.kstest(draws, lambda x: s.cdf(x))
     assert ks.pvalue > 0.01
 
@@ -115,19 +111,19 @@ def test_stable_heavy_tail_sampler_matches_cdf():
 def test_stable_alpha_below_one_sampler_unsupported():
     s = StableSpectrallyNegative(0.7, 1.0, 0.0)
     with pytest.raises(UnsupportedSamplerError):
-        sample(s, RNG(0), 10)
+        s.sample(RNG(0), 10)
 
 
 def test_two_point_sampler_stream_pinned():
     # the inverse-CDF sampler consumes one uniform per draw, upper atom first
-    draws = sample(TwoPoint(1.0, -2.0, 0.25), RNG(5), 10_000)
+    draws = TwoPoint(1.0, -2.0, 0.25).sample(RNG(5), 10_000)
     expected = np.where(RNG(5).random(10_000) < 0.25, 1.0, -2.0)
     np.testing.assert_array_equal(draws, expected)
 
 
 def test_two_point_sampler_exact_support():
     tp = TwoPoint(1.0, -2.0, 0.25)
-    draws = sample(tp, RNG(4), 50_000)
+    draws = tp.sample(RNG(4), 50_000)
     assert set(np.unique(draws)) == {1.0, -2.0}
     assert abs((draws == 1.0).mean() - 0.25) < 0.01
 
@@ -138,8 +134,8 @@ def test_two_point_sampler_exact_support():
 def test_cap_sampling_is_coupled_min():
     base = Gaussian(0.0, 1.0)
     capped = CappedAbove(base, 0.7)
-    a = sample(base, RNG(7), 10_000)
-    b = sample(capped, RNG(7), 10_000)
+    a = base.sample(RNG(7), 10_000)
+    b = capped.sample(RNG(7), 10_000)
     np.testing.assert_allclose(b, np.minimum(a, 0.7), rtol=0, atol=0)
 
 
@@ -147,28 +143,31 @@ def test_cap_sampling_is_coupled_min():
 @given(u=st.floats(0.0, 20.0), cap=st.floats(-1.0, 3.0))
 def test_capped_psi_below_base_psi(u, cap):
     base = Gaussian(0.1, 1.0)
-    capped = truncate_cap_above(base, cap)
-    assert float(psi(capped, u)) <= float(psi(base, u)) + 1e-9
+    capped = CappedAbove(base, cap)
+    assert float(capped.psi(u)) <= float(base.psi(u)) + 1e-9
 
 
 def test_cap_beyond_support_is_noop():
     tp = TwoPoint(1.0, -1.0, 0.5)
-    assert truncate_cap_above(tp, 5.0) == tp
+    assert CappedAbove(tp, 5.0) is tp
+    capped = CappedAbove(Gaussian(0.0, 1.0), 1.0)
+    assert CappedAbove(capped, 1.0) is capped
 
 
 def test_cap_discrete_merges_atoms():
     tp = TwoPoint(1.0, -1.0, 0.5)
-    capped = truncate_cap_above(tp, 0.0)
+    capped = CappedAbove(tp, 0.0)
     # both atoms map to {0, -1}: still a two-point law
+    assert capped == TwoPoint(0.0, -1.0, 0.5)
     atoms = dict(capped.atoms())
     assert atoms == {0.0: 0.5, -1.0: 0.5}
 
 
 def test_floor_positive_atom_mass():
-    fl = truncate_floor_positive(Gaussian(0.0, 1.0), 1.0)
+    fl = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
     assert isinstance(fl, Truncated)
     assert math.isclose(fl.point_mass(1.0), 1.0 - stats.norm.cdf(1.0), rel_tol=1e-12)
-    draws = sample(fl, RNG(8), 50_000)
+    draws = fl.sample(RNG(8), 50_000)
     pos = draws[draws > 0]
     assert np.all(pos == 1.0)
     assert abs((draws == 1.0).mean() - fl.point_mass(1.0)) < 0.01
@@ -189,26 +188,26 @@ def test_floored_tail_counts_the_mass_moved_to_zero():
 )
 def test_floor_counts_base_atom_at_level(base):
     # the base's only mass at or above 1 is its atom at 1: P(eta >= 1) = 0.1587
-    nested = truncate_floor_positive(base, 1.0)
+    nested = FlooredPositive(base, 1.0)
     assert isinstance(nested, Truncated)
     assert math.isclose(nested.point_mass(1.0), special.ndtr(-1.0), rel_tol=1e-12)
     single = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
     u = np.array([0.0, 0.5, 2.0, 5.0])
-    np.testing.assert_allclose(psi(nested, u), psi(single, u), rtol=1e-12)
+    np.testing.assert_allclose(nested.psi(u), single.psi(u), rtol=1e-12)
 
 
 def test_floor_positive_infeasible_when_no_mass():
     with pytest.raises(InfeasibleTruncationError):
-        truncate_floor_positive(Deterministic(1.0), 2.0)
+        FlooredPositive(Deterministic(1.0), 2.0)
 
 
 def test_floored_psi_oracle_two_point():
     # TwoPoint(2, -1, 0.4) floored at 1.5: positive branch keeps its mass at
     # the 2 >= 1.5 atom remapped to 1.5
-    fl = truncate_floor_positive(TwoPoint(2.0, -1.0, 0.4), 1.5)
+    fl = FlooredPositive(TwoPoint(2.0, -1.0, 0.4), 1.5)
     u = 1.3
     expected = math.log(0.4 * math.exp(1.5 * u) + 0.6 * math.exp(-u))
-    assert math.isclose(float(psi(fl, u)), expected, rel_tol=1e-12)
+    assert math.isclose(float(fl.psi(u)), expected, rel_tol=1e-12)
 
 
 def test_floored_partial_mgf_three_ranges():
@@ -224,17 +223,17 @@ def test_floored_partial_mgf_three_ranges():
         np.log(np.exp(base.log_partial_mgf_below(u, 0.0)) + moved),
         rtol=1e-12,
     )
-    np.testing.assert_allclose(fl.log_partial_mgf_below(u, 1.0), psi(fl, u), rtol=1e-14)
+    np.testing.assert_allclose(fl.log_partial_mgf_below(u, 1.0), fl.psi(u), rtol=1e-14)
 
 
 def test_nested_floor_psi_matches_three_piece_sum():
     # floor 1 then floor 0.55: eta on eta <= 0, 0 on (0, 1), 0.55 on [1, inf)
-    nested = truncate_floor_positive(FlooredPositive(Gaussian(0.0, 1.0), 1.0), 0.55)
+    nested = FlooredPositive(FlooredPositive(Gaussian(0.0, 1.0), 1.0), 0.55)
     for u in (0.0, 0.5, 2.0, 5.0, 12.0):
         below = math.exp(0.5 * u * u) * special.ndtr(-u)  # E[e^{u eta}; eta <= 0]
         middle = special.ndtr(1.0) - 0.5
         top = special.ndtr(-1.0) * math.exp(0.55 * u)
-        assert math.isclose(float(psi(nested, u)), math.log(below + middle + top), rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(float(nested.psi(u)), math.log(below + middle + top), rel_tol=1e-12, abs_tol=1e-15)
 
 
 # -- Discrete with random atoms ----------------------------------------------
@@ -259,13 +258,13 @@ def _direct_map(atoms, f):
 def test_discrete_psi_is_log_sum_exp(atoms, u):
     vals, probs = np.array(atoms).T
     direct = special.logsumexp(u * vals, b=probs)
-    assert math.isclose(float(psi(Discrete(tuple(atoms)), u)), direct, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(float(Discrete(tuple(atoms)).psi(u)), direct, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_discrete_psi_near_zero_follows_the_mean():
     # the log-sum shifted by the top atom would give psi(u)/u -> 1
     spec = TwoPoint(1.0, -1.0, 0.3)
-    assert math.isclose(float(psi(spec, 1e-20)) / 1e-20, -0.4, rel_tol=1e-12)
+    assert math.isclose(float(spec.psi(1e-20)) / 1e-20, -0.4, rel_tol=1e-12)
     assert LimitCumulant(spec, 0.5).phi(1e-20)[0] < 0.0
 
 
@@ -274,7 +273,7 @@ def test_discrete_psi_near_zero_follows_the_mean():
 def test_discrete_functional_equation(atoms, u, lam):
     spec = Discrete(tuple(atoms))
     lc = LimitCumulant(spec, lam)
-    resid = lc.phi(u)[0] - lc.phi(lam * u)[0] - float(psi(spec, u))
+    resid = lc.phi(u)[0] - lc.phi(lam * u)[0] - float(spec.psi(u))
     assert abs(resid) <= 1e-8
 
 
@@ -282,7 +281,8 @@ def test_discrete_functional_equation(atoms, u, lam):
 @given(atoms=discrete_laws(), level=st.floats(0.05, 3.0))
 def test_discrete_cap_and_floor_are_atom_maps(atoms, level):
     spec = Discrete(tuple(atoms))
-    capped = truncate_cap_above(spec, level)
+    capped = CappedAbove(spec, level)
+    assert isinstance(capped, Discrete)
     want = _direct_map(atoms, lambda a: min(a, level))
     got = dict(capped.atoms())
     assert got.keys() == want.keys()
@@ -292,9 +292,11 @@ def test_discrete_cap_and_floor_are_atom_maps(atoms, level):
     want = _direct_map(atoms, lambda a: a if a <= 0 else (level if a >= level else 0.0))
     if level not in want:
         with pytest.raises(InfeasibleTruncationError):
-            truncate_floor_positive(spec, level)
+            FlooredPositive(spec, level)
         return
-    got = dict(truncate_floor_positive(spec, level).atoms())
+    floored = FlooredPositive(spec, level)
+    assert isinstance(floored, Discrete)
+    got = dict(floored.atoms())
     assert got.keys() == want.keys()
     assert all(math.isclose(got[k], want[k], rel_tol=1e-12) for k in want)
 
@@ -355,7 +357,7 @@ def test_truncated_psi_is_mean_times_u_near_zero(spec):
     # 1e-16 absolute noise
     m = spec.mean()
     for u in (1e-20, 1e-12, 1e-8):
-        assert abs(float(psi(spec, u)) / u - m) <= 1e-6 * (1.0 + abs(m))
+        assert abs(float(spec.psi(u)) / u - m) <= 1e-6 * (1.0 + abs(m))
 
 
 def test_truncated_moments_come_from_the_expectation():

@@ -11,6 +11,7 @@ from scipy import stats
 
 from ar1fpt import (
     Deterministic,
+    DivergenceError,
     Gaussian,
     LimitCumulant,
     PassageProblem,
@@ -21,7 +22,6 @@ from ar1fpt import (
     stationary_reference,
 )
 from ar1fpt import montecarlo
-from ar1fpt.innovations import sample
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 
@@ -169,15 +169,37 @@ def test_empirical_martingale_drift(kind, v):
     assert rep.max_sigma < 4.0, rep
 
 
+def test_martingale_check_rejects_unconverged_transform():
+    # W_{-0.97} does not converge at any state, so no drift can be measured
+    lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5)
+    with pytest.raises(DivergenceError):
+        empirical_martingale_check(lc, "W", v=-0.97, y0=0.0, n_paths=100, n_steps=2)
+
+
+@pytest.mark.parametrize("block_size", [0, -3])
+def test_simulate_rejects_block_size_below_one(block_size):
+    with pytest.raises(ValueError, match="block_size"):
+        simulate_passage(GAUSS, n_paths=10, max_steps=5, block_size=block_size)
+
+
+def test_draw_counts_below_one_are_rejected():
+    with pytest.raises(ValueError):
+        simulate_stationary(Gaussian(0.0, 1.0), 0.5, n_draws=0)
+    lc = LimitCumulant(GAUSS.spec, GAUSS.lam)
+    with pytest.raises(ValueError):
+        empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=0, n_steps=1)
+
+
 def test_martingale_check_has_its_own_stream(monkeypatch):
     first_draws = []
+    gaussian_sample = Gaussian.sample
 
     def recording_sample(spec, rng, n):
-        draws = sample(spec, rng, n)
+        draws = gaussian_sample(spec, rng, n)
         first_draws.append(draws[0])
         return draws
 
-    monkeypatch.setattr(montecarlo, "sample", recording_sample)
+    monkeypatch.setattr(Gaussian, "sample", recording_sample)
     lc = LimitCumulant(GAUSS.spec, GAUSS.lam)
     empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=8, n_steps=1, seed=10)
     simulate_passage(GAUSS, n_paths=8, max_steps=1, seed=10)

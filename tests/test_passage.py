@@ -88,6 +88,19 @@ def test_identity_rejects_foreign_nodes():
         identity_e_tau(DET, u, np.ones_like(u), np.zeros_like(u), nodes, lc)
 
 
+def test_identity_hard_envelope_bounds_the_clipped_nodes():
+    # tau = 7 exactly; 69 of the 210 nodes have overflowed moments and are
+    # clipped.  Their neglected part, the sum of w/u (e^{u*y_env - phi} -
+    # e^{u*x - phi}) / log(1/lam), is 0.1042; capping e^{u*y_env} at e^700
+    # apart from e^{-phi} would understate it as 0.0934
+    p = PassageProblem(lam=0.5, x=0.0, a=0.99, spec=Deterministic(0.5))
+    nodes = identity_nodes(p)
+    sim = simulate_passage(p, n_paths=100, seed=0, mgf_u_nodes=nodes.u)
+    value, std_err = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+    assert abs(value - 7.0) <= std_err
+    assert math.isclose(std_err, 0.1042, rel_tol=1e-3)
+
+
 def test_identity_nodes_deterministic_envelope_is_hard():
     nodes = identity_nodes(DET, DET.limit_cumulant())
     assert nodes.env_is_hard and nodes.y_env == 1.75  # lam*a + ess-sup
