@@ -10,6 +10,7 @@ subcommands) into the output directory.  The report separates ``meta``
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -64,6 +65,9 @@ _CONFIG_KEYS = {
     "delta",
     "cap",
 }
+
+#: The most points a LO:HI:STEP grid may expand to.
+_MAX_GRID_POINTS = 10**6
 
 _DEFAULTS = {
     "seed": 0,
@@ -132,7 +136,9 @@ def parse_config(args: argparse.Namespace) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} is unreadable: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -168,13 +174,13 @@ def parse_config(args: argparse.Namespace) -> dict:
     for key in ("seed", "n_paths", "max_steps"):
         try:
             cfg[key] = int(cfg[key])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise _fail(key, "must be an integer")
     if cfg["n_paths"] <= 0:
         raise _fail("n_paths", "must be positive")
     if cfg["max_steps"] <= 0:
         raise _fail("max_steps", "must be positive")
-    cfg["delta"] = float(cfg["delta"])
+    cfg["delta"] = _finite(cfg["delta"], "delta")
     if not 0.0 < cfg["delta"] < 1.0:
         raise _fail("delta", "violates 0 < delta < 1")
     if cfg["cap"] is not None:
@@ -212,6 +218,8 @@ def _parse_u_grid(text) -> np.ndarray:
             raise _fail("u_grid", "LO, HI and STEP must be finite")
         if step <= 0 or hi < lo:
             raise _fail("u_grid", "needs HI >= LO and STEP > 0")
+        if (hi - lo) / step + 0.5 > _MAX_GRID_POINTS:
+            raise _fail("u_grid", f"more than {_MAX_GRID_POINTS} points")
         grid = np.arange(lo, hi + 0.5 * step, step)
     if not np.all(np.isfinite(grid)):
         raise _fail("u_grid", "values must be finite")
@@ -370,7 +378,6 @@ def _jsonable(obj):
 
 
 def _write_outputs(out_dir: Path, subcommand, cfg, results, rows, wall_clock):
-    out_dir.mkdir(parents=True, exist_ok=True)
     echo = {k: v for k, v in cfg.items() if not k.startswith("_")}
     report = {
         "meta": {
@@ -398,28 +405,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="First passage times of AR(1) sequences: analytics vs Monte Carlo.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", type=str, default=".")
-        sp.add_argument("--paths", type=int, default=None)
-        sp.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-        sp.add_argument("--u-grid", dest="u_grid", type=str, default=None)
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--cap", type=float, default=None)
+    parser.add_argument("subcommand", choices=list(_SUBCOMMANDS))
+    parser.add_argument("--config")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", default=".")
+    parser.add_argument("--paths", type=int)
+    parser.add_argument("--max-steps", type=int)
+    parser.add_argument("--u-grid")
+    parser.add_argument("--delta", type=float)
+    parser.add_argument("--cap", type=float)
     return parser
 
 
+_PARSER = build_parser()  # built once, not per call of main: a build costs several parses
+
+
+@contextlib.contextmanager
+def _output_errors():
+    """An OSError creating or writing the output becomes a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise _fail("out", str(exc)) from exc
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    out_dir = Path(args.out)
     try:
         cfg = parse_config(args)
+        with _output_errors():  # before the subcommand, so a bad --out fails fast
+            out_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         results, rows = _SUBCOMMANDS[args.subcommand](cfg)
         wall = time.perf_counter() - t0
-        _write_outputs(Path(args.out), args.subcommand, cfg, results, rows, wall)
+        with _output_errors():
+            _write_outputs(out_dir, args.subcommand, cfg, results, rows, wall)
     except Ar1FptError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -314,10 +314,15 @@ def simulate_stationary(
 
 @dataclass(frozen=True)
 class DriftReport:
-    """Empirical martingale drift E M_n - M_0 for n = 1..n_steps."""
+    """Empirical martingale drift E M_n - M_0 for n = 1..n_steps.
+
+    ``quad_errs`` bounds the part of each drift that the transform's own
+    quadrature error (its ``abs_err``, carried to M_n and M_0) can explain.
+    """
 
     drifts: np.ndarray
     std_errs: np.ndarray
+    quad_errs: np.ndarray
     n_escaped: int
 
     @property
@@ -326,11 +331,14 @@ class DriftReport:
 
     @property
     def max_sigma(self) -> float:
-        """Largest |drift| in units of its standard error."""
+        """Largest |drift| over its standard error plus its quadrature error.
+
+        A nonzero drift that neither explains reads inf.
+        """
+        drift = np.abs(self.drifts)
         with np.errstate(divide="ignore", invalid="ignore"):
-            sig = np.abs(self.drifts) / self.std_errs
-        sig = sig[np.isfinite(sig)]
-        return float(np.max(sig)) if len(sig) else 0.0
+            sig = np.where(drift == 0.0, 0.0, drift / (self.std_errs + self.quad_errs))
+        return float(np.max(sig))
 
 
 def empirical_martingale_check(
@@ -380,18 +388,19 @@ def empirical_martingale_check(
             f"{len(ys)} states in [{ys.min():.6g}, {ys.max():.6g}]"
         )
     vals = np.concatenate([b.value for b in batches])
-    at_state = np.full(states.shape, np.nan)
-    at_state[kept] = vals[where[:-1]]
-    m0 = vals[where[-1]]
+    errs = np.concatenate([b.abs_err for b in batches])
+    state_idx = np.zeros(states.shape, dtype=np.intp)
+    state_idx[kept] = where[:-1]
+    m0, m0_err = vals[where[-1]], errs[where[-1]]
 
     drifts = np.empty(n_steps)
     ses = np.empty(n_steps)
+    quad_errs = np.empty(n_steps)
     for n in range(n_steps):
-        vals_n = at_state[n][kept[n]]
-        if kind == "H":
-            m_n = vals_n - (n + 1)
-        else:
-            m_n = lc.lam ** (v * (n + 1)) * vals_n
+        idx_n = state_idx[n][kept[n]]
+        scale = 1.0 if kind == "H" else lc.lam ** (v * (n + 1))
+        m_n = vals[idx_n] - (n + 1) if kind == "H" else scale * vals[idx_n]
         drifts[n] = float(np.mean(m_n) - m0)
-        ses[n] = float(np.std(m_n) / math.sqrt(max(len(vals_n), 1)))
-    return DriftReport(drifts=drifts, std_errs=ses, n_escaped=escaped)
+        ses[n] = float(np.std(m_n) / math.sqrt(max(len(idx_n), 1)))
+        quad_errs[n] = float(scale * np.mean(errs[idx_n]) + m0_err)
+    return DriftReport(drifts=drifts, std_errs=ses, quad_errs=quad_errs, n_escaped=escaped)

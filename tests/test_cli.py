@@ -1,5 +1,6 @@
 """Command line surface: config validation, reports, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -344,3 +345,76 @@ def test_reports_reproduce_across_thread_counts(tmp_path, monkeypatch):
         _, report, _ = run(tmp_path, "identity-check", GAUSS_CFG, "--paths", "20000")
         blobs[threads] = json.dumps(report["results"], sort_keys=True)
     assert blobs["1"] == blobs["8"]
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, _ = run(tmp_path, "phi", GAUSS_CFG, "--u-grid", "0:1:1")
+    assert code == 0 and built == []
+
+
+ALL_OPTIONS = {
+    "--config": ("config", "c.json"),
+    "--seed": ("seed", 7),
+    "--out": ("out", "o"),
+    "--paths": ("paths", 9),
+    "--max-steps": ("max_steps", 11),
+    "--u-grid": ("u_grid", "0:1:0.5"),
+    "--delta": ("delta", 0.25),
+    "--cap": ("cap", 1.5),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(cli._SUBCOMMANDS))
+def test_every_subcommand_takes_every_option(subcommand):
+    argv = [subcommand]
+    for flag, (_, value) in ALL_OPTIONS.items():
+        argv += [flag, str(value)]
+    expected = dict(ALL_OPTIONS.values(), subcommand=subcommand)
+    assert vars(cli._PARSER.parse_args(argv)) == expected
+    defaults = vars(cli._PARSER.parse_args([subcommand]))
+    assert defaults == dict.fromkeys(expected, None) | {"subcommand": subcommand, "out": "."}
+
+
+@pytest.mark.parametrize("argv,exit_code", [(["--version"], 0), ([], 2), (["nope"], 2)])
+def test_version_and_bad_subcommands_exit_typed(capsys, argv, exit_code):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == exit_code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if exit_code == 0:
+        assert out.strip() == cli.__version__
+
+
+CFG_TEXT = json.dumps(GAUSS_CFG)
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg_bytes,flags,out_dir,needle",
+    [
+        ("phi", b"\xff\xfe{", [], "out", "is unreadable"),
+        ("simulate", (CFG_TEXT[:-1] + ', "n_paths": 1e400}').encode(), [], "out", "n_paths: must be an integer"),
+        ("certificate", json.dumps(dict(GAUSS_CFG, delta="abc")).encode(), [], "out", "delta: must be a number"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "0:1e9:1e-9"], "out", "u_grid: more than"),
+        ("simulate", CFG_TEXT.encode(), [], "cfg.json/sub", "cfg.json/sub"),
+        ("phi", CFG_TEXT.encode(), [], "cfg.json", "cfg.json"),
+        ("phi", CFG_TEXT.encode(), [], "full", "report.json"),
+    ],
+    ids=["not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable"],
+)
+def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):
+    (tmp_path / "cfg.json").write_bytes(cfg_bytes)
+    (tmp_path / "full" / "report.json").mkdir(parents=True)  # a directory where the report goes
+    argv = [subcommand, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / out_dir)]
+    code = main(argv + flags)
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert "error[ConfigError]" in err and needle in err

@@ -1,5 +1,6 @@
 """Monte Carlo oracle: reproducibility, stationary sampling, drift checks."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -167,6 +168,32 @@ def test_empirical_martingale_drift(kind, v):
         lc, kind, v=v, y0=0.0, n_paths=40_000, n_steps=6, seed=10
     )
     assert rep.max_sigma < 4.0, rep
+
+
+@pytest.mark.parametrize("kind,v", [("N", 1.0), ("H", None), ("W", -0.4)])
+def test_martingale_drift_of_a_zero_spread_law(kind, v):
+    # every path of a one-atom law is the same, so the standard errors are
+    # (about) 0 and the quadrature error must account for rounding drifts
+    lc = LimitCumulant(Deterministic(0.5), 0.5)
+    rep = empirical_martingale_check(lc, kind, v=v, y0=0.0, n_paths=10, n_steps=3)
+    assert np.all(rep.std_errs < 1e-15) and np.all(rep.quad_errs > 0)
+    assert rep.max_sigma < 4.0, rep
+
+
+def test_martingale_drift_forced_nonzero(monkeypatch):
+    # H scaled by 1 + 1e-6 drifts by 1e-6 a step: far beyond the quadrature error
+    unscaled = montecarlo.transform
+
+    def transform(lc, kind, y, v=None):
+        res = unscaled(lc, kind, y, v)
+        return dataclasses.replace(res, value=res.value * (1.0 + 1e-6))
+
+    monkeypatch.setattr(montecarlo, "transform", transform)
+    lc = LimitCumulant(Deterministic(0.5), 0.5)
+    rep = empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=10, n_steps=3)
+    assert np.all(rep.std_errs == 0.0) and rep.max_sigma > 1e3
+    # with no error to explain it, a nonzero drift reads inf, not 0
+    assert dataclasses.replace(rep, quad_errs=np.zeros(3)).max_sigma == math.inf
 
 
 def test_martingale_check_rejects_unconverged_transform():
