@@ -172,10 +172,7 @@ def parse_config(args: argparse.Namespace) -> dict:
     if cfg["a"] < cfg["x"]:
         raise _fail("a", "violates a >= x")
     for key in ("seed", "n_paths", "max_steps"):
-        try:
-            cfg[key] = int(cfg[key])
-        except (TypeError, ValueError, OverflowError):
-            raise _fail(key, "must be an integer")
+        cfg[key] = _integer(cfg[key], key)
     if cfg["n_paths"] <= 0:
         raise _fail("n_paths", "must be positive")
     if cfg["max_steps"] <= 0:
@@ -190,7 +187,18 @@ def parse_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _integer(value, key: str) -> int:
+    """An int, or a float of integral value such as 1e6; not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(key, "must be an integer")
+    return value
+
+
 def _finite(value, key: str) -> float:
+    if isinstance(value, bool):  # JSON true/false are not numbers
+        raise _fail(key, "must be a number")
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -202,6 +210,8 @@ def _finite(value, key: str) -> float:
 
 def _parse_u_grid(text) -> np.ndarray:
     if isinstance(text, (list, tuple)):
+        if any(isinstance(x, bool) for x in text):
+            raise _fail("u_grid", "expected a list of numbers")
         try:
             grid = np.asarray(text, dtype=float)
         except (TypeError, ValueError):

@@ -143,13 +143,19 @@ class LimitCumulant:
 
         Shapes as in phi; phi returns this when the family has no closed
         form.  psi is evaluated on the u_i * lam**k matrix a block of rows and
-        columns at a time (at most _SERIES_BUF_LEN entries).  Each row is
-        summed in k order by a cumulative sum that starts from the row's
-        carried total, and stops at the first k >= k_min whose term and
-        predecessor are both 0 (bound 0) or whose geometric tail bound
-        |t| r/(1-r), r = |t/t_prev| clipped to [lam, 1-1e-12], is below
-        ABS_TERM_FLOOR.  That is the term-by-term rule, so every row's value
-        and bound do not depend on the other rows.
+        columns at a time (at most _SERIES_BUF_LEN entries).  A block's first
+        pass has the columns its rows can need: past the largest k_min, as
+        many as a term of size lam**_K_MIN_PAD (psi's scale there) takes to
+        bring its tail bound below ABS_TERM_FLOOR while shrinking by lam a
+        term.  Each later pass, over the rows still running, sizes itself
+        the same way from their largest last term: at least 8 columns, at
+        most what the buffer holds for those rows.  Each row is summed in k
+        order by a cumulative sum that starts from the row's carried total,
+        and stops at the first k >= k_min whose term and predecessor are
+        both 0 (bound 0) or whose geometric tail bound |t| r/(1-r),
+        r = |t/t_prev| clipped to [lam, 1-1e-12], is below ABS_TERM_FLOOR.
+        That is the term-by-term rule, so every row's value and bound depend
+        neither on the other rows nor on the block sizes.
         """
         arr = _as_u(u)
         u = arr.ravel()
@@ -158,14 +164,14 @@ class LimitCumulant:
         err = np.zeros(len(u))
         rows = np.flatnonzero(u != 0.0)  # phi(0) = 0 exactly
         k_min = self._k_min(u[rows])
-        width = int(max(k_min.max(initial=0) + 16, 64))
-        block = max(1, _SERIES_BUF_LEN // width)
+        first = int(k_min.max(initial=0)) + _tail_columns(lam**_K_MIN_PAD, lam)
+        block = max(1, _SERIES_BUF_LEN // first)
         for lo in range(0, len(rows), block):
             idx = rows[lo : lo + block]
             kmin = k_min[lo : lo + block]
             total = np.zeros(len(idx))
             prev = np.full(len(idx), np.nan)  # no term before k = 0
-            k = 0
+            k, width = 0, first
             while len(idx):
                 if k >= K_MAX:
                     raise SeriesDivergenceError(
@@ -193,7 +199,19 @@ class LimitCumulant:
                 idx, kmin = idx[kept], kmin[kept]
                 total, prev = sums[kept, -1], terms[kept, -1]
                 k = hi
+                if len(idx):
+                    width = _tail_columns(mag[kept, -1].max(), lam)
+                    width = min(max(8, width), _SERIES_BUF_LEN // len(idx))
         return _pair(val.reshape(arr.shape), err.reshape(arr.shape))
+
+
+def _tail_columns(term: float, lam: float) -> int:
+    """How many terms follow one of size term before, shrinking by lam a
+    term, its tail bound t*lam/(1-lam) is below ABS_TERM_FLOOR (0 when
+    term is 0 or not finite)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.log(term * lam / ((1.0 - lam) * ABS_TERM_FLOOR)) / math.log(1.0 / lam)
+    return math.ceil(n) + 1 if math.isfinite(n) else 0
 
 
 def _as_u(u) -> np.ndarray:
@@ -213,9 +231,8 @@ def _pair(val, err):
 def check_functional_equation(lc: LimitCumulant, u_grid) -> float:
     """max over the grid of |phi(u) - phi(lam*u) - psi(u)|."""
     grid = np.asarray(u_grid, dtype=float)
-    resid = np.abs(
-        lc.phi(grid)[0] - lc.phi(grid * lc.lam)[0] - np.asarray(lc.spec.psi(grid))
-    )
+    phi, phi_lam = lc.phi(np.stack([grid, grid * lc.lam]))[0]  # one call: rows are independent
+    resid = np.abs(phi - phi_lam - np.asarray(lc.spec.psi(grid)))
     return float(np.max(resid, initial=0.0))
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -221,27 +221,29 @@ class Discrete(InnovationSpec):
     def atoms(self):
         return list(self.pairs)
 
+    @cached_property
     def _arrays(self):
-        return (
-            np.array([a for a, _ in self.pairs]),
-            np.array([p for _, p in self.pairs]),
-        )
+        """(values, probabilities), built once and shared, so read-only."""
+        vals = np.array([a for a, _ in self.pairs])
+        probs = np.array([p for _, p in self.pairs])
+        vals.flags.writeable = probs.flags.writeable = False
+        return vals, probs
 
     def psi(self, u):
         # near 0 the shifted log-sum rounds psi(u) to u*(top atom); the log1p
-        # form keeps it accurate relative to u*mean
+        # form keeps it accurate relative to u*mean.  u >= 0, so u*max|a| is
+        # the largest |u*a|.
         arr = _as_u(u)
-        vals, probs = self._arrays()
-        expo = np.multiply.outer(arr, vals)
-        small = np.abs(expo).max(axis=-1) <= 0.5
+        vals, probs = self._arrays
+        small = arr * np.abs(vals).max() <= 0.5
         out = np.empty_like(arr)
-        out[small] = np.log1p(np.expm1(expo[small]) @ probs)
+        out[small] = np.log1p(np.expm1(np.multiply.outer(arr[small], vals)) @ probs)
         out[~small] = _log_mgf(arr[~small], vals, probs)
         return _maybe_scalar(out, u)
 
     def sample(self, rng, n):
         # inverse CDF: atom i is drawn when r lands in [cum_{i-1}, cum_i)
-        vals, probs = self._arrays()
+        vals, probs = self._arrays
         r = rng.random(n)
         return vals[np.searchsorted(np.cumsum(probs[:-1]), r, side="right")]
 
@@ -260,23 +262,26 @@ class Discrete(InnovationSpec):
 
     def log_partial_mgf_below(self, u, t):
         arr = _as_u(u)
-        vals, probs = self._arrays()
+        vals, probs = self._arrays
         kept = vals <= t
         if not kept.any():
             return _maybe_scalar(np.full_like(arr, -np.inf), u)
         return _maybe_scalar(_log_mgf(arr, vals[kept], probs[kept]), u)
 
     def expectation_below(self, g, t):
-        return _atom_sum(g, *self._arrays(), t)
+        return _atom_sum(g, *self._arrays, t)
 
 
 def _log_mgf(u, vals, probs):
-    """log sum_i p_i e^{u a_i}, shifted by the max exponent for stability."""
-    expo = np.multiply.outer(u, vals)
-    shift = expo.max(axis=-1, keepdims=True)
-    return np.squeeze(shift, axis=-1) + np.log(
-        np.sum(probs * np.exp(expo - shift), axis=-1)
-    )
+    """log sum_i p_i e^{u a_i}, shifted by the max exponent for stability.
+
+    One array of u's shape per atom, summed in atom order: below 8 atoms
+    that is the order of numpy's row sum, so these are the bits of the
+    (points x atoms) formula.
+    """
+    expos = [u * a for a in vals]
+    shift = reduce(np.maximum, expos)
+    return shift + np.log(sum(p * np.exp(e - shift) for e, p in zip(expos, probs)))
 
 
 def Deterministic(c: float) -> Discrete:

@@ -407,8 +407,20 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         ("simulate", CFG_TEXT.encode(), [], "cfg.json/sub", "cfg.json/sub"),
         ("phi", CFG_TEXT.encode(), [], "cfg.json", "cfg.json"),
         ("phi", CFG_TEXT.encode(), [], "full", "report.json"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, n_paths=1.7)).encode(), [], "out", "n_paths: must be an integer"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, seed=True)).encode(), [], "out", "seed: must be an integer"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, max_steps=2.9)).encode(), [], "out", "max_steps: must be an integer"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, n_paths="10")).encode(), [], "out", "n_paths: must be an integer"),
+        ("phi", json.dumps(dict(GAUSS_CFG, x=True)).encode(), [], "out", "x: must be a number"),
+        ("certificate", json.dumps(dict(GAUSS_CFG, cap=False)).encode(), [], "out", "cap: must be a number"),
+        ("phi", json.dumps(dict(GAUSS_CFG, family=dict(GAUSS, var=True))).encode(), [], "out", "family.var: must be a number"),
+        ("phi", json.dumps(dict(GAUSS_CFG, family=dict(CAPPED, cap=True))).encode(), [], "out", "family.cap: must be a number"),
+        ("phi", json.dumps(dict(GAUSS_CFG, u_grid=[0.5, True])).encode(), [], "out", "u_grid: expected a list of numbers"),
     ],
-    ids=["not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable"],
+    ids=[
+        "not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable",
+        "n-paths-fraction", "seed-bool", "max-steps-fraction", "n-paths-string", "x-bool", "cap-bool", "var-bool", "nested-cap-bool", "grid-bool",
+    ],
 )
 def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):
     (tmp_path / "cfg.json").write_bytes(cfg_bytes)
@@ -418,3 +430,11 @@ def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, fla
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert "error[ConfigError]" in err and needle in err
+
+
+def test_integral_float_counts_are_integers(tmp_path):
+    code, report, _ = run(tmp_path, "simulate", dict(GAUSS_CFG, n_paths=1e3, seed=3.0, max_steps=1e6))
+    assert code == 0
+    cfg = report["config"]
+    assert (cfg["n_paths"], cfg["seed"], cfg["max_steps"]) == (1000, 3, 10**6)
+    assert all(type(cfg[k]) is int for k in ("n_paths", "seed", "max_steps"))

@@ -20,6 +20,7 @@ from ar1fpt import (
     slope_probe,
     stationary_reference,
 )
+from ar1fpt import cumulant
 from ar1fpt.cumulant import ABS_TERM_FLOOR, K_MAX
 
 U_GRID = np.linspace(0.0, 50.0, 26)
@@ -172,6 +173,27 @@ def test_batched_series_equals_term_by_term_sum(spec, u, lam):
     # one u at a time through the same call gives the same bits
     single = np.array([lc.series(float(x)) for x in u]).reshape(-1, 2)
     assert single.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("narrow", ["buffer", "buffer-and-widths"])
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize(
+    "spec",
+    [TwoPoint(1.0, -1.0, 0.3), CappedAbove(Gaussian(0.0, 1.0), 1.5), FlooredPositive(Gaussian(0.0, 1.0), 1.0)],
+    ids=["two-point", "capped", "floored"],
+)
+def test_series_bytes_do_not_depend_on_block_sizes(monkeypatch, spec, lam, narrow):
+    lc = LimitCumulant(spec, lam)
+    u = np.concatenate([[0.0, 1e-9, 0.3], np.linspace(0.5, 60.0, 22), [1e4]]).reshape(2, 13)
+    value, abs_err = lc.series(u)
+    if narrow == "buffer":  # one or two rows a block
+        monkeypatch.setattr(cumulant, "_SERIES_BUF_LEN", 64)
+    else:  # one row a block: a first pass that ends at k_min, then 4 columns a pass
+        monkeypatch.setattr(cumulant, "_SERIES_BUF_LEN", 4)
+        monkeypatch.setattr(cumulant, "_tail_columns", lambda term, lam: 1)
+    narrow_value, narrow_err = lc.series(u)
+    assert narrow_value.tobytes() == value.tobytes()
+    assert narrow_err.tobytes() == abs_err.tobytes()
 
 
 def test_phi_value_vectorized_matches_scalar():

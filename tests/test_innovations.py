@@ -261,6 +261,56 @@ def test_discrete_psi_is_log_sum_exp(atoms, u):
     assert math.isclose(float(Discrete(tuple(atoms)).psi(u)), direct, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _psi_by_matrix(spec, u):
+    """Discrete psi on the (points x atoms) matrix, reduced along the atoms."""
+    arr = np.asarray(u, dtype=float)
+    vals = np.array([a for a, _ in spec.pairs])
+    probs = np.array([p for _, p in spec.pairs])
+    expo = np.multiply.outer(arr, vals)
+    small = np.abs(expo).max(axis=-1) <= 0.5
+    out = np.empty_like(arr)
+    out[small] = np.log1p(np.expm1(expo[small]) @ probs)
+    big = expo[~small]
+    shift = big.max(axis=-1, keepdims=True)
+    out[~small] = np.squeeze(shift, axis=-1) + np.log(
+        np.sum(probs * np.exp(big - shift), axis=-1)
+    )
+    return float(out) if np.ndim(u) == 0 else out
+
+
+@st.composite
+def psi_inputs(draw):
+    """A scalar, 1-D or 2-D u with points on both sides of |u*a| = 0.5."""
+    u = np.array(
+        draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 0.3), st.floats(0.0, 60.0)),
+                min_size=1,
+                max_size=24,
+            )
+        )
+    )
+    shape = draw(st.sampled_from(["scalar", "1-D", "2-D"]))
+    if shape == "scalar":
+        return float(u[0])
+    return np.stack([u, u[::-1]]) if shape == "2-D" else u
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7, unique=True),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=7, max_size=7),
+    u=psi_inputs(),
+)
+def test_discrete_psi_matches_the_matrix_formula_bit_for_bit(values, weights, u):
+    # below 8 atoms numpy sums a row in atom order, as psi does atom by atom
+    w = np.array(weights[: len(values)])
+    spec = Discrete(tuple(zip(values, (w / w.sum()).tolist())))
+    got, want = spec.psi(u), _psi_by_matrix(spec, u)
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_discrete_psi_near_zero_follows_the_mean():
     # the log-sum shifted by the top atom would give psi(u)/u -> 1
     spec = TwoPoint(1.0, -1.0, 0.3)
