@@ -44,31 +44,21 @@ from .passage import (
 )
 from .transforms import check_harmonic
 
-_FAMILY_FIELDS = {
-    "gaussian": {"m": 0.0, "var": 1.0},
-    "deterministic": {"c": None},
-    "two_point": {"h_up": None, "h_down": None, "p": None},
-    "stable": {"alpha": None, "c_scale": None, "m": 0.0},
-    "capped_above": {"cap": None, "base": None},
-    "floored_positive": {"floor": None, "base": None},
+#: Each family's constructor and its fields in argument order, with their
+#: defaults (None: required).  A "base" field is itself a family block.
+_FAMILIES = {
+    "gaussian": (Gaussian, {"m": 0.0, "var": 1.0}),
+    "deterministic": (Deterministic, {"c": None}),
+    "two_point": (TwoPoint, {"h_up": None, "h_down": None, "p": None}),
+    "stable": (StableSpectrallyNegative, {"alpha": None, "c_scale": None, "m": 0.0}),
+    "capped_above": (CappedAbove, {"base": None, "cap": None}),
+    "floored_positive": (FlooredPositive, {"base": None, "floor": None}),
 }
 
-_CONFIG_KEYS = {
-    "family",
-    "lambda",
-    "x",
-    "a",
-    "seed",
-    "n_paths",
-    "max_steps",
-    "u_grid",
-    "delta",
-    "cap",
-}
-
-#: The most points a LO:HI:STEP grid may expand to.
-_MAX_GRID_POINTS = 10**6
-
+#: The config keys with no default.
+_REQUIRED = ("family", "lambda", "x", "a")
+#: The other config keys and their defaults.  A flag overrides each one;
+#: its dest is the key, but for n_paths (--paths).
 _DEFAULTS = {
     "seed": 0,
     "n_paths": 100_000,
@@ -77,6 +67,9 @@ _DEFAULTS = {
     "delta": 0.5,
     "cap": None,
 }
+
+#: The most points a LO:HI:STEP grid may expand to.
+_MAX_GRID_POINTS = 10**6
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -88,39 +81,20 @@ def _build_family(block, path: str = "family") -> InnovationSpec:
         raise _fail(path, "must be an object with a 'name' field")
     block = dict(block)
     name = block.pop("name", None)
-    if name not in _FAMILY_FIELDS:
-        raise _fail(
-            f"{path}.name", f"unknown family {name!r}; one of {sorted(_FAMILY_FIELDS)}"
-        )
-    fields = _FAMILY_FIELDS[name]
+    if name not in _FAMILIES:
+        raise _fail(f"{path}.name", f"unknown family {name!r}; one of {sorted(_FAMILIES)}")
+    build, fields = _FAMILIES[name]
     unknown = set(block) - set(fields)
     if unknown:
         raise _fail(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    vals = {}
+    args = []
     for key, default in fields.items():
-        if key in block:
-            vals[key] = block[key]
-        elif default is not None:
-            vals[key] = default
-        else:
+        if key not in block and default is None:
             raise _fail(f"{path}.{key}", "required field missing")
-        if key != "base":
-            vals[key] = _finite(vals[key], f"{path}.{key}")
+        value, where = block.get(key, default), f"{path}.{key}"
+        args.append(_build_family(value, where) if key == "base" else _finite(value, where))
     try:
-        if name == "gaussian":
-            return Gaussian(vals["m"], vals["var"])
-        if name == "deterministic":
-            return Deterministic(vals["c"])
-        if name == "two_point":
-            return TwoPoint(vals["h_up"], vals["h_down"], vals["p"])
-        if name == "stable":
-            return StableSpectrallyNegative(vals["alpha"], vals["c_scale"], vals["m"])
-        base = _build_family(vals["base"], path=f"{path}.base")
-        if name == "capped_above":
-            return CappedAbove(base, vals["cap"])
-        return FlooredPositive(base, vals["floor"])
-    except ConfigError:
-        raise
+        return build(*args)
     except (TypeError, ValueError) as exc:
         raise _fail(path, str(exc)) from exc
 
@@ -143,29 +117,21 @@ def parse_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - set(_REQUIRED) - set(_DEFAULTS)
         if unknown:
             raise _fail(sorted(unknown)[0], "unknown key")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
-    for flag, key in (
-        ("seed", "seed"),
-        ("paths", "n_paths"),
-        ("max_steps", "max_steps"),
-        ("u_grid", "u_grid"),
-        ("delta", "delta"),
-        ("cap", "cap"),
-    ):
-        val = getattr(args, flag, None)
+    for key in _DEFAULTS:
+        val = getattr(args, "paths" if key == "n_paths" else key, None)
         if val is not None:
             cfg[key] = val
 
-    if "family" not in cfg:
-        raise _fail("family", "required field missing")
-    spec = _build_family(cfg["family"])
-    for key in ("lambda", "x", "a"):
+    for key in _REQUIRED:
         if key not in cfg:
             raise _fail(key, "required field missing")
+    spec = _build_family(cfg["family"])
+    for key in _REQUIRED[1:]:
         cfg[key] = _finite(cfg[key], key)
     if not 0.0 < cfg["lambda"] < 1.0:
         raise _fail("lambda", "violates 0 < lambda < 1")
@@ -196,13 +162,18 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a bool or a string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _finite(value, key: str) -> float:
-    if isinstance(value, bool):  # JSON true/false are not numbers
+    if not _is_number(value):
         raise _fail(key, "must be a number")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise _fail(key, "must be a number")
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise _fail(key, "must be finite")
     return number
@@ -210,12 +181,9 @@ def _finite(value, key: str) -> float:
 
 def _parse_u_grid(text) -> np.ndarray:
     if isinstance(text, (list, tuple)):
-        if any(isinstance(x, bool) for x in text):
-            raise _fail("u_grid", "expected a list of numbers")
-        try:
-            grid = np.asarray(text, dtype=float)
-        except (TypeError, ValueError):
-            raise _fail("u_grid", "expected a list of numbers")
+        if not text or not all(map(_is_number, text)):
+            raise _fail("u_grid", "expected a list of numbers, flat and non-empty")
+        grid = np.array([_finite(x, "u_grid") for x in text])
     else:
         parts = str(text).split(":")
         if len(parts) != 3:
@@ -231,8 +199,6 @@ def _parse_u_grid(text) -> np.ndarray:
         if (hi - lo) / step + 0.5 > _MAX_GRID_POINTS:
             raise _fail("u_grid", f"more than {_MAX_GRID_POINTS} points")
         grid = np.arange(lo, hi + 0.5 * step, step)
-    if not np.all(np.isfinite(grid)):
-        raise _fail("u_grid", "values must be finite")
     if np.any(grid < 0):
         raise _fail("u_grid", "phi is only defined for u >= 0")
     return grid
@@ -279,11 +245,10 @@ def _cmd_bounds(cfg):
         "sup_bound": feas.sup_bound,
         "crossing_mass": feas.crossing_mass,
     }
-    h_cap = cfg["cap"]
-    if h_cap is None and feas.sup_bound is not None:
-        h_cap = feas.sup_bound  # bounded families cap at their own ess-sup
-    if h_cap is not None:
-        results["h_cap"] = h_cap
+    # the cap in force: the requested one, or the ess-sup where lower
+    caps = [c for c in (cfg["cap"], p.spec.upper_support()) if c is not None]
+    if caps:
+        h_cap = results["h_cap"] = min(caps)
         results["upper_bound_e_tau"] = upper_bound_e_tau(p, h_cap=h_cap)
     return results, None
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SeriesDivergenceError
-from .innovations import Gaussian, InnovationSpec, StableSpectrallyNegative
+from .innovations import Gaussian, InnovationSpec, StableSpectrallyNegative, _as_u
 
 #: Reference scale below which no early-term ratio test is attempted.
 _U0_REF = 1.0
@@ -212,13 +212,6 @@ def _tail_columns(term: float, lam: float) -> int:
     with np.errstate(divide="ignore", invalid="ignore"):
         n = np.log(term * lam / ((1.0 - lam) * ABS_TERM_FLOOR)) / math.log(1.0 / lam)
     return math.ceil(n) + 1 if math.isfinite(n) else 0
-
-
-def _as_u(u) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("phi is only defined for u >= 0")
-    return arr
 
 
 def _pair(val, err):

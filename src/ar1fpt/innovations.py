@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .errors import DivergenceError, InfeasibleTruncationError, UnsupportedSamplerError
+from .errors import InfeasibleTruncationError, UnsupportedSamplerError
 from .quadrature import improper_integral
 
 _SQRT2 = math.sqrt(2.0)
@@ -187,11 +187,7 @@ class Gaussian(InnovationSpec):
         z = (t - self.m) / s
         res = improper_integral(
             lambda w: np.asarray(g(t - s * w)) * np.exp(-0.5 * (z - w) ** 2)
-        )
-        if not res.converged:
-            raise DivergenceError(
-                f"Gaussian expectation below t={t} did not converge ({res.tail_diagnostic})"
-            )
+        ).require(f"Gaussian expectation below t={t}")
         return res.value / math.sqrt(2.0 * math.pi)
 
 

@@ -80,7 +80,7 @@ class FeasibilityReport:
 
     certain_infinite: bool
     crossing_possible: bool
-    sup_bound: float | None  # H/(1-lam) when the innovation is bounded above
+    sup_bound: float | None  # y_adm = ess-sup/(1-lam) when eta is bounded above
     crossing_mass: float  # P(eta > a*(1-lam))
 
 
@@ -95,14 +95,11 @@ def feasibility_report(p: PassageProblem) -> FeasibilityReport:
     E tau is finite whenever a crossing is possible: the log-moment condition
     holds for every family of the package.
     """
-    ub = p.spec.upper_support()
-    sup_bound = None
-    certain_infinite = False
-    if ub is not None:
-        sup_bound = ub / (1.0 - p.lam)
-        # X_n <= lam**n (x - sup_bound) + sup_bound, so the level is never
-        # strictly exceeded once max(x, sup_bound) <= a.
-        certain_infinite = sup_bound <= p.a and p.x <= p.a
+    y_adm = p.limit_cumulant().y_adm
+    sup_bound = y_adm if math.isfinite(y_adm) else None
+    # X_n <= lam**n (x - sup_bound) + sup_bound, so the level is never
+    # strictly exceeded once max(x, sup_bound) <= a.
+    certain_infinite = sup_bound is not None and sup_bound <= p.a and p.x <= p.a
     mass = crossing_mass(p)
     possible = mass > 0.0 and not certain_infinite
     return FeasibilityReport(
@@ -115,13 +112,8 @@ def feasibility_report(p: PassageProblem) -> FeasibilityReport:
 
 def _h_increment(lc: LimitCumulant, y: float, x: float, what: str) -> float:
     """H(y) - H(x) from one engine call, or DivergenceError if unconverged."""
-    res = transform(lc, "H", [y, x])
-    if not res.converged.all():
-        raise DivergenceError(
-            f"{what} did not converge ({', '.join(res.tail_diagnostic)}, "
-            f"values {res.value} +- {res.abs_err})"
-        )
-    return float(res.value[0] - res.value[1])
+    h_y, h_x = transform(lc, "H", [y, x]).require(what).value
+    return float(h_y - h_x)
 
 
 def lower_bound_e_tau(p: PassageProblem, lc: LimitCumulant | None = None) -> float:

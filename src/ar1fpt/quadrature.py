@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError
+
 #: A state converges when its error is at most REL_TOL * |value| + ABS_TOL.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -89,6 +91,20 @@ class QuadratureResult:
     abs_err: float
     converged: bool
     tail_diagnostic: str
+
+    def require(self, what: str) -> QuadratureResult:
+        """This result if every state converged, else DivergenceError.
+
+        The error names what was integrated, how many states did not
+        converge and their tail diagnostics.
+        """
+        bad = ~np.asarray(self.converged)
+        if not bad.any():
+            return self
+        diags = ", ".join(np.unique(np.asarray(self.tail_diagnostic)[bad]))
+        raise DivergenceError(
+            f"{what} did not converge at {int(bad.sum())} of {bad.size} states ({diags})"
+        )
 
 
 def _dyadic_panels(n):

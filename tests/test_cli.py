@@ -164,6 +164,24 @@ def test_bounds_with_cap(tmp_path):
     assert res["lower_bound_e_tau"] <= res["upper_bound_e_tau"]
 
 
+@pytest.mark.parametrize(
+    "family,flags,h_cap,upper",
+    [
+        ({"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5}, [], 1.0, 9.2692905885951),
+        ({"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5}, ["--cap", "4"], 1.0, 9.2692905885951),
+        ({"name": "capped_above", "cap": 1.5, "base": {"name": "gaussian"}}, [], 1.5, 29.526051218328814),
+        ({"name": "capped_above", "cap": 1.5, "base": {"name": "gaussian"}}, ["--cap", "1.2"], 1.2, 27.138188086312457),
+    ],
+    ids=["two-point", "two-point-cap-above-support", "capped", "capped-cap-below-support"],
+)
+def test_bounds_reports_the_cap_in_force(tmp_path, family, flags, h_cap, upper):
+    # the cap in force is the lower of the requested cap and the ess-sup
+    code, report, _ = run(tmp_path, "bounds", dict(GAUSS_CFG, family=family), *flags)
+    assert code == 0
+    assert report["results"]["h_cap"] == h_cap
+    assert math.isclose(report["results"]["upper_bound_e_tau"], upper, rel_tol=1e-12)
+
+
 def test_bounds_crossing_mass_of_floored_family(tmp_path):
     # crossing needs eta~ > a(1 - lam) = -0.5, which holds iff eta > -0.5 as
     # eta~ >= 0 wherever eta > 0: the mass is Phi(0.5)
@@ -416,10 +434,19 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         ("phi", json.dumps(dict(GAUSS_CFG, family=dict(GAUSS, var=True))).encode(), [], "out", "family.var: must be a number"),
         ("phi", json.dumps(dict(GAUSS_CFG, family=dict(CAPPED, cap=True))).encode(), [], "out", "family.cap: must be a number"),
         ("phi", json.dumps(dict(GAUSS_CFG, u_grid=[0.5, True])).encode(), [], "out", "u_grid: expected a list of numbers"),
+        ("phi", json.dumps(dict(GAUSS_CFG, u_grid=[[0.5, 1.0], [1.5, 2.0]])).encode(), [], "out", "u_grid: expected a list of numbers"),
+        ("validate", json.dumps(dict(GAUSS_CFG, u_grid=[])).encode(), [], "out", "u_grid: expected a list of numbers"),
+        ("phi", json.dumps(dict(GAUSS_CFG, u_grid=["0.5", "1"])).encode(), [], "out", "u_grid: expected a list of numbers"),
+        ("certificate", json.dumps(dict(GAUSS_CFG, x="0")).encode(), [], "out", "x: must be a number"),
+        ("certificate", json.dumps(dict(GAUSS_CFG, **{"lambda": "0.5"})).encode(), [], "out", "lambda: must be a number"),
+        ("certificate", json.dumps(dict(GAUSS_CFG, family=dict(GAUSS, var="2"))).encode(), [], "out", "family.var: must be a number"),
+        ("bounds", json.dumps(dict(GAUSS_CFG, cap="2")).encode(), [], "out", "cap: must be a number"),
+        ("phi", json.dumps(dict(GAUSS_CFG, x=10**400)).encode(), [], "out", "x: must be finite"),
     ],
     ids=[
         "not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable",
         "n-paths-fraction", "seed-bool", "max-steps-fraction", "n-paths-string", "x-bool", "cap-bool", "var-bool", "nested-cap-bool", "grid-bool",
+        "grid-nested", "grid-empty", "grid-strings", "x-string", "lambda-string", "var-string", "cap-string", "x-beyond-float",
     ],
 )
 def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):

@@ -12,6 +12,7 @@ from ar1fpt import (
     CappedAbove,
     Deterministic,
     Discrete,
+    DivergenceError,
     FlooredPositive,
     Gaussian,
     InfeasibleTruncationError,
@@ -375,6 +376,13 @@ def test_gaussian_expectation_below_matches_closed_form(m, var, t):
     assert math.isclose(mass, special.ndtr(z), rel_tol=1e-9, abs_tol=1e-12)
     want = m * special.ndtr(z) - s * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     assert math.isclose(first, want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_gaussian_expectation_below_raises_when_unconverged():
+    # t = 0.3 is below the top Hermite node, so the engine integrates g, and
+    # a NaN there reads diverged
+    with pytest.raises(DivergenceError, match="Gaussian expectation below t=0.3"):
+        Gaussian(0.0, 1.0).expectation_below(lambda e: np.full_like(e, np.nan), 0.3)
 
 
 @st.composite

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from ar1fpt import Gaussian, LimitCumulant, improper_integral, transform
+from ar1fpt import DivergenceError, Gaussian, LimitCumulant, improper_integral, transform
 from ar1fpt import quadrature
 from ar1fpt.quadrature import panel_nodes
 
@@ -47,6 +47,30 @@ def test_slow_algebraic_tail_hits_ceiling():
     res = improper_integral(lambda u: (1.0 + u) ** -1.5)
     assert not res.converged
     assert res.tail_diagnostic == "truncated_at_umax"
+
+
+def test_require_returns_a_converged_result_itself():
+    scalar = improper_integral(lambda u: np.exp(-u))
+    batch = improper_integral(lambda u: np.exp(-np.array([[1.0], [2.0]]) * u))
+    assert scalar.require("e^-u") is scalar
+    assert batch.require("e^-ru") is batch
+
+
+def test_require_names_the_unconverged_states():
+    scalar = improper_integral(lambda u: (1.0 + u) ** -1.5)
+    with pytest.raises(DivergenceError) as exc:
+        scalar.require("the slow tail")
+    assert str(exc.value) == "the slow tail did not converge at 1 of 1 states (truncated_at_umax)"
+    # one decayed, one truncated and two growing states
+    powers = np.array([[0.0], [-1.5], [0.0], [0.0]])
+    rates = np.array([[1.0], [0.0], [-0.01], [-0.02]])
+    batch = improper_integral(lambda u: np.exp(np.minimum(-rates * u, 700.0)) * (1.0 + u) ** powers)
+    assert batch.tail_diagnostic.tolist() == ["decayed", "truncated_at_umax", "diverged", "diverged"]
+    with pytest.raises(DivergenceError) as exc:
+        batch.require("the batch")
+    assert str(exc.value) == (
+        "the batch did not converge at 3 of 4 states (diverged, truncated_at_umax)"
+    )
 
 
 def test_halving_rel_tol_is_self_consistent(monkeypatch):
