@@ -68,6 +68,8 @@ _DEFAULTS = {
     "cap": None,
 }
 
+#: The first n_paths the simulation's int64 counters cannot hold.
+_PATHS_LIMIT = 2**63
 #: The most points a LO:HI:STEP grid may expand to.
 _MAX_GRID_POINTS = 10**6
 
@@ -141,6 +143,8 @@ def parse_config(args: argparse.Namespace) -> dict:
         cfg[key] = _integer(cfg[key], key)
     if cfg["n_paths"] <= 0:
         raise _fail("n_paths", "must be positive")
+    if cfg["n_paths"] >= _PATHS_LIMIT:
+        raise _fail("n_paths", "must be below 2**63: path counts are int64")
     if cfg["max_steps"] <= 0:
         raise _fail("max_steps", "must be positive")
     cfg["delta"] = _finite(cfg["delta"], "delta")

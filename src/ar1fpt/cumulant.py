@@ -66,10 +66,18 @@ class LimitCumulant:
       - "series": sum psi(lam**k u) with a geometric tail bound, for every
         other law
     series(u) sums the series for any family, to cross-check a closed form.
+
+    In series mode phi keeps what it has summed, by u array (its shape and
+    bytes), and sums only an array it has not seen: a repeated array gets
+    the answer of its first call, bit for bit.  The memo holds some 24 bytes
+    for each point the series summed, lives as long as this instance and is
+    shared by none: not by equal instances, nor by copies from
+    dataclasses.replace.
     """
 
     spec: InnovationSpec
     lam: float
+    _summed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -105,7 +113,13 @@ class LimitCumulant:
         """
         mode = self.mode
         if mode == "series":
-            return self.series(u)
+            arr = np.asarray(u, dtype=float)
+            key = (arr.shape, arr.tobytes())
+            if key not in self._summed:  # series rejects a negative u: none is kept
+                self._summed[key] = self.series(arr)
+            val, err = self._summed[key]
+            # copies: the caller's arrays never alias the memo
+            return _pair(np.array(val), np.array(err))
         arr = _as_u(u)
         if mode == "closed_form_deterministic":
             val = self.spec.upper_support() * arr / (1.0 - self.lam)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -173,6 +174,25 @@ def _mgf_moments(u_nodes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.
     return m1, m2
 
 
+def _in_block_order(job, n_blocks: int, n_workers: int):
+    """job(0), ..., job(n_blocks - 1), yielded in block order.
+
+    With several workers at most two blocks a worker are in flight, so
+    neither pending work nor results grow with the number of blocks.
+    """
+    if n_workers == 1 or n_blocks == 1:
+        yield from map(job, range(n_blocks))
+        return
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        pending = deque()
+        for i in range(n_blocks):
+            pending.append(pool.submit(job, i))
+            if len(pending) == 2 * n_workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def simulate_passage(
     p: PassageProblem,
     n_paths: int,
@@ -193,28 +213,21 @@ def simulate_passage(
     u_nodes = None if mgf_u_nodes is None else np.asarray(mgf_u_nodes, dtype=float)
     steps = max_steps if feasibility_report(p).crossing_possible else 0
 
-    sizes = [block_size] * (n_paths // block_size)
-    if n_paths % block_size:
-        sizes.append(n_paths % block_size)
+    n_blocks = -(-n_paths // block_size)
 
     def job(i):
-        return _run_block(p, i, sizes[i], steps, seed, u_nodes)
-
-    n_workers = _worker_count()
-    if n_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(job, range(len(sizes))))
-    else:
-        results = [job(i) for i in range(len(sizes))]
+        # every block is full but the last, which holds the remainder
+        return _run_block(p, i, min(block_size, n_paths - i * block_size), steps, seed, u_nodes)
 
     # Ordered fold over block indices: bit-identical for any worker count.
-    max_len = max(len(r.tau_counts) for r in results)
-    counts = np.zeros(max_len, dtype=np.int64)
+    counts = np.zeros(0, dtype=np.int64)
     n_censored = 0
     sum_tau = sum_tau2 = sum_xi = sum_xi2 = 0.0
     mgf_m1 = np.zeros(len(u_nodes)) if u_nodes is not None else None
     mgf_m2 = np.zeros(len(u_nodes)) if u_nodes is not None else None
-    for r in results:
+    for r in _in_block_order(job, n_blocks, _worker_count()):
+        if len(r.tau_counts) > len(counts):
+            counts = np.pad(counts, (0, len(r.tau_counts) - len(counts)))
         counts[: len(r.tau_counts)] += r.tau_counts
         n_censored += r.n_censored
         sum_tau += r.sum_tau

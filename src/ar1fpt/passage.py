@@ -17,7 +17,7 @@ arrives as a finished summary, never as shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,15 +50,23 @@ class PassageProblem:
     x: float
     a: float
     spec: InnovationSpec
+    _lc: LimitCumulant = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie in (0, 1)")
         if self.a < self.x:
             raise ValueError("the level a must satisfy a >= x")
+        object.__setattr__(self, "_lc", LimitCumulant(self.spec, self.lam))
 
     def limit_cumulant(self) -> LimitCumulant:
-        return LimitCumulant(self.spec, self.lam)
+        """The problem's one LimitCumulant, the same instance on every call.
+
+        So every answer built on this problem shares what its phi has
+        summed (bit-exact, see LimitCumulant), for as long as the problem
+        lives: within one CLI command, as each builds its own.
+        """
+        return self._lc
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,9 @@ def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
 
     The cap is reduced to the essential supremum of the innovation when that
     is smaller (capping beyond the support is a no-op, but the state at
-    crossing is still bounded by lam*a + ess-sup).
+    crossing is still bounded by lam*a + ess-sup).  A cap in force at the
+    ess-sup leaves the law as it is, and the problem's own LimitCumulant,
+    with what its phi has summed, is returned.
     """
     ub = p.spec.upper_support()
     h_eff = h_cap if ub is None else min(h_cap, ub)
@@ -136,7 +146,9 @@ def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
             f"cap {h_eff} <= a*(1-lam) = {p.a * (1.0 - p.lam)}: "
             "the capped process can never cross"
         )
-    return LimitCumulant(CappedAbove(p.spec, h_eff), p.lam), h_eff
+    spec = CappedAbove(p.spec, h_eff)
+    lc = p.limit_cumulant() if spec is p.spec else LimitCumulant(spec, p.lam)
+    return lc, h_eff
 
 
 def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> float:

@@ -442,11 +442,16 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         ("certificate", json.dumps(dict(GAUSS_CFG, family=dict(GAUSS, var="2"))).encode(), [], "out", "family.var: must be a number"),
         ("bounds", json.dumps(dict(GAUSS_CFG, cap="2")).encode(), [], "out", "cap: must be a number"),
         ("phi", json.dumps(dict(GAUSS_CFG, x=10**400)).encode(), [], "out", "x: must be finite"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, n_paths=10**30)).encode(), [], "out", "n_paths: must be below 2**63"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, n_paths=2**63)).encode(), [], "out", "n_paths: must be below 2**63"),
+        ("simulate", CFG_TEXT.encode(), ["--paths", "100000000000000000000"], "out", "n_paths: must be below 2**63"),
+        ("identity-check", CFG_TEXT.encode(), ["--paths", str(2**63)], "out", "n_paths: must be below 2**63"),
     ],
     ids=[
         "not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable",
         "n-paths-fraction", "seed-bool", "max-steps-fraction", "n-paths-string", "x-bool", "cap-bool", "var-bool", "nested-cap-bool", "grid-bool",
         "grid-nested", "grid-empty", "grid-strings", "x-string", "lambda-string", "var-string", "cap-string", "x-beyond-float",
+        "n-paths-beyond-int64", "n-paths-2-pow-63", "paths-flag-beyond-int64", "paths-flag-2-pow-63",
     ],
 )
 def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):
@@ -465,3 +470,25 @@ def test_integral_float_counts_are_integers(tmp_path):
     cfg = report["config"]
     assert (cfg["n_paths"], cfg["seed"], cfg["max_steps"]) == (1000, 3, 10**6)
     assert all(type(cfg[k]) is int for k in ("n_paths", "seed", "max_steps"))
+
+
+TWO_POINT_CFG = dict(GAUSS_CFG, family={"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5})
+
+
+@pytest.mark.parametrize("subcommand,sums", [("bounds", 2), ("validate", 5)])
+def test_a_command_sums_each_node_set_once(tmp_path, monkeypatch, subcommand, sums):
+    # bounds' two bounds share the problem's LimitCumulant (the cap in force
+    # is the ess-sup), and validate's N, H and W checks share the node sets
+    # phi has summed: 4 and 8 series calls without the sharing and the memo
+    calls = []
+    series = cli.LimitCumulant.series
+
+    def counted(self, u):
+        calls.append(self)
+        return series(self, u)
+
+    monkeypatch.setattr(cli.LimitCumulant, "series", counted)
+    code, report, _ = run(tmp_path, subcommand, TWO_POINT_CFG)
+    assert code == 0 and len(calls) == sums
+    if subcommand == "validate":
+        assert report["results"]["all_passed"]

@@ -1,6 +1,8 @@
 """Limit cumulant: series vs closed forms, functional equation, convexity."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from ar1fpt import (
 )
 from ar1fpt import cumulant
 from ar1fpt.cumulant import ABS_TERM_FLOOR, K_MAX
+from ar1fpt.innovations import Truncated
+from ar1fpt.quadrature import panel_nodes
 
 U_GRID = np.linspace(0.0, 50.0, 26)
 LAMBDAS = (0.3, 0.5, 0.9)
@@ -194,6 +198,82 @@ def test_series_bytes_do_not_depend_on_block_sizes(monkeypatch, spec, lam, narro
     narrow_value, narrow_err = lc.series(u)
     assert narrow_value.tobytes() == value.tobytes()
     assert narrow_err.tobytes() == abs_err.tobytes()
+
+
+#: Node sets of the engine's head and dyadic panels, up to u = 2, 16, 256, 2**17.
+NODE_SETS = [panel_nodes(2.0**k)[0] for k in (1, 4, 8, 17)]
+
+
+@st.composite
+def u_batches(draw):
+    """Successive u arrays as the engine asks them: slices of its node sets
+    and arbitrary points, repeated and shuffled, some of them 2-D."""
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        nodes = draw(st.sampled_from(NODE_SETS))
+        lo = draw(st.integers(0, len(nodes) - 1))
+        part = nodes[lo : lo + draw(st.integers(1, 45))]
+        points = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 300.0)), max_size=10))
+        again = part[: draw(st.integers(0, 5))]
+        u = np.array(draw(st.permutations(np.concatenate([part, points, again]).tolist())))
+        if len(u) % 2 == 0 and draw(st.booleans()):
+            u = u.reshape(2, -1)
+        batches.append(u)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Discrete(((1.0, 0.3), (-0.5, 0.5), (-2.0, 0.2))), CappedAbove(Gaussian(0.0, 1.0), 1.5)],
+    ids=["discrete", "truncated"],
+)
+@settings(max_examples=20, deadline=None)
+@given(batches=u_batches(), lam=st.sampled_from(LAMBDAS))
+def test_phi_of_a_used_cumulant_equals_a_fresh_series(spec, batches, lam):
+    used = LimitCumulant(spec, lam)
+    assert isinstance(spec, (Discrete, Truncated)) and used.mode == "series"
+    for u in batches + [u.copy() for u in reversed(batches)]:  # each asked twice
+        value, bound = used.phi(u)
+        ref_value, ref_bound = LimitCumulant(spec, lam).series(u)
+        assert value.shape == bound.shape == u.shape
+        assert value.tobytes() == ref_value.tobytes()
+        assert bound.tobytes() == ref_bound.tobytes()
+        x = float(u.flat[-1])
+        pair = used.phi(x)
+        assert type(pair[0]) is float and type(pair[1]) is float
+        assert np.array(pair).tobytes() == np.array(LimitCumulant(spec, lam).series(x)).tobytes()
+    # what it keeps changes neither equality nor the hash
+    assert used == LimitCumulant(spec, lam) and hash(used) == hash(LimitCumulant(spec, lam))
+
+
+def test_changing_what_phi_returned_changes_no_later_answer():
+    lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5)
+    u = np.array([0.5, 2.0, 7.0, 2.0])
+    value, bound = lc.phi(u)
+    want = np.stack([value, bound]).tobytes()
+    value[:], bound[:], u[:] = -1.0, -1.0, 3.0
+    again = lc.phi(np.array([0.5, 2.0, 7.0, 2.0]))
+    assert np.stack(again).tobytes() == want
+    # nor do two answers share memory with each other
+    again[0][:] = 9.0
+    assert np.stack(lc.phi(np.array([0.5, 2.0, 7.0, 2.0]))).tobytes() == want
+    # the same u in another shape comes back in that shape
+    assert lc.phi(np.array([[0.5, 2.0], [7.0, 2.0]]))[0].shape == (2, 2)
+
+
+def test_threads_sharing_a_cumulant_get_fresh_series_bits():
+    spec, lam = TwoPoint(1.0, -1.0, 0.3), 0.5
+    batches = [NODE_SETS[k % 4][k % 7 :: 3] for k in range(24)]
+    want = [np.stack(LimitCumulant(spec, lam).series(u)).tobytes() for u in batches]
+    shared = LimitCumulant(spec, lam)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda u: np.stack(shared.phi(u)).tobytes(), batches * 3, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want * 3
 
 
 def test_phi_value_vectorized_matches_scalar():

@@ -53,6 +53,18 @@ def test_results_independent_of_worker_count(monkeypatch):
     assert runs["1"] == runs["7"]
 
 
+def test_many_blocks_fold_alike_for_any_worker_count(monkeypatch):
+    # 16 blocks of 64 paths and a last one of 40: more than the two blocks a
+    # worker that are in flight at once
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FPT_THREADS", threads)
+        sim = simulate_passage(GAUSS, n_paths=1064, seed=11, block_size=64)
+        runs[threads] = json.dumps(sim.to_dict(), sort_keys=True)
+    assert runs["1"] == runs["2"]
+    assert json.loads(runs["1"])["n_paths"] == 1064
+
+
 def test_never_crossing_runs_no_steps():
     p = PassageProblem(lam=0.5, x=0.0, a=3.0, spec=Deterministic(1.0))
     full = simulate_passage(p, n_paths=1000, seed=5).to_dict()
