@@ -3,7 +3,8 @@
 Randomness is counter-based: every block of paths owns a Philox stream keyed
 by (seed, block index), and per-summary reductions are ordered folds over
 block indices.  Results are therefore bit-identical for any worker count;
-the FPT_THREADS environment variable merely caps parallelism.
+the FPT_THREADS environment variable merely caps parallelism, at the CPU
+count.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ _STATE_BATCH = 256
 
 
 def _worker_count() -> int:
+    """Workers from FPT_THREADS, 1 to the CPU count; min(CPUs, 8) when unset."""
     env = os.environ.get("FPT_THREADS")
+    cpus = os.cpu_count() or 1
     if not env:
-        return min(os.cpu_count() or 1, 8)
+        return min(cpus, 8)
     try:
-        return max(1, int(env))
+        return min(max(1, int(env)), cpus)
     except ValueError:
         raise ConfigError(f"FPT_THREADS must be an integer, got {env!r}") from None
 

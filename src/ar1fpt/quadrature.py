@@ -8,9 +8,11 @@ whatever the states share (phi(u) above all) is computed once per node set.
 
 The engine uses Gauss-Kronrod panels (the G7/K15 pair of QUADPACK).  The
 unit interval is one panel after a power substitution that removes the
-u**s cusp; the tail is covered by the dyadic panels [1, 2], [2, 4], ...,
-added a few at a time until every state's integrand has died out or the
-ceiling DEFAULT_U_MAX is reached.  A panel's error is |K15 - G7|, and the
+u**s cusp; the tail is covered by the dyadic panels [1, 2], [2, 4], ....
+The first integrand call evaluates the head panel and the tail panels up
+to [128, 256] together; while some state's integrand is still alive at the
+end of the tail, one more call adds eight panels (to 65,536, then to the
+ceiling DEFAULT_U_MAX).  A panel's error is |K15 - G7|, and the
 panels whose error exceeds their share of some state's tolerance are
 bisected, all of them in one integrand call per round.  panel_nodes freezes
 the K15 nodes of that partition, before bisection, for integrands known only
@@ -31,8 +33,16 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 DEFAULT_U_MAX = 1e5
 
-#: Dyadic tail panels added per integrand call while the tail is alive.
-_TAIL_PANELS_PER_CALL = 4
+#: Dyadic tail panels per integrand call: the first call reaches u = 256,
+#: each call that extends the tail 256 times further, up to DEFAULT_U_MAX.
+#: Of the 16 engine calls of an analytic-cli benchmark pass, 15 need the
+#: tail past u = 16 and none past u = 256, so eight panels a call take 32
+#: integrand calls a pass where four took 47.  Nine or more only add nodes.
+#: Seven take 32 calls too, but drop the panel [128, 256] that eight keep:
+#: a panel's K15 sum does not depend on the other panels of its call, so
+#: every integral that reached u = 256 with four panels a call keeps its
+#: bits with eight.
+_TAIL_PANELS_PER_CALL = 8
 #: Bisection stops adding panels beyond this count.
 _MAX_PANELS = 400
 #: The head substitution u = w**(_HEAD_ORDER/(1+s)) turns the leading cusp

@@ -475,11 +475,11 @@ def test_integral_float_counts_are_integers(tmp_path):
 TWO_POINT_CFG = dict(GAUSS_CFG, family={"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5})
 
 
-@pytest.mark.parametrize("subcommand,sums", [("bounds", 2), ("validate", 5)])
+@pytest.mark.parametrize("subcommand,sums", [("bounds", 1), ("validate", 4)])
 def test_a_command_sums_each_node_set_once(tmp_path, monkeypatch, subcommand, sums):
     # bounds' two bounds share the problem's LimitCumulant (the cap in force
     # is the ess-sup), and validate's N, H and W checks share the node sets
-    # phi has summed: 4 and 8 series calls without the sharing and the memo
+    # phi has summed: 2 and 5 series calls without the sharing and the memo
     calls = []
     series = cli.LimitCumulant.series
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -63,6 +64,14 @@ def test_many_blocks_fold_alike_for_any_worker_count(monkeypatch):
         runs[threads] = json.dumps(sim.to_dict(), sort_keys=True)
     assert runs["1"] == runs["2"]
     assert json.loads(runs["1"])["n_paths"] == 1064
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    # one worker a block would start a thread for every submitted block
+    monkeypatch.setenv("FPT_THREADS", "1000000")
+    assert montecarlo._worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("FPT_THREADS", "0")
+    assert montecarlo._worker_count() == 1
 
 
 def test_never_crossing_runs_no_steps():

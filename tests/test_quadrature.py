@@ -36,6 +36,33 @@ def test_frullani_integral():
     assert math.isclose(res.value, math.log(2.0), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "f,power,exact,calls",
+    [
+        # dies before u = 256: the first call's head and tail panels suffice
+        (lambda u: np.exp(-u), 0.0, 1.0, 1),
+        # alive at u = 256, dead by 65,536: one call extends the tail
+        (lambda u: np.exp(-u / 1000), 0.0, 1000.0, 2),
+        # a cusp at 0 and a tail alive at u = 256, with no bisection
+        (lambda u: np.exp(-u / 100) * u**-0.5, -0.5, math.sqrt(100 * math.pi), 2),
+    ],
+    ids=["e^-u", "e^-u/1000", "e^-u/100-cusp"],
+)
+def test_integrand_calls_per_integral(f, power, exact, calls):
+    sizes = []
+
+    def counted(u):
+        sizes.append(len(u))
+        return f(u)
+
+    res = improper_integral(counted, singular_power=power)
+    assert res.converged and res.tail_diagnostic == "decayed"
+    assert math.isclose(res.value, exact, rel_tol=1e-12)
+    assert len(sizes) == calls
+    # the first call: the head panel and the tail panels [1, 2], ..., [128, 256]
+    assert sizes[0] == 9 * 15
+
+
 def test_divergent_integrand_flagged():
     res = improper_integral(lambda u: np.exp(np.minimum(0.01 * u, 700.0)) / (1.0 + u))
     assert not res.converged
