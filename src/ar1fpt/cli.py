@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cumulant import LimitCumulant, check_functional_equation
-from .errors import Ar1FptError, ConfigError, NoCrossingError
+from .errors import Ar1FptError, ConfigError, CoverageError, NoCrossingError
 from .innovations import (
     CappedAbove,
     Deterministic,
@@ -34,6 +34,7 @@ from .innovations import (
 )
 from .montecarlo import simulate_passage
 from .passage import (
+    FeasibilityReport,
     PassageProblem,
     exponential_certificate,
     feasibility_report,
@@ -212,6 +213,14 @@ def _problem(cfg: dict) -> PassageProblem:
     return PassageProblem(lam=cfg["lambda"], x=cfg["x"], a=cfg["a"], spec=cfg["_spec"])
 
 
+def _crossable(p: PassageProblem) -> FeasibilityReport:
+    """The feasibility report of p, or NoCrossingError if the level is never crossed."""
+    feas = feasibility_report(p)
+    if not feas.crossing_possible:
+        raise NoCrossingError("the level is never crossed under this configuration")
+    return feas
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.  Each returns (results dict, csv rows or None).
 # ---------------------------------------------------------------------------
@@ -239,11 +248,7 @@ def _cmd_simulate(cfg):
 
 def _cmd_bounds(cfg):
     p = _problem(cfg)
-    feas = feasibility_report(p)
-    if feas.certain_infinite or not feas.crossing_possible:
-        raise NoCrossingError(
-            "the level is never crossed under this configuration; no bounds exist"
-        )
+    feas = _crossable(p)
     results = {
         "lower_bound_e_tau": lower_bound_e_tau(p),
         "sup_bound": feas.sup_bound,
@@ -259,6 +264,7 @@ def _cmd_bounds(cfg):
 
 def _cmd_identity_check(cfg):
     p = _problem(cfg)
+    _crossable(p)
     lc = p.limit_cumulant()
     nodes = identity_nodes(p, lc)
     summary = simulate_passage(
@@ -268,12 +274,21 @@ def _cmd_identity_check(cfg):
         seed=cfg["seed"],
         mgf_u_nodes=nodes.u,
     )
+    if summary.n_crossed == 0:
+        raise CoverageError(
+            f"no path crossed the level in {cfg['max_steps']} steps: "
+            "the empirical MGF covers no node"
+        )
     value, std_err = identity_e_tau(
         p, summary.mgf_u, summary.mgf_value, summary.mgf_std_err, nodes, lc
     )
     combined = math.hypot(std_err, summary.e_tau_std_err)
     discrepancy = abs(value - summary.e_tau_hat)
-    sigmas = discrepancy / combined if combined > 0 else 0.0
+    # as DriftReport.max_sigma: a discrepancy that no error explains reads inf
+    if combined > 0:
+        sigmas = discrepancy / combined
+    else:
+        sigmas = 0.0 if discrepancy == 0 else math.inf
     print(f"identity vs Monte Carlo discrepancy: {sigmas:.17g} combined std errs")
     return {
         "identity_value": value,

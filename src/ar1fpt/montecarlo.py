@@ -107,6 +107,51 @@ class _BlockResult:
     mgf_m2: np.ndarray | None
 
 
+def _passages(
+    p: PassageProblem, rng: np.random.Generator, size: int, max_steps: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each path's passage step tau (0 if censored) and state x_tau (NaN if
+    censored), in path order, and the number of censored paths.
+
+    Each step's draws go to the live paths in path order.  A step records
+    its crossings once and only a step with crossings compacts the live
+    paths; the crossings are scattered into path order after the last step.
+    """
+    # alive_idx[i] is the path whose state is x_alive[i]
+    alive_idx = np.arange(size)
+    x_alive = np.full(size, float(p.x))
+    # the crossings in the order they happen: path ids and values, and the
+    # number of them at each step that had some
+    done = np.empty(size, dtype=np.int64)
+    x_done = np.empty(size)
+    hit_steps, hit_counts = [], []
+    n_done = 0
+    step = 0
+    while len(alive_idx) and step < max_steps:
+        step += 1
+        x_new = p.lam * x_alive
+        x_new += p.spec.sample(rng, len(alive_idx))
+        crossed = x_new > p.a
+        hits = np.flatnonzero(crossed)
+        if len(hits):
+            k = n_done + len(hits)
+            alive_idx.take(hits, out=done[n_done:k])
+            x_new.take(hits, out=x_done[n_done:k])
+            hit_steps.append(step)
+            hit_counts.append(len(hits))
+            n_done = k
+            kept = ~crossed
+            alive_idx = alive_idx[kept]
+            x_new = x_new[kept]
+        x_alive = x_new
+
+    tau = np.zeros(size, dtype=np.int64)
+    x_tau = np.full(size, np.nan)
+    tau[done[:n_done]] = np.repeat(hit_steps, hit_counts)
+    x_tau[done[:n_done]] = x_done[:n_done]
+    return tau, x_tau, len(alive_idx)
+
+
 def _run_block(
     p: PassageProblem,
     block: int,
@@ -116,23 +161,8 @@ def _run_block(
     u_nodes: np.ndarray | None,
 ) -> _BlockResult:
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
-    # alive_idx[i] is the path whose state is x_alive[i]
-    alive_idx = np.arange(size)
-    x_alive = np.full(size, float(p.x))
-    tau = np.zeros(size, dtype=np.int64)
-    x_tau = np.full(size, np.nan)
-    step = 0
-    while len(alive_idx) and step < max_steps:
-        step += 1
-        x_new = p.lam * x_alive + p.spec.sample(rng, len(alive_idx))
-        crossed = x_new > p.a
-        done = alive_idx[crossed]
-        tau[done] = step
-        x_tau[done] = x_new[crossed]
-        kept = ~crossed
-        alive_idx = alive_idx[kept]
-        x_alive = x_new[kept]
-
+    tau, x_tau, n_censored = _passages(p, rng, size, max_steps)
+    # path order fixes the order of every reduction
     crossed_mask = tau > 0
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
@@ -142,7 +172,7 @@ def _run_block(
         mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
     return _BlockResult(
         tau_counts=counts,
-        n_censored=int(len(alive_idx)),
+        n_censored=n_censored,
         sum_tau=float(taus.sum()),
         sum_tau2=float((taus.astype(float) ** 2).sum()),
         sum_xi=float(xis.sum()),
@@ -164,12 +194,16 @@ def _mgf_moments(u_nodes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.
     n = len(vals)
     rows = max(1, _MGF_BUF_LEN // max(n, 1))
     buf = np.empty(min(rows, len(u_nodes)) * n)
+    # a chunk whose products cannot exceed 709 skips the clip: rounding is
+    # monotone, so no u_i * x_j rounds above the rounded bound
+    x_max = np.abs(vals).max(initial=0.0)
     with np.errstate(over="ignore"):
         for lo in range(0, len(u_nodes), rows):
             hi = min(lo + rows, len(u_nodes))
             e = buf[: (hi - lo) * n].reshape(hi - lo, n)
             np.multiply.outer(u_nodes[lo:hi], vals, out=e)
-            np.minimum(e, 709.0, out=e)
+            if not np.abs(u_nodes[lo:hi]).max() * x_max <= 709.0:  # NaN clips too
+                np.minimum(e, 709.0, out=e)
             np.exp(e, out=e)
             e.sum(axis=1, out=m1[lo:hi])
             np.multiply(e, e, out=e)

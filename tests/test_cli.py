@@ -230,6 +230,44 @@ def test_identity_check_truncated_envelope_fails_typed(tmp_path, capsys):
     assert "error[DivergenceError]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("subcommand", ["identity-check", "bounds", "certificate"])
+def test_never_crossing_problem_exits_3(tmp_path, capsys, subcommand):
+    # a floored N(1, 1) has y_adm = a = 1: the level is reached, never crossed
+    floored = {"name": "floored_positive", "floor": 0.5, "base": {"name": "gaussian", "m": 1, "var": 1}}
+    cfg = dict(GAUSS_CFG, family=floored)
+    code, report, _ = run(tmp_path, subcommand, cfg, "--paths", "100")
+    err = capsys.readouterr().err
+    assert code == 3 and report is None
+    assert "error[NoCrossingError]" in err and "Traceback" not in err
+
+
+def test_identity_check_with_no_crossed_path_fails_typed(tmp_path, capsys):
+    few = ("--paths", "5", "--max-steps", "1")
+    (tmp_path / "sim").mkdir()
+    code, report, _ = run(tmp_path / "sim", "simulate", GAUSS_CFG, *few)
+    assert code == 0 and report["results"]["n_crossed"] == 0
+    code, report, _ = run(tmp_path, "identity-check", GAUSS_CFG, *few)
+    err = capsys.readouterr().err
+    assert code == 6 and report is None
+    assert "error[CoverageError]" in err and "Traceback" not in err
+
+
+def test_unexplained_discrepancy_reads_inf(tmp_path, monkeypatch):
+    # a deterministic law has no spread, so the Monte Carlo standard error
+    # is 0; with an identity error of 0 too, a discrepancy is explained by
+    # nothing
+    exact = cli.identity_e_tau
+
+    def off_by_a_little(*args):
+        return exact(*args)[0] + 1e-3, 0.0
+
+    monkeypatch.setattr(cli, "identity_e_tau", off_by_a_little)
+    code, report, _ = run(tmp_path, "identity-check", DET_CFG, "--paths", "500")
+    res = report["results"]
+    assert code == 0 and res["mc_e_tau_std_err"] == 0.0
+    assert res["discrepancy"] > 0 and res["discrepancy_sigmas"] == math.inf
+
+
 def test_bad_thread_count_fails_typed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("FPT_THREADS", "abc")
     code, report, _ = run(tmp_path, "simulate", GAUSS_CFG, "--paths", "100")

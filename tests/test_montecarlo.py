@@ -12,11 +12,13 @@ import pytest
 from scipy import stats
 
 from ar1fpt import (
+    CappedAbove,
     Deterministic,
     DivergenceError,
     Gaussian,
     LimitCumulant,
     PassageProblem,
+    StableSpectrallyNegative,
     TwoPoint,
     empirical_martingale_check,
     simulate_passage,
@@ -74,6 +76,72 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     assert montecarlo._worker_count() == 1
 
 
+def _reference_run_block(p, block, size, max_steps, seed, u_nodes):
+    # the kernel as first written: each step scatters its crossings into the
+    # path-ordered tau and x_tau, then compacts the live paths
+    rng = montecarlo._block_rng(seed, montecarlo._DOMAIN_PASSAGE, block)
+    alive_idx = np.arange(size)
+    x_alive = np.full(size, float(p.x))
+    tau = np.zeros(size, dtype=np.int64)
+    x_tau = np.full(size, np.nan)
+    step = 0
+    while len(alive_idx) and step < max_steps:
+        step += 1
+        x_new = p.lam * x_alive + p.spec.sample(rng, len(alive_idx))
+        crossed = x_new > p.a
+        done = alive_idx[crossed]
+        tau[done] = step
+        x_tau[done] = x_new[crossed]
+        alive_idx = alive_idx[~crossed]
+        x_alive = x_new[~crossed]
+    crossed_mask = tau > 0
+    taus = tau[crossed_mask]
+    xis = x_tau[crossed_mask] - p.a
+    mgf = (None, None) if u_nodes is None else _direct_mgf_moments(u_nodes, x_tau[crossed_mask])
+    return montecarlo._BlockResult(
+        tau_counts=np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64),
+        n_censored=int(len(alive_idx)),
+        sum_tau=float(taus.sum()),
+        sum_tau2=float((taus.astype(float) ** 2).sum()),
+        sum_xi=float(xis.sum()),
+        sum_xi2=float((xis**2).sum()),
+        mgf_m1=mgf[0],
+        mgf_m2=mgf[1],
+    )
+
+
+@pytest.mark.parametrize("with_nodes", [False, True], ids=["plain", "mgf"])
+@pytest.mark.parametrize(
+    "p,n_paths,kwargs",
+    [
+        (GAUSS, 20_000, {}),  # 12-16% of the live paths cross a step
+        (PassageProblem(lam=0.9, x=0.0, a=4.0, spec=Gaussian(0.0, 1.0)), 3000, {}),  # about 1%
+        (PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5)), 5000, {}),
+        (PassageProblem(lam=0.5, x=0.0, a=1.0, spec=CappedAbove(Gaussian(0.0, 1.0), 1.5)), 5000, {}),
+        (PassageProblem(lam=0.5, x=0.0, a=1.0, spec=StableSpectrallyNegative(1.5, 1.0)), 5000, {}),
+        (PassageProblem(lam=0.5, x=0.0, a=3.0, spec=Gaussian(0.3, 2.0)), 5000, {"max_steps": 4}),
+        (GAUSS, 1000, {"block_size": 300}),
+    ],
+    ids=["flagship", "slow-mixing", "two-point", "capped", "stable", "censored", "ragged-blocks"],
+)
+def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwargs, with_nodes):
+    # the last node clips where X_tau > 709 / 400
+    nodes = np.append(np.linspace(0.0, 3.0, 20), 400.0) if with_nodes else None
+    runs = []
+    for kernel in (montecarlo._run_block, _reference_run_block):
+        monkeypatch.setattr(montecarlo, "_run_block", kernel)
+        sim = simulate_passage(p, n_paths, seed=5, mgf_u_nodes=nodes, **kwargs)
+        runs.append(json.dumps(sim.to_dict(), sort_keys=True))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("m,var", [(0.0, 1.0), (0.3, 2.0), (-1.7, 0.37)])
+def test_gaussian_draws_are_those_of_rng_normal(m, var):
+    draws = Gaussian(m, var).sample(np.random.default_rng(4), 1000)
+    want = np.random.default_rng(4).normal(m, math.sqrt(var), 1000)
+    assert draws.tobytes() == want.tobytes()
+
+
 def test_never_crossing_runs_no_steps():
     p = PassageProblem(lam=0.5, x=0.0, a=3.0, spec=Deterministic(1.0))
     full = simulate_passage(p, n_paths=1000, seed=5).to_dict()
@@ -91,19 +159,30 @@ def _direct_mgf_moments(u_nodes, vals):
         return e1.sum(axis=1), (e1 * e1).sum(axis=1)
 
 
+def _overshoots(n, scale=0.5):
+    return 1.0 + np.random.default_rng(12).exponential(scale, n)
+
+
 @pytest.mark.parametrize(
-    "u_nodes,n_vals",
+    "u_nodes,vals",
     [
         # 26 rows per chunk: 192 nodes leave a final chunk of 10 rows
-        (np.linspace(0.0, 3.0, 192), 5000),
+        (np.linspace(0.0, 3.0, 192), _overshoots(5000)),
         # exp clips at 709 and the squares overflow to inf
-        (np.geomspace(1e-3, 800.0, 64), 3),
-        (np.linspace(0.0, 3.0, 192), 0),
+        (np.geomspace(1e-3, 800.0, 64), _overshoots(3)),
+        (np.linspace(0.0, 3.0, 192), _overshoots(0)),
+        # 26 rows per chunk: only the third and last chunk reaches 709, at
+        # the one value 20, and its row sums of e stay finite
+        (
+            np.append(np.linspace(0.0, 3.0, 52), np.linspace(40.0, 100.0, 8)),
+            np.append(_overshoots(4999, 0.2), 20.0),
+        ),
+        # |u| bounds the products: negative nodes clip on negative values
+        (-np.geomspace(1e-3, 800.0, 64), -_overshoots(3)),
     ],
-    ids=["ragged-chunks", "clipped", "no-crossing"],
+    ids=["ragged-chunks", "clipped", "no-crossing", "last-chunk-clipped", "negative-nodes"],
 )
-def test_chunked_mgf_moments_match_direct_formula(u_nodes, n_vals):
-    vals = 1.0 + np.random.default_rng(12).exponential(0.5, n_vals)
+def test_chunked_mgf_moments_match_direct_formula(u_nodes, vals):
     m1, m2 = montecarlo._mgf_moments(u_nodes, vals)
     d1, d2 = _direct_mgf_moments(u_nodes, vals)
     assert m1.tobytes() == d1.tobytes() and m2.tobytes() == d2.tobytes()
