@@ -25,8 +25,10 @@ from .transforms import transform
 
 BLOCK_SIZE = 1 << 14
 
-# Float64 capacity (1 MB) of the buffer that holds row chunks of a block's
-# u_nodes x crossed-paths MGF matrix; buffers of 128 KB to 2 MB time alike.
+# Float64 capacity (1 MB) of the buffer that holds the rows of a block's
+# u_nodes x crossed-paths MGF matrix, a chunk of chain roots at a time, each
+# squared in place down its chain of doubled nodes (see _mgf_moments);
+# buffers of 128 KB to 2 MB time alike.
 _MGF_BUF_LEN = 1 << 17
 
 # Domain tags keep the passage, stationary and martingale-check samplers on
@@ -182,32 +184,80 @@ def _run_block(
     )
 
 
+def _doubling_chains(u_nodes: np.ndarray, x_max: float) -> list[list[int]]:
+    """The node indices as chains i_0, i_1, ... with u[i_{k+1}] == 2.0 * u[i_k].
+
+    A node joins its half's chain only when it is the first node of its
+    value and |u| * x_max <= 709, so that no clip can bind on its row; every
+    other node starts a chain.  The chains come longest first, each group
+    of equal length in node order.
+    """
+    first = {}
+    for i, u in enumerate(u_nodes.tolist()):
+        first.setdefault(u, i)
+    child = {}
+    for u, i in first.items():
+        c = first.get(2.0 * u)
+        if c is not None and c != i and abs(2.0 * u) * x_max <= 709.0:  # NaN fails
+            child[i] = c
+    halved = set(child.values())
+    chains = []
+    for i in range(len(u_nodes)):
+        if i not in halved:
+            chain = [i]
+            while chain[-1] in child:
+                chain.append(child[chain[-1]])
+            chains.append(chain)
+    chains.sort(key=len, reverse=True)  # stable: node order within a length
+    return chains
+
+
 def _mgf_moments(u_nodes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums of e = exp(min(u_i * x_j, 709)) and of e**2 over the values x_j.
 
-    The u_nodes x vals matrix is built a few rows at a time in one buffer of
-    _MGF_BUF_LEN floats.  Each row is still summed over the same contiguous
-    values, so the sums equal those of the whole matrix bit for bit.
+    A row whose node is 2.0 * u of another node (see _doubling_chains) is
+    that node's e**2, the square the other row's second sum is taken over,
+    so its first sum is that row's second, bit for bit: a chain of doubled
+    nodes costs one exp.  Doubling is exact, so u * x and 2u * x round
+    alike, and after d squarings a row is within 4 (2**d + 1) 2**-52 of
+    exp(2**d * u * x), relative: the exp's error doubles with each square,
+    which rounds once more, against the plain exp's own, allowing each exp
+    2 ulp.  Rows whose products can clip, and nodes with no half among the
+    nodes, take the exp of their own row.
+
+    The rows are built a few chain roots at a time in one buffer of
+    _MGF_BUF_LEN floats, squared in place along their chains; the chains
+    still going at each depth are a prefix of the chunk, the longest first.
+    Each row is still summed over the same contiguous values, so the sums
+    equal those of the whole matrix bit for bit.
     """
     m1 = np.empty(len(u_nodes))
     m2 = np.empty(len(u_nodes))
     n = len(vals)
-    rows = max(1, _MGF_BUF_LEN // max(n, 1))
-    buf = np.empty(min(rows, len(u_nodes)) * n)
-    # a chunk whose products cannot exceed 709 skips the clip: rounding is
-    # monotone, so no u_i * x_j rounds above the rounded bound
     x_max = np.abs(vals).max(initial=0.0)
+    chains = _doubling_chains(u_nodes, x_max)
+    rows = max(1, _MGF_BUF_LEN // max(n, 1))
+    buf = np.empty(min(rows, len(chains)) * n)
     with np.errstate(over="ignore"):
-        for lo in range(0, len(u_nodes), rows):
-            hi = min(lo + rows, len(u_nodes))
-            e = buf[: (hi - lo) * n].reshape(hi - lo, n)
-            np.multiply.outer(u_nodes[lo:hi], vals, out=e)
-            if not np.abs(u_nodes[lo:hi]).max() * x_max <= 709.0:  # NaN clips too
+        for lo in range(0, len(chains), rows):
+            chunk = chains[lo : lo + rows]
+            heads = [chain[0] for chain in chunk]
+            roots = u_nodes[heads]
+            e = buf[: len(chunk) * n].reshape(len(chunk), n)
+            np.multiply.outer(roots, vals, out=e)
+            # a chunk whose products cannot exceed 709 skips the clip: rounding
+            # is monotone, so no u_i * x_j rounds above the rounded bound
+            if not np.abs(roots).max() * x_max <= 709.0:  # NaN clips too
                 np.minimum(e, 709.0, out=e)
             np.exp(e, out=e)
-            e.sum(axis=1, out=m1[lo:hi])
-            np.multiply(e, e, out=e)
-            e.sum(axis=1, out=m2[lo:hi])
+            m1[heads] = e.sum(axis=1)
+            for depth in range(len(chunk[0])):
+                e = e[: sum(len(chain) > depth for chain in chunk)]
+                np.multiply(e, e, out=e)
+                sums = e.sum(axis=1)
+                m2[[chain[depth] for chain in chunk[: len(e)]]] = sums
+                going = [chain[depth + 1] for chain in chunk if len(chain) > depth + 1]
+                m1[going] = sums[: len(going)]
     return m1, m2
 
 

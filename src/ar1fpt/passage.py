@@ -226,9 +226,11 @@ def identity_e_tau(
     """E tau from the martingale identity with an empirical MGF plug-in.
 
     mgf_* are per-node arrays aligned with identity_nodes(p): the estimate of
-    E exp(u * X_tau) and its standard error.  Node standard errors propagate
-    linearly; nodes with relative standard error above MGF_REL_SE_CLIP are
-    dropped from the value.  Their neglected contribution is folded into the
+    E exp(u * X_tau) and its standard error.  Foreign nodes raise
+    CoverageError, and so does a summary in which no path crossed (every
+    estimate NaN), whose nodes have no data to bound.  Node standard errors
+    propagate linearly; nodes with relative standard error above
+    MGF_REL_SE_CLIP are dropped from the value.  Their neglected contribution is folded into the
     reported error: the hard envelope exp(u*(lam*a + ess-sup eta)) when the
     innovation is bounded above, else the noisy empirical value plus its
     standard error.
@@ -239,6 +241,8 @@ def identity_e_tau(
         raise CoverageError("empirical MGF nodes do not match the quadrature nodes")
     mgf = np.asarray(mgf_value, dtype=float)
     se = np.asarray(mgf_std_err, dtype=float)
+    if np.isnan(mgf).all():
+        raise CoverageError("no path crossed the level: the empirical MGF covers no node")
 
     scale = 1.0 / math.log(1.0 / p.lam)
     coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u * scale

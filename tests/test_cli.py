@@ -5,6 +5,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ar1fpt import DivergenceError, cli
@@ -59,6 +60,27 @@ def test_csv_full_precision(tmp_path):
     # 17 significant digits survive a text round trip exactly
     val = [r[1] for r in rows if r[0] == "1"][0]
     assert float(val) == 2.0 / 3.0
+
+
+def test_report_is_one_line_of_plain_json_values(tmp_path):
+    results = {
+        "grid": np.arange(3.0),
+        "count": np.int64(7),
+        "passed": np.bool_(True),
+        "value": np.float64(0.1),
+        "pair": (1, np.float32(0.5)),
+        "missing": float("nan"),
+    }
+    cfg = {"_spec": object(), "seed": 1}
+    cli._write_outputs(tmp_path, "phi", cfg, results, [("u", "phi"), (0.5, 1 / 3)], 0.25)
+    text = (tmp_path / "report.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    report = json.loads(text)
+    assert report["config"] == {"seed": 1}
+    res = report["results"]
+    assert math.isnan(res.pop("missing"))
+    assert res == {"grid": [0.0, 1.0, 2.0], "count": 7, "passed": True, "value": 0.1, "pair": [1, 0.5]}
+    assert (tmp_path / "table.csv").read_bytes() == b"u,phi\r\n0.5,0.33333333333333331\r\n"
 
 
 def test_identity_check_deterministic_zero_discrepancy(tmp_path, capsys):

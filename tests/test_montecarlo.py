@@ -21,6 +21,7 @@ from ar1fpt import (
     StableSpectrallyNegative,
     TwoPoint,
     empirical_martingale_check,
+    identity_nodes,
     simulate_passage,
     simulate_stationary,
     stationary_reference,
@@ -152,11 +153,29 @@ def test_never_crossing_runs_no_steps():
     assert full["survival_n"] == [0] and full["survival_p"] == [1.0]
 
 
-def _direct_mgf_moments(u_nodes, vals):
-    # the whole u_nodes x vals matrix at once
+def _plain_mgf_moments(u_nodes, vals):
+    # e = exp(min(u * x, 709)) on the whole u_nodes x vals matrix at once
     with np.errstate(over="ignore"):
-        e1 = np.exp(np.minimum(np.multiply.outer(u_nodes, vals), 709.0))
-        return e1.sum(axis=1), (e1 * e1).sum(axis=1)
+        e = np.exp(np.minimum(np.multiply.outer(u_nodes, vals), 709.0))
+        return e, e.sum(axis=1), (e * e).sum(axis=1)
+
+
+def _direct_mgf_moments(u_nodes, vals):
+    # the whole matrix, but the row of the first node of value 2u, when no
+    # product of it can exceed 709, is the square of the row of the first
+    # node of value u (!= 0); parents are squared before their children
+    e = _plain_mgf_moments(u_nodes, vals)[0]
+    x_max = np.abs(vals).max(initial=0.0)
+    first = {}
+    for i, u in enumerate(u_nodes.tolist()):
+        first.setdefault(u, i)
+    for u in sorted(first, key=abs):
+        c = first.get(2.0 * u)
+        if c is not None and u != 0.0 and abs(2.0 * u) * x_max <= 709.0:
+            with np.errstate(over="ignore"):
+                e[c] = e[first[u]] * e[first[u]]
+    with np.errstate(over="ignore"):
+        return e.sum(axis=1), (e * e).sum(axis=1)
 
 
 def _overshoots(n, scale=0.5):
@@ -166,26 +185,102 @@ def _overshoots(n, scale=0.5):
 @pytest.mark.parametrize(
     "u_nodes,vals",
     [
-        # 26 rows per chunk: 192 nodes leave a final chunk of 10 rows
+        # 26 chain roots per chunk: 95 of the 192 nodes are twice another,
+        # and the 97 roots, in chains of up to 8, leave a final chunk of 19
         (np.linspace(0.0, 3.0, 192), _overshoots(5000)),
         # exp clips at 709 and the squares overflow to inf
         (np.geomspace(1e-3, 800.0, 64), _overshoots(3)),
         (np.linspace(0.0, 3.0, 192), _overshoots(0)),
-        # 26 rows per chunk: only the third and last chunk reaches 709, at
-        # the one value 20, and its row sums of e stay finite
+        # 26 chain roots per chunk: only the second and last chunk reaches
+        # 709, at the one value 20, and its row sums of e stay finite
         (
             np.append(np.linspace(0.0, 3.0, 52), np.linspace(40.0, 100.0, 8)),
             np.append(_overshoots(4999, 0.2), 20.0),
         ),
         # |u| bounds the products: negative nodes clip on negative values
         (-np.geomspace(1e-3, 800.0, 64), -_overshoots(3)),
+        # only the first node of a value joins a chain; 0 and -0 double to
+        # themselves and start none
+        (np.array([0.0, -0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 0.5, -1.0, -2.0]), _overshoots(300)),
     ],
-    ids=["ragged-chunks", "clipped", "no-crossing", "last-chunk-clipped", "negative-nodes"],
+    ids=[
+        "ragged-chunks",
+        "clipped",
+        "no-crossing",
+        "last-chunk-clipped",
+        "negative-nodes",
+        "repeated-nodes",
+    ],
 )
 def test_chunked_mgf_moments_match_direct_formula(u_nodes, vals):
     m1, m2 = montecarlo._mgf_moments(u_nodes, vals)
     d1, d2 = _direct_mgf_moments(u_nodes, vals)
     assert m1.tobytes() == d1.tobytes() and m2.tobytes() == d2.tobytes()
+
+
+def _squaring_bound(depth):
+    # relative: an exp within 2 ulp, its error doubled by each of `depth`
+    # squarings, each of which rounds once, against a plain exp within 2 ulp
+    return 4.0 * (2.0**depth + 1.0) * 2.0**-52
+
+
+def test_squared_rows_stay_near_the_plain_formula():
+    # the chains 2**-3, ..., 2**9 and their negatives; |2**9 * x| <= 706.6
+    # for every x, so each row but the chain's first is squared, 12 times
+    # at the end of the chain.  A single value makes each sum one element.
+    k = np.arange(-3, 10)
+    nodes = np.concatenate([2.0**k, -(2.0**k)])
+    depth = np.concatenate([k + 3, k + 3])
+    xs = np.append(np.random.default_rng(3).uniform(-1.38, 1.38, 200), [1.38, -1.38])
+    exact = True
+    for x in xs:
+        m1, m2 = montecarlo._mgf_moments(nodes, np.array([x]))
+        _, p1, p2 = _plain_mgf_moments(nodes, np.array([x]))
+        err1 = np.abs(m1 - p1) / p1
+        assert np.all(err1 <= _squaring_bound(depth)), x
+        # e**2 doubles the row's error and rounds once more.  Near 2**9 it
+        # overflows, near -2**9 it is subnormal or 0 and rounds absolutely
+        fin = np.isfinite(p2)
+        assert np.array_equal(fin, np.isfinite(m2)), x
+        bound2 = (2.0 * _squaring_bound(depth) + 2.0**-52) * p2 + 2.0**-1074
+        assert np.all(np.abs(m2[fin] - p2[fin]) <= bound2[fin]), x
+        exact &= bool(np.all(err1 == 0.0))
+    # the squared rows are not the plain formula's bits
+    assert not exact
+
+
+@pytest.mark.parametrize("x", [1.0, -1.0])
+def test_rows_that_can_clip_are_plain_exp_bit_for_bit(x):
+    # 709 = 2 * 354.5 is squared: its products reach 709 and no more.  The
+    # next double above 709 can clip, so its row is exp(min(u * x, 709)),
+    # though its half is a node too
+    b = np.nextafter(354.5, np.inf)
+    nodes = np.array([354.5, 709.0, b, 2.0 * b])
+    vals = np.array([x, 0.5 * x])
+    m1, m2 = montecarlo._mgf_moments(nodes, vals)
+    _, p1, p2 = _plain_mgf_moments(nodes, vals)
+    assert m1[[0, 2, 3]].tobytes() == p1[[0, 2, 3]].tobytes()
+    assert m2[[0, 2, 3]].tobytes() == p2[[0, 2, 3]].tobytes()
+    assert m1[1] == m2[0]  # squared, not exp'd
+    # below exp(-708.4) the squares are subnormal and round absolutely
+    assert abs(m1[1] - p1[1]) <= _squaring_bound(1) * p1[1] + 2.0**-1074
+    assert np.isinf(m2[1]) == np.isinf(p2[1])
+
+
+def test_a_doubled_rows_first_sum_is_its_halfs_second():
+    nodes = identity_nodes(GAUSS).u
+    vals = _overshoots(5000)
+    m1, m2 = montecarlo._mgf_moments(nodes, vals)
+    pairs = [
+        (i, j)
+        for i, u in enumerate(nodes)
+        for j, w in enumerate(nodes)
+        if u != 0.0 and w == 2.0 * u
+    ]
+    # the panels [2, 4], [4, 8], [8, 16] double [1, 2], [2, 4], [4, 8]
+    assert len(pairs) == 45 and len(nodes) == 75
+    parents, children = map(list, zip(*pairs))
+    assert m1[children].tobytes() == m2[parents].tobytes()
 
 
 def test_clipped_mgf_nodes_have_infinite_std_err():

@@ -88,6 +88,21 @@ def test_identity_rejects_foreign_nodes():
         identity_e_tau(DET, u, np.ones_like(u), np.zeros_like(u), nodes, lc)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [GAUSS, PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))],
+    ids=["unbounded-law", "hard-envelope"],
+)
+def test_identity_with_no_crossed_path_raises(p):
+    # every estimate is NaN and every standard error inf; the two branches
+    # that bound the dropped nodes gave (0.0, nan) and (0.0, 9.27)
+    nodes = identity_nodes(p)
+    sim = simulate_passage(p, 5, max_steps=1, seed=0, mgf_u_nodes=nodes.u)
+    assert sim.n_crossed == 0
+    with pytest.raises(CoverageError, match="no path crossed"):
+        identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+
+
 def test_identity_hard_envelope_bounds_the_clipped_nodes():
     # tau = 7 exactly; 69 of the 210 nodes have overflowed moments and are
     # clipped.  Their neglected part, the sum of w/u (e^{u*y_env - phi} -
