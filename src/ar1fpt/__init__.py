@@ -47,7 +47,6 @@ from .passage import (
     FeasibilityReport,
     IdentityNodes,
     PassageProblem,
-    crossing_mass,
     exponential_certificate,
     feasibility_report,
     identity_e_tau,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cumulant import LimitCumulant, check_functional_equation
-from .errors import Ar1FptError, ConfigError, NoCrossingError
+from .errors import Ar1FptError, ConfigError
 from .innovations import (
     CappedAbove,
     Deterministic,
@@ -34,7 +34,6 @@ from .innovations import (
 )
 from .montecarlo import simulate_passage
 from .passage import (
-    FeasibilityReport,
     PassageProblem,
     exponential_certificate,
     feasibility_report,
@@ -213,14 +212,6 @@ def _problem(cfg: dict) -> PassageProblem:
     return PassageProblem(lam=cfg["lambda"], x=cfg["x"], a=cfg["a"], spec=cfg["_spec"])
 
 
-def _crossable(p: PassageProblem) -> FeasibilityReport:
-    """The feasibility report of p, or NoCrossingError if the level is never crossed."""
-    feas = feasibility_report(p)
-    if not feas.crossing_possible:
-        raise NoCrossingError("the level is never crossed under this configuration")
-    return feas
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.  Each returns (results dict, csv rows or None).
 # ---------------------------------------------------------------------------
@@ -248,7 +239,7 @@ def _cmd_simulate(cfg):
 
 def _cmd_bounds(cfg):
     p = _problem(cfg)
-    feas = _crossable(p)
+    feas = feasibility_report(p)
     results = {
         "lower_bound_e_tau": lower_bound_e_tau(p),
         "sup_bound": feas.sup_bound,
@@ -264,7 +255,6 @@ def _cmd_bounds(cfg):
 
 def _cmd_identity_check(cfg):
     p = _problem(cfg)
-    _crossable(p)
     lc = p.limit_cumulant()
     nodes = identity_nodes(p, lc)
     summary = simulate_passage(

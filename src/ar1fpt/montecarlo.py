@@ -440,8 +440,8 @@ def empirical_martingale_check(
     number of distinct states.  Raises DivergenceError when its value at an
     admissible state did not converge.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
+    if n_paths < 1 or n_steps < 1:
+        raise ValueError("n_paths and n_steps must be >= 1")
     rng = _block_rng(seed, _DOMAIN_MARTINGALE, 0)
     states = np.empty((n_steps, n_paths))
     x_state = np.full(n_paths, float(y0))

@@ -10,6 +10,11 @@ Given the problem (lam, x, a, innovation family) this module produces:
     P(tau > n) <= c_bound * exp(-alpha * n), from the sign of W_v at the
     highest state the same capped process can reach.
 
+Each answer means something only when tau is finite, that is, when the level
+can be crossed at all.  feasibility_report decides that, and every answer
+calls its require() first, so a never-crossing problem raises
+NoCrossingError whatever is asked of it.
+
 Everything here is a pure function of immutable inputs; Monte Carlo data
 arrives as a finished summary, never as shared state.
 """
@@ -91,24 +96,27 @@ class FeasibilityReport:
     sup_bound: float | None  # y_adm = ess-sup/(1-lam) when eta is bounded above
     crossing_mass: float  # P(eta > a*(1-lam))
 
-
-def crossing_mass(p: PassageProblem) -> float:
-    """P(eta > a*(1 - lam)): positive iff the level is reachable at all."""
-    return p.spec.tail_prob(p.a * (1.0 - p.lam))
+    def require(self) -> FeasibilityReport:
+        """This report if the level can be crossed, else NoCrossingError."""
+        if not self.crossing_possible:
+            raise NoCrossingError("the level is never crossed: tau may be infinite")
+        return self
 
 
 def feasibility_report(p: PassageProblem) -> FeasibilityReport:
-    """Certain-infinite / crossing-possible verdicts.
+    """Certain-infinite / crossing-possible verdicts: the one crossing gate.
 
-    E tau is finite whenever a crossing is possible: the log-moment condition
-    holds for every family of the package.
+    A crossing needs crossing_mass = P(eta > a*(1 - lam)) > 0, and no sure
+    bound keeping every state at or below a.  E tau is finite whenever a
+    crossing is possible: the log-moment condition holds for every family of
+    the package.  Each passage answer calls require() on this report first.
     """
     y_adm = p.limit_cumulant().y_adm
     sup_bound = y_adm if math.isfinite(y_adm) else None
     # X_n <= lam**n (x - sup_bound) + sup_bound, so the level is never
     # strictly exceeded once max(x, sup_bound) <= a.
     certain_infinite = sup_bound is not None and sup_bound <= p.a and p.x <= p.a
-    mass = crossing_mass(p)
+    mass = p.spec.tail_prob(p.a * (1.0 - p.lam))
     possible = mass > 0.0 and not certain_infinite
     return FeasibilityReport(
         certain_infinite=certain_infinite,
@@ -124,10 +132,10 @@ def _h_increment(lc: LimitCumulant, y: float, x: float, what: str) -> float:
     return float(h_y - h_x)
 
 
-def lower_bound_e_tau(p: PassageProblem, lc: LimitCumulant | None = None) -> float:
+def lower_bound_e_tau(p: PassageProblem) -> float:
     """H(a) - H(x): drops the (nonnegative) overshoot from the identity."""
-    lc = lc or p.limit_cumulant()
-    return max(_h_increment(lc, p.a, p.x, "H(a), H(x)"), 0.0)
+    feasibility_report(p).require()
+    return max(_h_increment(p.limit_cumulant(), p.a, p.x, "H(a), H(x)"), 0.0)
 
 
 def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
@@ -153,6 +161,7 @@ def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
 
 def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> float:
     """Expected passage time of the capped-above process, which dominates."""
+    feasibility_report(p).require()
     lc, h_eff = _capped(p, h_cap)
     return _h_increment(lc, p.lam * p.a + h_eff, p.x, "capped H(lam*a + cap), H(x)")
 
@@ -184,8 +193,11 @@ def identity_nodes(p: PassageProblem, lc: LimitCumulant | None = None) -> Identi
     panel [0, 1], then the dyadic panels [1, 2], ..., [u_hi/2, u_hi].  u_hi
     is the first power of two at which the envelope exp(u*y_env - phi(u))/u
     has fallen below _ENV_CUTOFF, y_env = lam*a plus the ess-sup of eta
-    (or its 1 - 1e-9 quantile when eta is unbounded above).
+    (or its 1 - 1e-9 quantile when eta is unbounded above).  Past the
+    crossing gate, y_env < y_adm: lam*a + ess-sup < ess-sup/(1 - lam) exactly
+    when a < y_adm, and y_adm is inf for a law unbounded above.
     """
+    feasibility_report(p).require()
     lc = lc or p.limit_cumulant()
     ub = p.spec.upper_support()
     if ub is not None:
@@ -193,11 +205,6 @@ def identity_nodes(p: PassageProblem, lc: LimitCumulant | None = None) -> Identi
     else:
         eta_hi, hard = p.spec.upper_quantile(1.0 - 1e-9), False
     y_env = p.lam * p.a + eta_hi
-    if not y_env < lc.y_adm:
-        raise DivergenceError(
-            f"identity integral envelope diverges at y={y_env:.6g} "
-            f"(y_adm={lc.y_adm:.6g})"
-        )
 
     # the envelope exp(u*y_env - phi(u))/u at u = 2, 4, ..., up to the first
     # power of two at or above DEFAULT_U_MAX
@@ -309,8 +316,7 @@ def exponential_certificate(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if not feasibility_report(p).crossing_possible:
-        raise NoCrossingError("the level is never crossed: tau may be infinite")
+    feasibility_report(p).require()
     if h_cap is None:
         h_cap = max(p.a * (1.0 - p.lam), 0.0) + p.spec.scale()
     lc, h_eff = _capped(p, h_cap)

@@ -506,12 +506,14 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         ("simulate", json.dumps(dict(GAUSS_CFG, n_paths=2**63)).encode(), [], "out", "n_paths: must be below 2**63"),
         ("simulate", CFG_TEXT.encode(), ["--paths", "100000000000000000000"], "out", "n_paths: must be below 2**63"),
         ("identity-check", CFG_TEXT.encode(), ["--paths", str(2**63)], "out", "n_paths: must be below 2**63"),
+        ("phi", json.dumps(dict(GAUSS_CFG, family={"name": "two_point", "h_up": 1, "h_down": -1, "p": 1.5})).encode(), [], "out", "family: TwoPoint requires p in (0, 1)"),
     ],
     ids=[
         "not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable",
         "n-paths-fraction", "seed-bool", "max-steps-fraction", "n-paths-string", "x-bool", "cap-bool", "var-bool", "nested-cap-bool", "grid-bool",
         "grid-nested", "grid-empty", "grid-strings", "x-string", "lambda-string", "var-string", "cap-string", "x-beyond-float",
         "n-paths-beyond-int64", "n-paths-2-pow-63", "paths-flag-beyond-int64", "paths-flag-2-pow-63",
+        "family-constructor-rejects",
     ],
 )
 def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):

@@ -109,6 +109,28 @@ def test_stable_heavy_tail_sampler_matches_cdf():
     assert ks.pvalue > 0.01
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Discrete(()), "at least one atom"),
+        (lambda: Discrete(((1.0, 1.0), (0.0, 0.0))), "must be positive"),
+        (lambda: Discrete(((1.0, 0.5), (0.0, 0.4))), "must sum to 1"),
+        (lambda: TwoPoint(1.0, -1.0, 1.0), r"p in \(0, 1\)"),
+        (lambda: TwoPoint(-1.0, 1.0, 0.5), "h_down < h_up"),
+        (lambda: Gaussian(0.0, 0.0), "sigma2 > 0"),
+        (lambda: StableSpectrallyNegative(1.0, 1.0), "alpha_stab must lie in"),
+        (lambda: StableSpectrallyNegative(1.5, 0.0), "c_scale must be positive"),
+    ],
+    ids=[
+        "discrete-empty", "discrete-zero-mass", "discrete-sum", "two-point-p", "two-point-order",
+        "gaussian-variance", "stable-alpha-one", "stable-scale",
+    ],
+)
+def test_family_constructors_reject_invalid_parameters(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_stable_alpha_below_one_sampler_unsupported():
     s = StableSpectrallyNegative(0.7, 1.0, 0.0)
     with pytest.raises(UnsupportedSamplerError):

@@ -408,8 +408,9 @@ def test_draw_counts_below_one_are_rejected():
     with pytest.raises(ValueError):
         simulate_stationary(Gaussian(0.0, 1.0), 0.5, n_draws=0)
     lc = LimitCumulant(GAUSS.spec, GAUSS.lam)
-    with pytest.raises(ValueError):
-        empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=0, n_steps=1)
+    for n_paths, n_steps in [(0, 1), (10, 0), (10, -1)]:
+        with pytest.raises(ValueError, match="n_paths and n_steps must be >= 1"):
+            empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=n_paths, n_steps=n_steps)
 
 
 def test_martingale_check_has_its_own_stream(monkeypatch):

@@ -18,7 +18,6 @@ from ar1fpt import (
     NoCrossingError,
     PassageProblem,
     TwoPoint,
-    crossing_mass,
     exponential_certificate,
     feasibility_report,
     identity_e_tau,
@@ -41,8 +40,10 @@ def test_problem_validation():
 
 
 def test_crossing_mass_values():
-    assert crossing_mass(DET) == 1.0  # eta = 1 > a(1-lam) = 0.75
-    assert math.isclose(crossing_mass(GAUSS), 1.0 - 0.6914624612740131, rel_tol=1e-9)
+    assert feasibility_report(DET).crossing_mass == 1.0  # eta = 1 > a(1-lam) = 0.75
+    assert math.isclose(
+        feasibility_report(GAUSS).crossing_mass, 1.0 - 0.6914624612740131, rel_tol=1e-9
+    )
 
 
 def test_feasibility_reachable():
@@ -318,3 +319,33 @@ def test_certificate_no_crossing():
     p = PassageProblem(lam=0.5, x=0.0, a=3.0, spec=TwoPoint(1.0, -1.0, 0.5))
     with pytest.raises(NoCrossingError):
         exponential_certificate(p)
+
+
+def test_certificate_rejects_delta_outside_the_unit_interval():
+    with pytest.raises(ValueError, match="delta must lie in"):
+        exponential_certificate(GAUSS, delta=1.0)
+
+
+NEVER_CROSSING = [
+    # a constant 1 keeps every state below y_adm = 2 < a
+    PassageProblem(lam=0.5, x=0.0, a=3.0, spec=Deterministic(1.0)),
+    # y_adm = 2 = a: the level is reached, never crossed
+    PassageProblem(lam=0.5, x=0.0, a=2.0, spec=TwoPoint(1.0, -1.0, 0.5)),
+    # the floored N(1, 1) tops out at 0.5, so y_adm = 1 = a
+    PassageProblem(lam=0.5, x=0.0, a=1.0, spec=FlooredPositive(Gaussian(1.0, 1.0), 0.5)),
+]
+PASSAGE_ANSWERS = {
+    "lower_bound": lower_bound_e_tau,
+    # a cap above the ess-sup: the gate, not the cap, must refuse it
+    "upper_bound": lambda p: upper_bound_e_tau(p, h_cap=4.0),
+    "identity_nodes": identity_nodes,
+    "certificate": exponential_certificate,
+}
+
+
+@pytest.mark.parametrize("p", NEVER_CROSSING, ids=["Deterministic", "TwoPoint", "Floored"])
+@pytest.mark.parametrize("answer", PASSAGE_ANSWERS.values(), ids=PASSAGE_ANSWERS.keys())
+def test_every_passage_answer_refuses_a_never_crossing_problem(p, answer):
+    assert not feasibility_report(p).crossing_possible
+    with pytest.raises(NoCrossingError, match="the level is never crossed"):
+        answer(p)

@@ -16,6 +16,12 @@ from ar1fpt import quadrature
 from ar1fpt.quadrature import panel_nodes
 
 
+def test_singular_power_must_exceed_minus_one():
+    # u**-1 near 0 has no finite integral
+    with pytest.raises(ValueError, match="singular_power must exceed -1"):
+        improper_integral(lambda u: np.exp(-u) / u, singular_power=-1.0)
+
+
 def test_exponential_integral():
     res = improper_integral(lambda u: np.exp(-u))
     assert res.converged

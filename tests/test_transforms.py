@@ -113,6 +113,10 @@ def test_order_domain_validation():
         transform(LC_DET, "N", 0.0, -1.0)
     with pytest.raises(ValueError):
         transform(LC_DET, "W", 0.0, 0.5)
+    with pytest.raises(ValueError, match="unknown transform kind 'X'"):
+        transform(LC_DET, "X", 0.0, 0.5)
+    with pytest.raises(ValueError, match="unknown transform kind 'C'"):
+        check_harmonic(LC_DET, "C", y=0.0, v=-0.5)
 
 
 # -- harmonic equations ------------------------------------------------------
