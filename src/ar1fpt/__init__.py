@@ -8,9 +8,7 @@ Carlo oracle.
 
 from .cumulant import (
     LimitCumulant,
-    SlopeReport,
     check_functional_equation,
-    slope_probe,
     stationary_reference,
 )
 from .errors import (

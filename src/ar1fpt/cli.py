@@ -203,6 +203,8 @@ def _parse_u_grid(text) -> np.ndarray:
         if (hi - lo) / step + 0.5 > _MAX_GRID_POINTS:
             raise _fail("u_grid", f"more than {_MAX_GRID_POINTS} points")
         grid = np.arange(lo, hi + 0.5 * step, step)
+        if not len(grid):  # hi + step/2 rounded to hi at LO = HI
+            raise _fail("u_grid", f"{text} expands to no point")
     if np.any(grid < 0):
         raise _fail("u_grid", "phi is only defined for u >= 0")
     return grid
@@ -220,7 +222,11 @@ def _problem(cfg: dict) -> PassageProblem:
 def _cmd_phi(cfg):
     lc = LimitCumulant(cfg["_spec"], cfg["lambda"])
     grid = cfg["_u_grid"]
-    vals, errs = lc.phi(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # fails typed below
+        vals, errs = lc.phi(grid)
+    bad = ~(np.isfinite(vals) & np.isfinite(errs))
+    if bad.any():
+        raise _fail("u_grid", f"phi or its error bound is not finite at u = {float(grid[bad.argmax()])!r}")
     rows = [("u", "phi", "abs_err")]
     out = []
     for u, val, err in zip(grid.tolist(), vals.tolist(), errs.tolist()):

@@ -34,28 +34,6 @@ K_MAX = 10**4
 
 
 @dataclass(frozen=True)
-class SlopeReport:
-    """Large-u growth diagnostics of phi.
-
-    slope_estimate    phi(u_max)/u_max at the largest probe
-    theoretical_slope the limit y_adm of phi(u)/u when eta is bounded above,
-                      else None
-    superlinear       True iff phi(u)/u keeps growing (factor >= 2 over the
-                      last decade of probes)
-    probes            the probe grid
-    slopes            phi(u)/u at each probe
-    delta_over_u      theoretical_slope - phi(u)/u per probe (bounded only)
-    """
-
-    slope_estimate: float
-    theoretical_slope: float | None
-    superlinear: bool
-    probes: np.ndarray = field(repr=False, default=None)
-    slopes: np.ndarray = field(repr=False, default=None)
-    delta_over_u: np.ndarray | None = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
 class LimitCumulant:
     """Evaluator of phi for one (innovation family, lam) pair.
 
@@ -241,38 +219,6 @@ def check_functional_equation(lc: LimitCumulant, u_grid) -> float:
     phi, phi_lam = lc.phi(np.stack([grid, grid * lc.lam]))[0]  # one call: rows are independent
     resid = np.abs(phi - phi_lam - np.asarray(lc.spec.psi(grid)))
     return float(np.max(resid, initial=0.0))
-
-
-def slope_probe(lc: LimitCumulant, u_probes) -> SlopeReport:
-    """Probe phi(u)/u on an increasing grid reaching at least 1e3.
-
-    A diagnostic only: convergence is decided by lc.y_adm.  Detects
-    superlinear growth and, when eta is bounded above, compares against the
-    exact limiting slope y_adm.
-    """
-    probes = np.asarray(u_probes, dtype=float)
-    if probes.ndim != 1 or len(probes) < 2 or np.any(np.diff(probes) <= 0):
-        raise ValueError("u_probes must be strictly increasing")
-    if probes[-1] < 1e3:
-        raise ValueError("largest probe must be >= 1e3")
-    slopes = lc.phi(probes)[0] / probes
-    u_max = probes[-1]
-    last_decade = probes >= u_max / 10.0
-    ref = slopes[last_decade][0]
-    superlinear = bool(ref > 0 and slopes[-1] / ref >= 2.0)
-    theoretical = None
-    delta_over_u = None
-    if math.isfinite(lc.y_adm):
-        theoretical = lc.y_adm
-        delta_over_u = theoretical - slopes
-    return SlopeReport(
-        slope_estimate=float(slopes[-1]),
-        theoretical_slope=theoretical,
-        superlinear=superlinear,
-        probes=probes,
-        slopes=slopes,
-        delta_over_u=delta_over_u,
-    )
 
 
 def stationary_reference(spec: InnovationSpec, lam: float):

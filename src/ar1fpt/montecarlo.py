@@ -101,12 +101,10 @@ class SimulationSummary:
 class _BlockResult:
     tau_counts: np.ndarray  # histogram of tau over crossed paths
     n_censored: int
-    sum_tau: float
-    sum_tau2: float
     sum_xi: float
     sum_xi2: float
-    mgf_m1: np.ndarray | None
-    mgf_m2: np.ndarray | None
+    mgf_m1: np.ndarray
+    mgf_m2: np.ndarray
 
 
 def _passages(
@@ -160,7 +158,7 @@ def _run_block(
     size: int,
     max_steps: int,
     seed: int,
-    u_nodes: np.ndarray | None,
+    u_nodes: np.ndarray,
 ) -> _BlockResult:
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
     tau, x_tau, n_censored = _passages(p, rng, size, max_steps)
@@ -169,14 +167,10 @@ def _run_block(
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
     counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
-    mgf_m1 = mgf_m2 = None
-    if u_nodes is not None:
-        mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
+    mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
     return _BlockResult(
         tau_counts=counts,
         n_censored=n_censored,
-        sum_tau=float(taus.sum()),
-        sum_tau2=float((taus.astype(float) ** 2).sum()),
         sum_xi=float(xis.sum()),
         sum_xi2=float((xis**2).sum()),
         mgf_m1=mgf_m1,
@@ -261,6 +255,16 @@ def _mgf_moments(u_nodes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.
     return m1, m2
 
 
+def _mean_se(s1, s2, n: int):
+    """Mean of n samples from their sum s1, and its standard error from
+    their sum of squares s2, elementwise for arrays; an error that is not
+    finite reads inf."""
+    m = s1 / n
+    with np.errstate(invalid="ignore", over="ignore"):
+        se = np.sqrt(np.maximum(s2 / n - m**2, 0.0) / n)
+    return m, np.where(np.isfinite(se), se, np.inf)
+
+
 def _in_block_order(job, n_blocks: int, n_workers: int):
     """job(0), ..., job(n_blocks - 1), yielded in block order.
 
@@ -297,7 +301,8 @@ def simulate_passage(
     """
     if n_paths < 1 or max_steps < 1 or block_size < 1:
         raise ValueError("n_paths, max_steps and block_size must be >= 1")
-    u_nodes = None if mgf_u_nodes is None else np.asarray(mgf_u_nodes, dtype=float)
+    # a run with no nodes is a run with zero nodes
+    u_nodes = np.asarray([] if mgf_u_nodes is None else mgf_u_nodes, dtype=float)
     steps = max_steps if feasibility_report(p).crossing_possible else 0
 
     n_blocks = -(-n_paths // block_size)
@@ -309,52 +314,34 @@ def simulate_passage(
     # Ordered fold over block indices: bit-identical for any worker count.
     counts = np.zeros(0, dtype=np.int64)
     n_censored = 0
-    sum_tau = sum_tau2 = sum_xi = sum_xi2 = 0.0
-    mgf_m1 = np.zeros(len(u_nodes)) if u_nodes is not None else None
-    mgf_m2 = np.zeros(len(u_nodes)) if u_nodes is not None else None
+    sum_xi = sum_xi2 = 0.0
+    mgf_m1 = np.zeros(len(u_nodes))
+    mgf_m2 = np.zeros(len(u_nodes))
     for r in _in_block_order(job, n_blocks, _worker_count()):
         if len(r.tau_counts) > len(counts):
             counts = np.pad(counts, (0, len(r.tau_counts) - len(counts)))
         counts[: len(r.tau_counts)] += r.tau_counts
         n_censored += r.n_censored
-        sum_tau += r.sum_tau
-        sum_tau2 += r.sum_tau2
         sum_xi += r.sum_xi
         sum_xi2 += r.sum_xi2
-        if u_nodes is not None:
-            # sums at clipped nodes may overflow to inf, as in the block kernel
-            with np.errstate(over="ignore"):
-                mgf_m1 += r.mgf_m1
-                mgf_m2 += r.mgf_m2
+        # sums at clipped nodes may overflow to inf, as in the block kernel
+        with np.errstate(over="ignore"):
+            mgf_m1 += r.mgf_m1
+            mgf_m2 += r.mgf_m2
 
     n_crossed = n_paths - n_censored
+    ns = np.arange(len(counts))
     if n_crossed > 0:
-        e_tau = sum_tau / n_crossed
-        var_tau = max(sum_tau2 / n_crossed - e_tau**2, 0.0)
-        se_tau = math.sqrt(var_tau / n_crossed)
-        xi_mean = sum_xi / n_crossed
-        var_xi = max(sum_xi2 / n_crossed - xi_mean**2, 0.0)
-        se_xi = math.sqrt(var_xi / n_crossed)
+        # tau's sums from its histogram: exact below 2**53
+        h = counts.astype(float)
+        e_tau, se_tau = _mean_se(float((ns * h).sum()), float((ns * ns * h).sum()), n_crossed)
+        xi_mean, se_xi = _mean_se(sum_xi, sum_xi2, n_crossed)
+        m1, se = _mean_se(mgf_m1, mgf_m2, n_crossed)
     else:
         e_tau = se_tau = xi_mean = se_xi = float("nan")
-
-    max_tau = len(counts) - 1
-    ns = np.arange(max_tau + 1)
-    survival = 1.0 - np.cumsum(counts) / n_paths
-
-    if u_nodes is not None and n_crossed > 0:
-        m1 = mgf_m1 / n_crossed
-        with np.errstate(invalid="ignore", over="ignore"):
-            var = np.maximum(mgf_m2 / n_crossed - m1**2, 0.0)
-            se = np.sqrt(var / n_crossed)
-        se = np.where(np.isfinite(se), se, np.inf)
-    elif u_nodes is not None:
         m1 = np.full(len(u_nodes), np.nan)
         se = np.full(len(u_nodes), np.inf)
-    else:
-        u_nodes = np.array([])
-        m1 = np.array([])
-        se = np.array([])
+    survival = 1.0 - np.cumsum(counts) / n_paths
 
     return SimulationSummary(
         n_paths=n_paths,

@@ -507,13 +507,33 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         ("simulate", CFG_TEXT.encode(), ["--paths", "100000000000000000000"], "out", "n_paths: must be below 2**63"),
         ("identity-check", CFG_TEXT.encode(), ["--paths", str(2**63)], "out", "n_paths: must be below 2**63"),
         ("phi", json.dumps(dict(GAUSS_CFG, family={"name": "two_point", "h_up": 1, "h_down": -1, "p": 1.5})).encode(), [], "out", "family: TwoPoint requires p in (0, 1)"),
+        ("phi", json.dumps(dict(GAUSS_CFG, family="gaussian")).encode(), [], "out", "family: must be an object"),
+        ("phi", json.dumps(dict(GAUSS_CFG, family=dict(GAUSS, sigma=1))).encode(), [], "out", "family.sigma: unknown key"),
+        ("phi", CFG_TEXT.encode(), ["--config", "no-such-dir/cfg.json"], "out", "config file not found"),
+        ("phi", b"{not json", [], "out", "config is not valid JSON"),
+        ("phi", b"[1, 2]", [], "out", "config root must be a JSON object"),
+        ("bounds", json.dumps({k: v for k, v in GAUSS_CFG.items() if k != "a"}).encode(), [], "out", "a: required field missing"),
+        ("bounds", json.dumps(dict(GAUSS_CFG, x=2)).encode(), [], "out", "a: violates a >= x"),
+        ("simulate", json.dumps(dict(GAUSS_CFG, n_paths=0)).encode(), [], "out", "n_paths: must be positive"),
+        ("simulate", CFG_TEXT.encode(), ["--max-steps", "-1"], "out", "max_steps: must be positive"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "0:1"], "out", "u_grid: expected LO:HI:STEP"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "0:one:1"], "out", "u_grid: expected numeric LO:HI:STEP"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "1:0:0.5"], "out", "u_grid: needs HI >= LO and STEP > 0"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "0:1:0"], "out", "u_grid: needs HI >= LO and STEP > 0"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid=-1:1:0.5"], "out", "u_grid: phi is only defined for u >= 0"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "1e16:1e16:1"], "out", "u_grid: 1e16:1e16:1 expands to no point"),
+        ("validate", CFG_TEXT.encode(), ["--u-grid", "1e16:1e16:1"], "out", "u_grid: 1e16:1e16:1 expands to no point"),
+        ("phi", CFG_TEXT.encode(), ["--u-grid", "0:1e200:1e199"], "out", "u_grid: phi or its error bound is not finite at u = 1e+199"),
     ],
     ids=[
         "not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable",
         "n-paths-fraction", "seed-bool", "max-steps-fraction", "n-paths-string", "x-bool", "cap-bool", "var-bool", "nested-cap-bool", "grid-bool",
         "grid-nested", "grid-empty", "grid-strings", "x-string", "lambda-string", "var-string", "cap-string", "x-beyond-float",
         "n-paths-beyond-int64", "n-paths-2-pow-63", "paths-flag-beyond-int64", "paths-flag-2-pow-63",
-        "family-constructor-rejects",
+        "family-constructor-rejects", "family-not-object", "family-unknown-key", "config-not-found", "config-not-json",
+        "config-root-not-object", "field-missing", "a-below-x", "n-paths-zero", "max-steps-negative", "grid-malformed",
+        "grid-not-numeric", "grid-hi-below-lo", "grid-step-zero", "grid-negative", "grid-expands-to-no-point",
+        "validate-grid-expands-to-no-point", "grid-phi-overflows",
     ],
 )
 def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):

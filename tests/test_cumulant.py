@@ -19,10 +19,9 @@ from ar1fpt import (
     StableSpectrallyNegative,
     TwoPoint,
     check_functional_equation,
-    slope_probe,
     stationary_reference,
 )
-from ar1fpt import cumulant
+from ar1fpt import SeriesDivergenceError, cumulant
 from ar1fpt.cumulant import ABS_TERM_FLOOR, K_MAX
 from ar1fpt.innovations import Truncated
 from ar1fpt.quadrature import panel_nodes
@@ -303,26 +302,33 @@ def test_stationary_reference_moments():
     mean, var = stationary_reference(StableSpectrallyNegative(1.5, 1.0, 0.3), 0.5)
     assert math.isclose(mean, 0.6, rel_tol=1e-12)
     assert var is None  # alpha < 2: infinite variance
+    # alpha < 1: no mean, so no reference at all
+    assert stationary_reference(StableSpectrallyNegative(0.5, 1.0, 0.0), 0.5) is None
 
 
-def test_slope_probe_validates_grid():
+def test_series_that_never_settles_raises_typed():
+    # lam**k u stays above 3e4 through all K_MAX terms, so the tail bound never falls
+    lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.9999)
+    with pytest.raises(SeriesDivergenceError) as exc:
+        lc.phi(1e5)
+    assert exc.value.exit_code == 4
+
+
+def test_phi_slope_gaussian_superlinear():
+    # eta unbounded above: y_adm is inf and phi(u)/u grows without limit
     lc = LimitCumulant(Gaussian(0, 1), 0.5)
-    with pytest.raises(ValueError):
-        slope_probe(lc, np.array([1.0, 10.0]))  # does not reach 1e3
-    with pytest.raises(ValueError):
-        slope_probe(lc, np.array([1e4, 1e3]))  # not increasing
+    probes = np.geomspace(1.0, 1e4, 17)
+    slopes = lc.phi(probes)[0] / probes
+    assert lc.y_adm == math.inf
+    assert slopes[-1] >= 2.0 * slopes[probes >= 1e3][0]
 
 
-def test_slope_probe_gaussian_superlinear():
-    lc = LimitCumulant(Gaussian(0, 1), 0.5)
-    rep = slope_probe(lc, np.geomspace(1.0, 1e4, 17))
-    assert rep.superlinear
-    assert rep.theoretical_slope is None
-
-
-def test_slope_probe_floored_linear_limit():
+def test_phi_slope_floored_linear_limit():
+    # eta bounded above: phi(u)/u rises to y_adm = ess-sup / (1 - lam)
     fl = FlooredPositive(Gaussian(0.0, 1.0), 1.0)
-    rep = slope_probe(LimitCumulant(fl, 0.5), np.geomspace(1.0, 1e4, 17))
-    assert rep.theoretical_slope == 2.0
-    assert not rep.superlinear
-    assert abs(rep.slope_estimate - 2.0) < 0.02
+    lc = LimitCumulant(fl, 0.5)
+    probes = np.geomspace(1.0, 1e4, 17)
+    slopes = lc.phi(probes)[0] / probes
+    assert lc.y_adm == 2.0
+    assert slopes[-1] < 2.0 * slopes[probes >= 1e3][0]
+    assert abs(slopes[-1] - 2.0) < 0.02

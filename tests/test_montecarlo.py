@@ -98,12 +98,10 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes):
     crossed_mask = tau > 0
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
-    mgf = (None, None) if u_nodes is None else _direct_mgf_moments(u_nodes, x_tau[crossed_mask])
+    mgf = _direct_mgf_moments(u_nodes, x_tau[crossed_mask])
     return montecarlo._BlockResult(
         tau_counts=np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64),
         n_censored=int(len(alive_idx)),
-        sum_tau=float(taus.sum()),
-        sum_tau2=float((taus.astype(float) ** 2).sum()),
         sum_xi=float(xis.sum()),
         sum_xi2=float((xis**2).sum()),
         mgf_m1=mgf[0],
@@ -402,6 +400,12 @@ def test_martingale_check_rejects_unconverged_transform():
 def test_simulate_rejects_block_size_below_one(block_size):
     with pytest.raises(ValueError, match="block_size"):
         simulate_passage(GAUSS, n_paths=10, max_steps=5, block_size=block_size)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, -0.5])
+def test_stationary_draws_reject_lam_outside_the_unit_interval(lam):
+    with pytest.raises(ValueError, match="lam must lie in"):
+        simulate_stationary(Gaussian(0.0, 1.0), lam, n_draws=10)
 
 
 def test_draw_counts_below_one_are_rejected():
