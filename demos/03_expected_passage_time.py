@@ -6,9 +6,9 @@ Optional stopping of H(X_n) - n gives
 
 where X_tau = a + overshoot.  Dropping the (nonnegative) overshoot yields
 the lower bound H(a) - H(x); capping the innovation above at H_cap enlarges
-tau pathwise and yields a computable upper bound.  The identity itself is
-evaluated by plugging the simulated overshoot MGF into the H integral at
-quadrature nodes frozen before the simulation.
+tau pathwise and yields a computable upper bound.  The identity takes
+H(x) from the transform engine and E H(X_tau) by plugging the simulated MGF
+of X_tau into the H integral at quadrature nodes frozen before the simulation.
 """
 
 import math
@@ -27,10 +27,9 @@ from ar1fpt import (
 
 print("== deterministic warm-up: everything is exact ==")
 p = PassageProblem(lam=0.5, x=0.0, a=1.5, spec=Deterministic(1.0))
-lc = p.limit_cumulant()
-nodes = identity_nodes(p, lc)
+nodes = identity_nodes(p)
 sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=0, mgf_u_nodes=nodes.u)
-value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes, lc)
+value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
 print(f"path: 0 -> 1 -> 1.5 -> 1.75 crosses a=1.5 at step 3; simulated "
       f"E tau = {sim.e_tau_hat}, identity = {value:.12f}")
 print(f"bounds: {lower_bound_e_tau(p):.6f} <= 3 <= {upper_bound_e_tau(p, 4.0):.6f}")
@@ -38,14 +37,11 @@ print(f"bounds: {lower_bound_e_tau(p):.6f} <= 3 <= {upper_bound_e_tau(p, 4.0):.6
 print()
 print("== Gaussian flagship: identity vs direct Monte Carlo ==")
 p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
-lc = p.limit_cumulant()
-nodes = identity_nodes(p, lc)
+nodes = identity_nodes(p)
 sim = simulate_passage(
     p, n_paths=200_000, max_steps=10**6, seed=42, mgf_u_nodes=nodes.u
 )
-value, std_err = identity_e_tau(
-    p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes, lc
-)
+value, std_err = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
 combined = math.hypot(std_err, sim.e_tau_std_err)
 print(f"direct MC:  E tau = {sim.e_tau_hat:.4f} +- {sim.e_tau_std_err:.4f} "
       f"({sim.n_censored} censored)")

@@ -185,6 +185,8 @@ def _finite(value, key: str) -> float:
 
 def _parse_u_grid(text) -> np.ndarray:
     if isinstance(text, (list, tuple)):
+        if len(text) > _MAX_GRID_POINTS:
+            raise _fail("u_grid", f"more than {_MAX_GRID_POINTS} points")
         if not text or not all(map(_is_number, text)):
             raise _fail("u_grid", "expected a list of numbers, flat and non-empty")
         grid = np.array([_finite(x, "u_grid") for x in text])
@@ -219,14 +221,20 @@ def _problem(cfg: dict) -> PassageProblem:
 # ---------------------------------------------------------------------------
 
 
+def _finite_phi(lc: LimitCumulant, u):
+    """lc.phi(u), or a u_grid ConfigError at the first u where either half is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # fails typed below
+        vals, errs = lc.phi(u)
+    bad = ~(np.isfinite(vals) & np.isfinite(errs))
+    if bad.any():
+        raise _fail("u_grid", f"phi or its error bound is not finite at u = {float(u.flat[bad.argmax()])!r}")
+    return vals, errs
+
+
 def _cmd_phi(cfg):
     lc = LimitCumulant(cfg["_spec"], cfg["lambda"])
     grid = cfg["_u_grid"]
-    with np.errstate(over="ignore", invalid="ignore"):  # fails typed below
-        vals, errs = lc.phi(grid)
-    bad = ~(np.isfinite(vals) & np.isfinite(errs))
-    if bad.any():
-        raise _fail("u_grid", f"phi or its error bound is not finite at u = {float(grid[bad.argmax()])!r}")
+    vals, errs = _finite_phi(lc, grid)
     rows = [("u", "phi", "abs_err")]
     out = []
     for u, val, err in zip(grid.tolist(), vals.tolist(), errs.tolist()):
@@ -261,8 +269,7 @@ def _cmd_bounds(cfg):
 
 def _cmd_identity_check(cfg):
     p = _problem(cfg)
-    lc = p.limit_cumulant()
-    nodes = identity_nodes(p, lc)
+    nodes = identity_nodes(p)
     summary = simulate_passage(
         p,
         n_paths=cfg["n_paths"],
@@ -270,9 +277,7 @@ def _cmd_identity_check(cfg):
         seed=cfg["seed"],
         mgf_u_nodes=nodes.u,
     )
-    value, std_err = identity_e_tau(
-        p, summary.mgf_u, summary.mgf_value, summary.mgf_std_err, nodes, lc
-    )
+    value, std_err = identity_e_tau(p, summary.mgf_u, summary.mgf_value, summary.mgf_std_err, nodes)
     combined = math.hypot(std_err, summary.e_tau_std_err)
     discrepancy = abs(value - summary.e_tau_hat)
     # as DriftReport.max_sigma: a discrepancy that no error explains reads inf
@@ -316,6 +321,8 @@ def _cmd_validate(cfg):
             entry["error"] = error
         checks.append(entry)
 
+    # the array check_functional_equation evaluates, so a series law sums it once
+    _finite_phi(lc, np.stack([grid, grid * lc.lam]))
     record("functional_equation_residual", check_functional_equation(lc, grid), 1e-8)
     if lc.mode != "series":
         resid = np.abs(lc.phi(grid)[0] - lc.series(grid)[0])

@@ -2,8 +2,8 @@
 
 Given the problem (lam, x, a, innovation family) this module produces:
 
-  * the exact identity  E tau = (H(X_tau) averaged) - H(x), evaluated with an
-    empirical plug-in for the moment generating function of X_tau;
+  * the exact identity  E tau = E H(X_tau) - H(x), H(x) from the transform
+    engine and E H(X_tau) from an empirical plug-in for the MGF of X_tau;
   * the overshoot-free lower bound H(a) - H(x);
   * an upper bound from capping the innovation above;
   * an exponential tail certificate (alpha, c_bound) with
@@ -35,7 +35,7 @@ from .errors import (
     NoCrossingError,
 )
 from .innovations import CappedAbove, InnovationSpec
-from .quadrature import DEFAULT_U_MAX, panel_nodes
+from .quadrature import DEFAULT_U_MAX, QuadratureResult, panel_nodes
 from .transforms import transform
 
 #: Nodes with empirical MGF relative standard error above this are clipped.
@@ -184,21 +184,26 @@ class IdentityNodes:
     phi_u: np.ndarray
     y_env: float  # envelope level lam*a + (ess-sup or high quantile of eta)
     env_is_hard: bool  # True when y_env comes from a hard support bound
+    x: float  # the start the nodes were frozen for
+    h_x: QuadratureResult  # H(x) and its error bound, from the transform engine
 
 
-def identity_nodes(p: PassageProblem, lc: LimitCumulant | None = None) -> IdentityNodes:
+def identity_nodes(p: PassageProblem) -> IdentityNodes:
     """The engine's K15 nodes and weights for the identity's H integrand.
 
     They lie on the engine's own partition for H: the unsubstituted head
     panel [0, 1], then the dyadic panels [1, 2], ..., [u_hi/2, u_hi].  u_hi
-    is the first power of two at which the envelope exp(u*y_env - phi(u))/u
-    has fallen below _ENV_CUTOFF, y_env = lam*a plus the ess-sup of eta
-    (or its 1 - 1e-9 quantile when eta is unbounded above).  Past the
-    crossing gate, y_env < y_adm: lam*a + ess-sup < ess-sup/(1 - lam) exactly
-    when a < y_adm, and y_adm is inf for a law unbounded above.
+    is the first power of two at which exp(u*max(y_env, 0) - phi(u))/u, a
+    bound on |e^{uX} - 1| e^{-phi}/u for X <= y_env, falls below
+    _ENV_CUTOFF; y_env = lam*a plus the ess-sup of eta (or its 1 - 1e-9
+    quantile when eta is unbounded above).  Past the crossing gate, y_env <
+    y_adm: lam*a + ess-sup < ess-sup/(1 - lam) exactly when a < y_adm, and
+    y_adm is inf for a law unbounded above.  H(x) is taken here, before any
+    path is simulated: an unconverged H(x) raises DivergenceError.
     """
     feasibility_report(p).require()
-    lc = lc or p.limit_cumulant()
+    lc = p.limit_cumulant()
+    h_x = transform(lc, "H", p.x).require(f"H(x) at x = {p.x:.6g}")
     ub = p.spec.upper_support()
     if ub is not None:
         eta_hi, hard = ub, True
@@ -206,10 +211,10 @@ def identity_nodes(p: PassageProblem, lc: LimitCumulant | None = None) -> Identi
         eta_hi, hard = p.spec.upper_quantile(1.0 - 1e-9), False
     y_env = p.lam * p.a + eta_hi
 
-    # the envelope exp(u*y_env - phi(u))/u at u = 2, 4, ..., up to the first
-    # power of two at or above DEFAULT_U_MAX
+    # the envelope exp(u*max(y_env, 0) - phi(u))/u at u = 2, 4, ..., up to
+    # the first power of two at or above DEFAULT_U_MAX
     u_hi = 2.0 ** np.arange(1, math.ceil(math.log2(DEFAULT_U_MAX)) + 1)
-    env = np.exp(np.minimum(u_hi * y_env - lc.phi(u_hi)[0], 700.0)) / u_hi
+    env = np.exp(np.minimum(u_hi * max(y_env, 0.0) - lc.phi(u_hi)[0], 700.0)) / u_hi
     below = np.flatnonzero(env < _ENV_CUTOFF)
     if len(below) == 0:
         raise DivergenceError(
@@ -219,33 +224,30 @@ def identity_nodes(p: PassageProblem, lc: LimitCumulant | None = None) -> Identi
         )
     u, w = panel_nodes(u_hi[below[0]])
     phi_u = lc.phi(u)[0]
-    return IdentityNodes(u=u, w=w, phi_u=phi_u, y_env=y_env, env_is_hard=hard)
+    return IdentityNodes(u=u, w=w, phi_u=phi_u, y_env=y_env, env_is_hard=hard, x=p.x, h_x=h_x)
 
 
 def identity_e_tau(
-    p: PassageProblem,
-    mgf_u,
-    mgf_value,
-    mgf_std_err,
-    nodes: IdentityNodes | None = None,
-    lc: LimitCumulant | None = None,
+    p: PassageProblem, mgf_u, mgf_value, mgf_std_err, nodes: IdentityNodes
 ) -> tuple[float, float]:
-    """E tau from the martingale identity with an empirical MGF plug-in.
+    """E tau = E H(X_tau) - H(x), with an empirical MGF plug-in for E H(X_tau).
 
-    mgf_* are per-node arrays aligned with identity_nodes(p): the estimate of
-    E exp(u * X_tau) and its standard error.  Foreign nodes raise
+    H(x) and its error bound come with the nodes, which integrate only
+    E H(X_tau) = int (E e^{u X_tau} - 1) e^{-phi(u)} / u du / log(1/lam).
+    mgf_* are per-node arrays aligned with nodes = identity_nodes(p): the
+    estimate of E exp(u * X_tau) and its standard error.  Foreign nodes raise
     CoverageError, and so does a summary in which no path crossed (every
     estimate NaN), whose nodes have no data to bound.  Node standard errors
     propagate linearly; nodes with relative standard error above
-    MGF_REL_SE_CLIP are dropped from the value.  Their neglected contribution is folded into the
-    reported error: the hard envelope exp(u*(lam*a + ess-sup eta)) when the
-    innovation is bounded above, else the noisy empirical value plus its
-    standard error.
+    MGF_REL_SE_CLIP are dropped from the value, and the reported error takes
+    their neglected part: the hard envelope of e^{u X_tau} - 1 on a <= X_tau
+    <= y_env when eta is bounded above, else the noisy value plus its error.
     """
-    nodes = nodes or identity_nodes(p, lc=lc)
     u = np.asarray(mgf_u, dtype=float)
     if u.shape != nodes.u.shape or not np.allclose(u, nodes.u, rtol=1e-12, atol=0.0):
         raise CoverageError("empirical MGF nodes do not match the quadrature nodes")
+    if nodes.x != p.x:
+        raise CoverageError(f"identity nodes were frozen for x = {nodes.x:.6g}, not x = {p.x:.6g}")
     mgf = np.asarray(mgf_value, dtype=float)
     se = np.asarray(mgf_std_err, dtype=float)
     if np.isnan(mgf).all():
@@ -253,27 +255,28 @@ def identity_e_tau(
 
     scale = 1.0 / math.log(1.0 / p.lam)
     coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u * scale
-    base = np.exp(nodes.u * p.x)
     # moments that overflowed give inf/inf: a NaN that counts as clipped
     with np.errstate(invalid="ignore"):
         rel_se = np.divide(se, np.abs(mgf), out=np.full_like(se, np.inf), where=mgf != 0)
     active = rel_se <= MGF_REL_SE_CLIP
 
-    value = float(np.sum(coef[active] * (mgf[active] - base[active])))
-    std_err = float(np.sum(np.abs(coef[active]) * se[active]))
+    value = float(np.sum(coef[active] * (mgf[active] - 1.0))) - nodes.h_x.value
+    std_err = float(np.sum(np.abs(coef[active]) * se[active])) + nodes.h_x.abs_err
     if not np.all(active):
         clipped = ~active
         if nodes.env_is_hard:
-            # w*scale/u * |e^{u*y_env - phi} - e^{u*x - phi}|, each exponent
-            # formed whole: e^{u*y_env} alone overflows where e^{-phi} is tiny
-            uc, phic = nodes.u[clipped], nodes.phi_u[clipped]
-            gap = np.exp(uc * nodes.y_env - phic) - np.exp(uc * p.x - phic)
-            neglected = nodes.w[clipped] * scale / uc * np.abs(gap)
+            # w*scale/u * e^{-phi} max(e^{u*y_env} - 1, 1 - e^{u*min(a, 0)}),
+            # each exponent formed whole: e^{u*y_env} alone overflows where
+            # e^{-phi} is tiny
+            uc, phic, lo = nodes.u[clipped], nodes.phi_u[clipped], min(p.a, 0.0)
+            e0 = np.exp(-phic)
+            gap = np.maximum(np.exp(uc * nodes.y_env - phic) - e0, e0 - np.exp(uc * lo - phic))
+            neglected = nodes.w[clipped] * scale / uc * gap
         else:
             # no a.s. envelope exists; bound the dropped nodes by their own
             # noisy estimates
             neglected = np.abs(coef[clipped]) * (
-                np.abs(mgf[clipped] - base[clipped])
+                np.abs(mgf[clipped] - 1.0)
                 + np.where(np.isfinite(se[clipped]), se[clipped], np.abs(mgf[clipped]))
             )
         std_err += float(np.sum(neglected))

@@ -39,8 +39,7 @@ Z99_ONE_SIDED = 2.3263478740408408
 
 @pytest.fixture(scope="module")
 def flagship_run():
-    lc = FLAGSHIP.limit_cumulant()
-    nodes = identity_nodes(FLAGSHIP, lc)
+    nodes = identity_nodes(FLAGSHIP)
     sim = simulate_passage(
         FLAGSHIP,
         n_paths=10**6,
@@ -48,7 +47,7 @@ def flagship_run():
         seed=FLAGSHIP_SEED,
         mgf_u_nodes=nodes.u,
     )
-    return lc, nodes, sim
+    return nodes, sim
 
 
 def test_criterion_01_series_matches_closed_form():
@@ -99,12 +98,11 @@ def test_criterion_03_harmonicity_suite():
 
 def test_criterion_04_deterministic_identity_exact():
     p = PassageProblem(lam=0.5, x=0.0, a=1.5, spec=Deterministic(1.0))
-    lc = p.limit_cumulant()
-    nodes = identity_nodes(p, lc)
+    nodes = identity_nodes(p)
     sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=1, mgf_u_nodes=nodes.u)
     assert sim.n_crossed == sim.n_paths
     assert sim.e_tau_hat == 3.0 and sim.e_tau_std_err == 0.0
-    value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes, lc)
+    value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
     assert abs(value - 3.0) < 1e-8
     print(
         f"PASS criterion 4: deterministic identity = {value!r} "
@@ -113,11 +111,9 @@ def test_criterion_04_deterministic_identity_exact():
 
 
 def test_criterion_05_flagship_identity_cross_check(flagship_run):
-    lc, nodes, sim = flagship_run
+    nodes, sim = flagship_run
     assert sim.n_censored == 0
-    value, std_err = identity_e_tau(
-        FLAGSHIP, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes, lc
-    )
+    value, std_err = identity_e_tau(FLAGSHIP, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
     combined = math.hypot(std_err, sim.e_tau_std_err)
     diff = abs(value - sim.e_tau_hat)
     assert diff <= 3.0 * combined
@@ -128,7 +124,7 @@ def test_criterion_05_flagship_identity_cross_check(flagship_run):
 
 
 def test_criterion_06_bound_sandwich(flagship_run):
-    _, _, sim = flagship_run
+    _, sim = flagship_run
     msgs = []
     for p, mc, se in [
         (FLAGSHIP, sim.e_tau_hat, sim.e_tau_std_err),
@@ -213,8 +209,7 @@ def test_criterion_11_thread_count_reproducibility(monkeypatch):
     blobs = {}
     for threads in ("1", "8"):
         monkeypatch.setenv("FPT_THREADS", threads)
-        lc = FLAGSHIP.limit_cumulant()
-        nodes = identity_nodes(FLAGSHIP, lc)
+        nodes = identity_nodes(FLAGSHIP)
         sim5 = simulate_passage(
             FLAGSHIP,
             n_paths=10**6,
@@ -223,7 +218,7 @@ def test_criterion_11_thread_count_reproducibility(monkeypatch):
             mgf_u_nodes=nodes.u,
         )
         value, std_err = identity_e_tau(
-            FLAGSHIP, sim5.mgf_u, sim5.mgf_value, sim5.mgf_std_err, nodes, lc
+            FLAGSHIP, sim5.mgf_u, sim5.mgf_value, sim5.mgf_std_err, nodes
         )
         sim7 = simulate_passage(FLAGSHIP, n_paths=10**6, max_steps=10**4, seed=314159)
         blobs[threads] = json.dumps(

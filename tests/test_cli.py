@@ -524,6 +524,8 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         ("phi", CFG_TEXT.encode(), ["--u-grid", "1e16:1e16:1"], "out", "u_grid: 1e16:1e16:1 expands to no point"),
         ("validate", CFG_TEXT.encode(), ["--u-grid", "1e16:1e16:1"], "out", "u_grid: 1e16:1e16:1 expands to no point"),
         ("phi", CFG_TEXT.encode(), ["--u-grid", "0:1e200:1e199"], "out", "u_grid: phi or its error bound is not finite at u = 1e+199"),
+        ("validate", CFG_TEXT.encode(), ["--u-grid", "0:1e200:1e199"], "out", "u_grid: phi or its error bound is not finite at u = 1e+199"),
+        ("phi", json.dumps(dict(GAUSS_CFG, u_grid=[0] * (10**6 + 1))).encode(), [], "out", "u_grid: more than 1000000 points"),
     ],
     ids=[
         "not-utf8", "n-paths-overflow", "delta-not-number", "grid-too-large", "out-under-a-file", "out-is-a-file", "report-unwritable",
@@ -533,7 +535,7 @@ CFG_TEXT = json.dumps(GAUSS_CFG)
         "family-constructor-rejects", "family-not-object", "family-unknown-key", "config-not-found", "config-not-json",
         "config-root-not-object", "field-missing", "a-below-x", "n-paths-zero", "max-steps-negative", "grid-malformed",
         "grid-not-numeric", "grid-hi-below-lo", "grid-step-zero", "grid-negative", "grid-expands-to-no-point",
-        "validate-grid-expands-to-no-point", "grid-phi-overflows",
+        "validate-grid-expands-to-no-point", "grid-phi-overflows", "validate-grid-phi-overflows", "grid-list-too-large",
     ],
 )
 def test_unusable_inputs_fail_typed(tmp_path, capsys, subcommand, cfg_bytes, flags, out_dir, needle):

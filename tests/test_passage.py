@@ -70,23 +70,24 @@ def test_feasibility_unbounded_family_never_certain_infinite():
 
 
 def test_deterministic_identity_exact():
-    lc = DET.limit_cumulant()
-    nodes = identity_nodes(DET, lc)
+    nodes = identity_nodes(DET)
     sim = simulate_passage(DET, n_paths=512, max_steps=50, seed=0, mgf_u_nodes=nodes.u)
     assert sim.e_tau_hat == 3.0 and sim.e_tau_std_err == 0.0
-    value, std_err = identity_e_tau(
-        DET, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes, lc
-    )
+    value, std_err = identity_e_tau(DET, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
     assert abs(value - 3.0) < 1e-8
     assert std_err < 1e-6
 
 
 def test_identity_rejects_foreign_nodes():
-    lc = DET.limit_cumulant()
-    nodes = identity_nodes(DET, lc)
+    nodes = identity_nodes(DET)
     u = np.linspace(0.01, 5.0, 40)
     with pytest.raises(CoverageError):
-        identity_e_tau(DET, u, np.ones_like(u), np.zeros_like(u), nodes, lc)
+        identity_e_tau(DET, u, np.ones_like(u), np.zeros_like(u), nodes)
+    # the same u, frozen with the H(x) of another start
+    other = PassageProblem(lam=DET.lam, x=-1.0, a=DET.a, spec=DET.spec)
+    ones = np.ones_like(nodes.u)
+    with pytest.raises(CoverageError, match="frozen for x = 0"):
+        identity_e_tau(other, nodes.u, ones, np.zeros_like(ones), nodes)
 
 
 @pytest.mark.parametrize(
@@ -107,7 +108,7 @@ def test_identity_with_no_crossed_path_raises(p):
 def test_identity_hard_envelope_bounds_the_clipped_nodes():
     # tau = 7 exactly; 69 of the 210 nodes have overflowed moments and are
     # clipped.  Their neglected part, the sum of w/u (e^{u*y_env - phi} -
-    # e^{u*x - phi}) / log(1/lam), is 0.1042; capping e^{u*y_env} at e^700
+    # e^{-phi}) / log(1/lam) at x = 0, is 0.1042; capping e^{u*y_env} at e^700
     # apart from e^{-phi} would understate it as 0.0934
     p = PassageProblem(lam=0.5, x=0.0, a=0.99, spec=Deterministic(0.5))
     nodes = identity_nodes(p)
@@ -117,10 +118,23 @@ def test_identity_hard_envelope_bounds_the_clipped_nodes():
     assert math.isclose(std_err, 0.1042, rel_tol=1e-3)
 
 
+def test_identity_hard_envelope_covers_a_level_below_zero():
+    # tau = 1 and X_tau = -0.9 exactly, y_env = -0.4.  With every node
+    # clipped the value is -H(x), and the dropped E H(X_tau) = H(-0.9) =
+    # -log2(5.5) is bounded by 1 - e^{u*a}, not by |e^{u*y_env} - 1|: that
+    # bound integrates to log2(3) and falls short
+    p = PassageProblem(lam=0.5, x=-2.0, a=-1.0, spec=Deterministic(0.1))
+    nodes = identity_nodes(p)
+    mgf = np.exp(nodes.u * -0.9)
+    value, std_err = identity_e_tau(p, nodes.u, mgf, mgf, nodes)
+    assert abs(value - 1.0) <= std_err
+    assert math.isclose(std_err - nodes.h_x.abs_err, math.log2(6.0), rel_tol=1e-8)
+
+
 def test_identity_nodes_deterministic_envelope_is_hard():
-    nodes = identity_nodes(DET, DET.limit_cumulant())
+    nodes = identity_nodes(DET)
     assert nodes.env_is_hard and nodes.y_env == 1.75  # lam*a + ess-sup
-    gn = identity_nodes(GAUSS, GAUSS.limit_cumulant())
+    gn = identity_nodes(GAUSS)
     assert not gn.env_is_hard
 
 
@@ -141,23 +155,56 @@ NODE_RULE_PROBLEMS = [
     PassageProblem(lam=0.5, x=0.0, a=1.0, spec=CappedAbove(Gaussian(0.0, 1.0), 1.5)),
     PassageProblem(lam=0.5, x=-1.0, a=1.0, spec=FlooredPositive(Gaussian(0.0, 1.0), 1.0)),
     PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Deterministic(0.75)),
+    PassageProblem(lam=0.5, x=-100.0, a=1.0, spec=Gaussian(0.0, 1.0)),
+    PassageProblem(lam=0.5, x=-1000.0, a=1.0, spec=Gaussian(0.0, 1.0)),
+    PassageProblem(lam=0.5, x=-2.0, a=-1.0, spec=Deterministic(0.1)),
 ]
 
 
 @pytest.mark.parametrize(
-    "p", NODE_RULE_PROBLEMS, ids=["flagship", "lam0.9", "TwoPoint", "Capped", "Floored", "Deterministic"]
+    "p",
+    NODE_RULE_PROBLEMS,
+    ids=[
+        "flagship", "lam0.9", "TwoPoint", "Capped", "Floored", "Deterministic", "x-100", "x-1000",
+        "y_env-below-0",
+    ],
 )
 def test_identity_nodes_reproduce_H_increments(p):
-    # the identity's sum with the MGF of a point mass at y is H(y) - H(x)
+    # the frozen rule with the MGF of a point mass at y is H(y) alone, and
+    # the identity of that point mass is H(y) - H(x); the nodes' u and
+    # weights do not depend on x, so x far below the level tests H(x) alone
     lc = p.limit_cumulant()
-    nodes = identity_nodes(p, lc)
+    nodes = identity_nodes(p)
     y = np.linspace(p.a, nodes.y_env, 9)
     coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u / math.log(1.0 / p.lam)
-    frozen = (np.exp(np.outer(y, nodes.u)) - np.exp(nodes.u * p.x)) @ coef
+    mgf = np.exp(np.outer(y, nodes.u))
     ref = transform(lc, "H", np.append(y, p.x))
     assert ref.converged.all()
+    np.testing.assert_allclose((mgf - 1.0) @ coef, ref.value[:-1], rtol=1e-10, atol=0.0)
+    zero = np.zeros_like(nodes.u)
+    identity = [identity_e_tau(p, nodes.u, row, zero, nodes)[0] for row in mgf]
     want = ref.value[:-1] - ref.value[-1]
-    np.testing.assert_allclose(frozen, want, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(identity, want, rtol=1e-10, atol=0.0)
+
+
+def test_identity_far_below_the_level_matches_monte_carlo():
+    # x = -1000 enters only through H(x); lam**n * 1000 falls below 1 after
+    # about ten steps, so E tau is about ten more than at x = 0
+    p = PassageProblem(lam=0.5, x=-1000.0, a=1.0, spec=Gaussian(0.0, 1.0))
+    nodes = identity_nodes(p)
+    sim = simulate_passage(p, n_paths=20_000, seed=3, mgf_u_nodes=nodes.u)
+    value, std_err = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+    combined = math.hypot(std_err, sim.e_tau_std_err)
+    assert abs(value - sim.e_tau_hat) <= 3.0 * combined
+
+
+def test_identity_raises_where_H_of_x_diverges():
+    # H(-1e300) needs the integrand (e^{u*x} - 1)/u resolved on u < 1e-300:
+    # the engine does not converge there, and the nodes, frozen before any
+    # path is simulated, refuse the problem
+    p = PassageProblem(lam=0.5, x=-1e300, a=1.0, spec=Gaussian(0.0, 1.0))
+    with pytest.raises(DivergenceError, match="H\\(x\\)"):
+        identity_nodes(p)
 
 
 # -- bounds ------------------------------------------------------------------
