@@ -32,7 +32,7 @@ sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=0, mgf_u_nodes=nodes.
 value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
 print(f"path: 0 -> 1 -> 1.5 -> 1.75 crosses a=1.5 at step 3; simulated "
       f"E tau = {sim.e_tau_hat}, identity = {value:.12f}")
-print(f"bounds: {lower_bound_e_tau(p):.6f} <= 3 <= {upper_bound_e_tau(p, 4.0):.6f}")
+print(f"bounds: {lower_bound_e_tau(p)[0]:.6f} <= 3 <= {upper_bound_e_tau(p, 4.0)[0]:.6f}")
 
 print()
 print("== Gaussian flagship: identity vs direct Monte Carlo ==")
@@ -47,8 +47,8 @@ print(f"direct MC:  E tau = {sim.e_tau_hat:.4f} +- {sim.e_tau_std_err:.4f} "
       f"({sim.n_censored} censored)")
 print(f"identity:   E tau = {value:.4f} +- {std_err:.4f}")
 print(f"discrepancy = {abs(value - sim.e_tau_hat) / combined:.2f} combined std errs")
-print(f"bounds: {lower_bound_e_tau(p):.4f} <= E tau <= "
-      f"{upper_bound_e_tau(p, h_cap=4.0):.1f} (cap-above at 4)")
+print(f"bounds: {lower_bound_e_tau(p)[0]:.4f} <= E tau <= "
+      f"{upper_bound_e_tau(p, h_cap=4.0)[0]:.1f} (cap-above at 4)")
 
 print()
 print("== when the level is unreachable, say so up front ==")

@@ -254,16 +254,13 @@ def _cmd_simulate(cfg):
 def _cmd_bounds(cfg):
     p = _problem(cfg)
     feas = feasibility_report(p)
-    results = {
-        "lower_bound_e_tau": lower_bound_e_tau(p),
-        "sup_bound": feas.sup_bound,
-        "crossing_mass": feas.crossing_mass,
-    }
+    results = {"sup_bound": feas.sup_bound, "crossing_mass": feas.crossing_mass}
+    results["lower_bound_e_tau"], results["lower_bound_abs_err"] = lower_bound_e_tau(p)
     # the cap in force: the requested one, or the ess-sup where lower
     caps = [c for c in (cfg["cap"], p.spec.upper_support()) if c is not None]
     if caps:
         h_cap = results["h_cap"] = min(caps)
-        results["upper_bound_e_tau"] = upper_bound_e_tau(p, h_cap=h_cap)
+        results["upper_bound_e_tau"], results["upper_bound_abs_err"] = upper_bound_e_tau(p, h_cap)
     return results, None
 
 

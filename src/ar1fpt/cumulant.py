@@ -6,9 +6,12 @@ phi(u) = phi(lam*u) + psi(u) and is convex.  Its limiting slope
 lim phi'(u) = ess-sup(eta)/(1 - lam) is the admissibility level y_adm: the
 martingale integrals of exp(u*y - phi(u)) converge exactly for y < y_adm.
 
-Series summation uses a geometric tail bound; closed forms exist for the
-stable (hence Gaussian) and deterministic families, and the family alone
-decides which path phi takes.
+Closed forms exist for the stable (hence Gaussian) and one-atom families,
+and the family alone decides which path phi takes.  Every other law sums
+K(u) = ceil(log(u/w0)/log(1/lam)) terms psi(lam**k u), a count known before
+any psi call, and then phi(w) = sum_j kappa_j w**j/(j! (1 - lam**j)) at
+w = lam**K u <= w0 = TAYLOR_REACH/width, inside psi's Taylor radius: a tail
+exact to rounding relative to phi's own size.
 """
 
 from __future__ import annotations
@@ -18,19 +21,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SeriesDivergenceError
-from .innovations import Gaussian, InnovationSpec, StableSpectrallyNegative, _as_u
+from .errors import DivergenceError, SeriesDivergenceError
+from .innovations import (
+    _FACTORIALS,
+    N_CUMULANTS,
+    TAYLOR_REACH,
+    Gaussian,
+    InnovationSpec,
+    StableSpectrallyNegative,
+    _as_u,
+    _cumulant_series,
+)
 
-#: Reference scale below which no early-term ratio test is attempted.
-_U0_REF = 1.0
-#: Extra terms summed past the nominal horizon before tail tests engage.
-_K_MIN_PAD = 8
 #: Float64 capacity (1 MB) of one block of the u_i * lam**k psi matrix.
 _SERIES_BUF_LEN = 1 << 17
-#: The series stops once its geometric tail bound is below this.
-ABS_TERM_FLOOR = 1e-12
-#: The series raises SeriesDivergenceError if it has not stopped by this term.
-K_MAX = 10**4
+#: The budget of K(u), beyond which the series raises SeriesDivergenceError:
+#: it covers lam = 0.999 up to the engine's u = 1e5 for widths below 1e6.
+K_MAX = 3 * 10**4
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,8 @@ class LimitCumulant:
       - "closed_form_deterministic": c*u/(1-lam) for a one-atom law eta = c
       - "closed_form_stable": m*u/(1-lam) + sgn(alpha-1)*C*u**alpha/(1-lam**alpha)
         for a Gaussian or stable law
-      - "series": sum psi(lam**k u) with a geometric tail bound, for every
-        other law
+      - "series": K(u) terms of psi and the cumulant tail, for every other
+        law
     series(u) sums the series for any family, to cross-check a closed form.
 
     In series mode phi keeps what it has summed, by u array (its shape and
@@ -99,14 +107,12 @@ class LimitCumulant:
             # copies: the caller's arrays never alias the memo
             return _pair(np.array(val), np.array(err))
         arr = _as_u(u)
-        if mode == "closed_form_deterministic":
-            val = self.spec.upper_support() * arr / (1.0 - self.lam)
-        else:
-            val = self._closed_form_stable(arr)
-        return _pair(val, np.zeros_like(arr))
+        return _pair(self._closed_form(arr), np.zeros_like(arr))
 
-    def _closed_form_stable(self, u):
+    def _closed_form(self, u):
         spec = self.spec
+        if self.mode == "closed_form_deterministic":
+            return spec.upper_support() * u / (1.0 - self.lam)
         if isinstance(spec, Gaussian):
             m, c, alpha = spec.m, 0.5 * spec.sigma2, 2.0
             sgn = 1.0
@@ -117,93 +123,65 @@ class LimitCumulant:
             1.0 - self.lam**alpha
         )
 
-    def _k_min(self, u: np.ndarray) -> np.ndarray:
-        # psi can dip negative on (0, u0), so early terms may be non-monotone;
-        # sum past the point where lam**k * u has dropped below the reference
-        # scale before trusting the geometric tail extrapolation.
-        log_inv_lam = math.log(1.0 / self.lam)
-        ratio = np.log(np.maximum(u, 1.0) / _U0_REF) / log_inv_lam
-        # the ceiling is exact only with math.log's rounding; near-integer
-        # ratios (u a power of 1/lam) are recomputed with it
-        near = (u > _U0_REF) & (np.abs(ratio - np.rint(ratio)) < 1e-9)
-        for i in np.flatnonzero(near):
-            ratio[i] = math.log(u[i] / _U0_REF) / log_inv_lam
-        return np.ceil(ratio).astype(np.int64) + _K_MIN_PAD
+    def _tail(self, w):
+        """(phi(w), truncation bound) for w <= w0: the closed form, or the
+        cumulant series; DivergenceError for a series law without them."""
+        if self.mode != "series":
+            return self._closed_form(w), np.zeros_like(w)
+        if self.spec.cumulants is None:
+            raise DivergenceError(
+                "phi's series has no cumulant tail: the innovation law has no variance"
+            )
+        j = np.arange(1, N_CUMULANTS + 1)
+        weights = 1.0 / (_FACTORIALS * -np.expm1(j * math.log(self.lam)))
+        return _cumulant_series(self.spec.cumulants, weights, w)
 
     def series(self, u):
-        """(sum_k psi(lam**k u), geometric tail bound) for any family.
+        """(phi(u), error bound) in K(u) terms of psi and phi's tail, for any family.
 
-        Shapes as in phi; phi returns this when the family has no closed
-        form.  psi is evaluated on the u_i * lam**k matrix a block of rows and
-        columns at a time (at most _SERIES_BUF_LEN entries).  A block's first
-        pass has the columns its rows can need: past the largest k_min, as
-        many as a term of size lam**_K_MIN_PAD (psi's scale there) takes to
-        bring its tail bound below ABS_TERM_FLOOR while shrinking by lam a
-        term.  Each later pass, over the rows still running, sizes itself
-        the same way from their largest last term: at least 8 columns, at
-        most what the buffer holds for those rows.  Each row is summed in k
-        order by a cumulative sum that starts from the row's carried total,
-        and stops at the first k >= k_min whose term and predecessor are
-        both 0 (bound 0) or whose geometric tail bound |t| r/(1-r),
-        r = |t/t_prev| clipped to [lam, 1-1e-12], is below ABS_TERM_FLOOR.
-        That is the term-by-term rule, so every row's value and bound depend
-        neither on the other rows nor on the block sizes.
+        Shapes as in phi.  A K(u) above K_MAX, or a series law without
+        cumulants, raises before psi is called.  psi is evaluated on the
+        u_i lam**k, k < K_i, a block of rows at a time (at most
+        _SERIES_BUF_LEN entries), and each row is summed in k order by a
+        cumulative sum S_k before phi(w) is added, so no row's bits depend
+        on the other rows or the block sizes.  The bound is the tail's plus
+        eps * (sum_k (1 + |psi_k| + |S_k|) + |phi(w)|): a psi value is good to
+        some ulps of 1 + |psi|, and each addition to half an ulp of its sum.
         """
         arr = _as_u(u)
         u = arr.ravel()
         lam = self.lam
-        val = np.zeros(len(u))
-        err = np.zeros(len(u))
-        rows = np.flatnonzero(u != 0.0)  # phi(0) = 0 exactly
-        k_min = self._k_min(u[rows])
-        first = int(k_min.max(initial=0)) + _tail_columns(lam**_K_MIN_PAD, lam)
-        block = max(1, _SERIES_BUF_LEN // first)
+        with np.errstate(divide="ignore"):
+            ratio = np.log(u * (self.spec.width() / TAYLOR_REACH)) / math.log(1.0 / lam)
+        n_terms = np.maximum(np.ceil(ratio), 0.0)
+        k_top = float(n_terms.max(initial=0.0))
+        if k_top > K_MAX:
+            raise SeriesDivergenceError(
+                f"phi at u = {float(u[n_terms.argmax()]):.6g} needs K(u) = {k_top:.0f} "
+                f"terms of psi at lam = {lam}, beyond the budget K_MAX = {K_MAX}"
+            )
+        n_terms = n_terms.astype(np.int64)
+        powers = lam ** np.arange(int(k_top) + 1)
+        w = u * powers[n_terms]
+        tail, bound = self._tail(w)
+        head = np.zeros(len(u))
+        scale = np.zeros(len(u))
+        rows = np.flatnonzero(n_terms)
+        block = max(1, _SERIES_BUF_LEN // max(int(k_top), 1))
         for lo in range(0, len(rows), block):
             idx = rows[lo : lo + block]
-            kmin = k_min[lo : lo + block]
-            total = np.zeros(len(idx))
-            prev = np.full(len(idx), np.nan)  # no term before k = 0
-            k, width = 0, first
-            while len(idx):
-                if k >= K_MAX:
-                    raise SeriesDivergenceError(
-                        f"limit-cumulant series did not settle within {K_MAX} terms"
-                    )
-                hi = min(k + width, K_MAX)
-                args = np.multiply.outer(u[idx], lam ** np.arange(k, hi))
-                terms = np.asarray(self.spec.psi(args.ravel()), dtype=float)
-                terms = terms.reshape(args.shape)
-                sums = np.cumsum(np.column_stack([total, terms]), axis=1)[:, 1:]
-                before = np.column_stack([prev, terms[:, :-1]])
-                mag = np.abs(terms)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.minimum(np.maximum(mag / np.abs(before), lam), 1.0 - 1e-12)
-                    bound = mag * r / (1.0 - r)
-                zero_pair = (terms == 0.0) & (before == 0.0)
-                stop = ((before != 0.0) & (bound < ABS_TERM_FLOOR)) | zero_pair
-                stop &= np.arange(k, hi) >= kmin[:, None]
-                done = stop.any(axis=1)
-                at = stop.argmax(axis=1)[done]
-                sel = np.flatnonzero(done)
-                val[idx[done]] = sums[sel, at]
-                err[idx[done]] = np.where(zero_pair[sel, at], 0.0, bound[sel, at])
-                kept = ~done
-                idx, kmin = idx[kept], kmin[kept]
-                total, prev = sums[kept, -1], terms[kept, -1]
-                k = hi
-                if len(idx):
-                    width = _tail_columns(mag[kept, -1].max(), lam)
-                    width = min(max(8, width), _SERIES_BUF_LEN // len(idx))
+            n = n_terms[idx]
+            live = np.arange(n.max()) < n[:, None]
+            terms = np.zeros(live.shape)
+            args = np.multiply.outer(u[idx], powers[: live.shape[1]])[live]
+            terms[live] = self.spec.psi(args)
+            sums = np.cumsum(terms, axis=1)
+            sizes = np.cumsum(live * (1.0 + np.abs(terms) + np.abs(sums)), axis=1)
+            last = (np.arange(len(idx)), n - 1)
+            head[idx], scale[idx] = sums[last], sizes[last]
+        val = head + tail
+        err = bound + _EPS * (scale + np.abs(tail))
         return _pair(val.reshape(arr.shape), err.reshape(arr.shape))
-
-
-def _tail_columns(term: float, lam: float) -> int:
-    """How many terms follow one of size term before, shrinking by lam a
-    term, its tail bound t*lam/(1-lam) is below ABS_TERM_FLOOR (0 when
-    term is 0 or not finite)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = np.log(term * lam / ((1.0 - lam) * ABS_TERM_FLOOR)) / math.log(1.0 / lam)
-    return math.ceil(n) + 1 if math.isfinite(n) else 0
 
 
 def _pair(val, err):

@@ -30,7 +30,7 @@ class DivergenceError(Ar1FptError):
 
 
 class SeriesDivergenceError(DivergenceError):
-    """The limit-cumulant series exceeded its term budget without tail control."""
+    """The limit-cumulant series needs more terms K(u) than its budget K_MAX."""
 
 
 class InfeasibleTruncationError(Ar1FptError):

@@ -17,7 +17,8 @@ finite for every u >= 0.
 
 Every expectation over eta goes through one primitive per family,
 expectation_below(g, t) = E[g(eta); eta <= t]; expectation(g) is its
-t = inf case, and the moments of a Truncated law come from it.
+t = inf case.  Moments have a closed-form primitive, moments_below, from
+which every law with a variance takes its cumulants.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ from .errors import InfeasibleTruncationError, UnsupportedSamplerError
 from .quadrature import improper_integral
 
 _SQRT2 = math.sqrt(2.0)
+#: Cumulants kept per law.  A series in them is used where u*width() <=
+#: TAYLOR_REACH, inside psi's Taylor radius of at least pi/(2*width), so a
+#: term is at most 1/15 of the one before and the series is exact to rounding.
+N_CUMULANTS, TAYLOR_REACH = 17, 0.1
+_FACTORIALS = np.array([math.factorial(j) for j in range(1, N_CUMULANTS + 1)], dtype=float)
+_BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(N_CUMULANTS + 1)]
 #: Gauss-Hermite rule of the Gaussian expectations (weight e^{-x^2}).
 _HERMITE_X, _HERMITE_W = np.polynomial.hermite.hermgauss(64)
 
@@ -63,10 +70,11 @@ class InnovationSpec:
     # -- moments and support ----------------------------------------------
 
     def mean(self) -> float | None:
-        return None
+        return None if self.cumulants is None else self.cumulants[0]
 
     def var(self) -> float | None:
-        return None
+        c = self.cumulants
+        return None if c is None else c[2][0] * c[1] ** 2
 
     def scale(self) -> float:
         """A positive length scale for horizon heuristics (stddev-like)."""
@@ -77,6 +85,11 @@ class InnovationSpec:
         if m is not None and m != 0:
             return abs(m)
         return 1.0
+
+    def width(self, center: float | None = None) -> float:
+        """The largest distance from center (by default the mean) to an atom
+        or level of the law, and at least the scale of a continuous part."""
+        return self.scale()
 
     def upper_support(self) -> float | None:
         """Essential supremum of eta, or None when unbounded above."""
@@ -114,6 +127,32 @@ class InnovationSpec:
         """E g(eta): expectation_below at t = inf."""
         return self.expectation_below(g, math.inf)
 
+    def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS) -> np.ndarray | None:
+        """E[((eta - center)/unit)**j; eta <= t], j = 0..order, in closed form; None for a stable law."""
+        return None
+
+    @cached_property
+    def cumulants(self) -> tuple[float, float, tuple[float, ...]] | None:
+        """(mean, unit, (kappa_j/unit**j for j = 2..N_CUMULANTS)), or None; no engine call.
+
+        The moment-cumulant recursion on the moments of (eta - mean)/unit, the
+        mean from a first pass about 0 and unit the power of two at or above
+        the width (1 at 0): no digits lost to where the law sits, no underflow.
+        """
+        first = self.moments_below(math.inf, order=1)
+        if first is None:
+            return None
+        center = float(first[1])
+        unit = math.ldexp(1.0, math.frexp(self.width(center))[1])
+        m = self.moments_below(math.inf, center, unit).tolist()
+        kappa = []
+        for n in range(1, N_CUMULANTS + 1):
+            row, acc = _BINOM[n - 1], m[n]
+            for k in range(1, n):
+                acc -= row[k - 1] * kappa[k - 1] * m[n - k]
+            kappa.append(acc)
+        return center + kappa[0] * unit, unit, tuple(kappa[1:])
+
     def atoms(self) -> list[tuple[float, float]] | None:
         """(value, probability) pairs for purely discrete families."""
         return None
@@ -128,6 +167,27 @@ def _as_u(u):
 
 def _maybe_scalar(value, u):
     return float(value) if np.ndim(u) == 0 else value
+
+
+def _cumulant_series(cumulants, weights, u):
+    """(sum_j kappa_j weights[j-1] u**j over j < N_CUMULANTS, bound), with
+    Horner's rule in x = u*unit from order 2 on.  The bound is the last kept
+    and the first omitted terms, as a symmetric law's odd cumulants vanish."""
+    mean, unit, scaled = cumulants
+    coef = np.array(scaled) * weights[1:]
+    x = u * unit
+    acc = np.full_like(x, coef[-2])
+    for c in coef[-3::-1]:
+        acc = acc * x + c
+    bound = np.abs(coef[-2]) * x ** (N_CUMULANTS - 1) + np.abs(coef[-1]) * x**N_CUMULANTS
+    return mean * weights[0] * u + acc * x * x, bound
+
+
+def _atom_moments(vals, probs, t, center, unit, order):
+    """E[((eta - center)/unit)**j; eta <= t] of atoms, j = 0..order, each an fsum."""
+    kept = [(p, (a - center) / unit) for a, p in zip(vals, probs) if a <= t]
+    rows = [[p * d**j for j in range(order + 1)] for p, d in kept] or [[0.0] * (order + 1)]
+    return np.array([math.fsum(col) for col in zip(*rows)])
 
 
 def _atom_sum(g, vals, probs, t):
@@ -197,6 +257,19 @@ class Gaussian(InnovationSpec):
         ).require(f"Gaussian expectation below t={t}")
         return res.value / math.sqrt(2.0 * math.pi)
 
+    def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS):
+        # Y = (eta - center)/s is N(d, 1); by parts J_j = E[Y**j; Y <= y] has
+        # J_j = d J_{j-1} + (j-1) J_{j-2} - pdf(y - d) y**(j-1)
+        s = math.sqrt(self.sigma2)
+        d, y, z = (self.m - center) / s, (t - center) / s, (t - self.m) / s
+        edge = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) if math.isfinite(z) else 0.0
+        js = [0.5 * math.erfc(-z / _SQRT2)]
+        js.append(d * js[0] - edge)
+        for j in range(2, order + 1):
+            edge = edge * y if edge else 0.0
+            js.append(d * js[-1] + (j - 1) * js[-2] - edge)
+        return np.array(js[: order + 1]) * (s / unit) ** np.arange(order + 1)
+
 
 @dataclass(frozen=True)
 class Discrete(InnovationSpec):
@@ -250,12 +323,9 @@ class Discrete(InnovationSpec):
         r = rng.random(n)
         return vals[np.searchsorted(np.cumsum(probs[:-1]), r, side="right")]
 
-    def mean(self):
-        return float(sum(a * p for a, p in self.pairs))
-
-    def var(self):
-        m = self.mean()
-        return float(sum(p * (a - m) ** 2 for a, p in self.pairs))
+    def width(self, center=None):
+        m = self.mean() if center is None else center
+        return max(abs(a - m) for a, _ in self.pairs)
 
     def upper_support(self):
         return self.pairs[0][0]
@@ -273,6 +343,9 @@ class Discrete(InnovationSpec):
 
     def expectation_below(self, g, t):
         return _atom_sum(g, *self._arrays, t)
+
+    def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS):
+        return _atom_moments(*zip(*self.pairs), t, center, unit, order)
 
 
 def _log_mgf(u, vals, probs):
@@ -422,13 +495,10 @@ class Truncated(InnovationSpec):
     P(l_0 < eta < l_1) and then P(l_i <= eta < l_{i+1}).
 
     psi is u*l_k plus the log of a sum of the shifted pieces.  As u -> 0
-    that sum rounds to 1, leaving about 1e-16 of absolute noise, which the
-    u**(v-1) weight of W_v turns into a non-integrable spike.  So where
-    u*scale <= 1e-5, psi is its cumulant expansion u*mean + u**2*var/2,
-    both fitted to the log form at u0 = 1e-5/scale and 2*u0: two cheap
-    evaluations (mean() and var() are quadratures) that give the mean to
-    5e-11*scale and psi to 1e-16 at u0.  A base without variance keeps the
-    log form, as psi is then not quadratic at 0.
+    that sum rounds to 1, leaving about 1e-16 of absolute noise, so where
+    u*width() <= TAYLOR_REACH psi is its series in the cumulants, which come
+    from the base's moments below l_0 and the level atoms.  A base without
+    moments (a stable law) has no cumulants and keeps the log form.
     """
 
     base: InnovationSpec
@@ -446,14 +516,9 @@ class Truncated(InnovationSpec):
         masses = tuple(max(a - b, 0.0) for a, b in zip(upper, upper[1:]))
         object.__setattr__(self, "masses", masses)
 
-    def mean(self):
-        return None if self.base.mean() is None else self.expectation(lambda e: e)
-
-    def var(self):
-        if self.base.var() is None:  # the base's left tail is kept
-            return None
-        m = self.mean()
-        return self.expectation(lambda e: (e - m) ** 2)
+    def width(self, center=None):
+        m = self.mean() if center is None else center
+        return self.scale() if m is None else max(self.base.width(m), *(abs(x - m) for x in self.levels))
 
     def _log_mgf_to(self, u, n):
         """log E[e^{u eta~}; eta~ <= l_{n-1}], u an array."""
@@ -464,21 +529,12 @@ class Truncated(InnovationSpec):
             acc += mass * np.exp(u * (level - top))
         return u * top + np.log(acc)
 
-    @cached_property
-    def _expansion(self):
-        """(reach, mean, var/2): the expansion holds where u*scale <= reach."""
-        if self.base.var() is None:
-            return 0.0, 0.0, 0.0  # only psi(0) = 0 is exact
-        u0 = 1e-5 / self.scale()
-        p1, p2 = self._log_mgf_to(np.array([u0, 2.0 * u0]), len(self.levels))
-        return 1e-5, (2.0 * p1 - 0.5 * p2) / u0, (p2 - 2.0 * p1) / (2.0 * u0 * u0)
-
     def psi(self, u):
-        arr = _as_u(u)
-        reach, m, half_var = self._expansion
-        small = arr * self.scale() <= reach
+        arr, kappa = _as_u(u), self.cumulants
+        small = (arr * self.width() <= TAYLOR_REACH) & (kappa is not None)
         out = np.empty_like(arr)
-        out[small] = arr[small] * (m + half_var * arr[small])
+        if kappa is not None:
+            out[small] = _cumulant_series(kappa, 1.0 / _FACTORIALS, arr[small])[0]
         out[~small] = self._log_mgf_to(arr[~small], len(self.levels))
         return _maybe_scalar(out, u)
 
@@ -512,6 +568,12 @@ class Truncated(InnovationSpec):
     def expectation_below(self, g, t):
         body = self.base.expectation_below(g, min(t, self.levels[0]))
         return body + _atom_sum(g, self.levels, self.masses, t)
+
+    def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS):
+        body = self.base.moments_below(min(t, self.levels[0]), center, unit, order)
+        if body is None:
+            return None
+        return body + _atom_moments(self.levels, self.masses, t, center, unit, order)
 
 
 def _truncate(base: InnovationSpec, levels: tuple[float, ...]) -> InnovationSpec:

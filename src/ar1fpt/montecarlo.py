@@ -94,6 +94,8 @@ class SimulationSummary:
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["n_censored"] = self.n_censored
+        if not self.n_crossed:  # averages over no crossed path: null, not NaN
+            out.update(dict.fromkeys(("e_tau_hat", "e_tau_std_err", "overshoot_mean", "overshoot_std_err")))
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 

@@ -126,16 +126,18 @@ def feasibility_report(p: PassageProblem) -> FeasibilityReport:
     )
 
 
-def _h_increment(lc: LimitCumulant, y: float, x: float, what: str) -> float:
-    """H(y) - H(x) from one engine call, or DivergenceError if unconverged."""
-    h_y, h_x = transform(lc, "H", [y, x]).require(what).value
-    return float(h_y - h_x)
+def _h_increment(lc: LimitCumulant, y: float, x: float, what: str) -> tuple[float, float]:
+    """(H(y) - H(x), error bound) from one engine call, or DivergenceError if unconverged."""
+    res = transform(lc, "H", [y, x]).require(what)
+    return float(res.value[0] - res.value[1]), float(res.abs_err[0] + res.abs_err[1])
 
 
-def lower_bound_e_tau(p: PassageProblem) -> float:
-    """H(a) - H(x): drops the (nonnegative) overshoot from the identity."""
+def lower_bound_e_tau(p: PassageProblem) -> tuple[float, float]:
+    """(max(H(a) - H(x) - err, 0), err): drops the (nonnegative) overshoot
+    from the identity, and the engine's error bound of the increment."""
     feasibility_report(p).require()
-    return max(_h_increment(p.limit_cumulant(), p.a, p.x, "H(a), H(x)"), 0.0)
+    value, err = _h_increment(p.limit_cumulant(), p.a, p.x, "H(a), H(x)")
+    return max(value - err, 0.0), err
 
 
 def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
@@ -159,11 +161,12 @@ def _capped(p: PassageProblem, h_cap: float) -> tuple[LimitCumulant, float]:
     return lc, h_eff
 
 
-def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> float:
-    """Expected passage time of the capped-above process, which dominates."""
+def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> tuple[float, float]:
+    """(E tau of the capped-above process, which dominates, plus err; err)."""
     feasibility_report(p).require()
     lc, h_eff = _capped(p, h_cap)
-    return _h_increment(lc, p.lam * p.a + h_eff, p.x, "capped H(lam*a + cap), H(x)")
+    value, err = _h_increment(lc, p.lam * p.a + h_eff, p.x, "capped H(lam*a + cap), H(x)")
+    return value + err, err
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,8 @@ def test_criterion_06_bound_sandwich(flagship_run):
             p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))
             tp_sim = simulate_passage(p, n_paths=200_000, max_steps=10**5, seed=2)
             mc, se = tp_sim.e_tau_hat, tp_sim.e_tau_std_err
-        lower = lower_bound_e_tau(p)
-        upper = upper_bound_e_tau(p, h_cap=4.0)
+        lower, _ = lower_bound_e_tau(p)
+        upper, _ = upper_bound_e_tau(p, h_cap=4.0)
         allowance = Z99_ONE_SIDED * se
         assert lower <= mc + allowance, (lower, mc)
         assert mc - allowance <= upper, (mc, upper)

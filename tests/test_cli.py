@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -197,11 +198,13 @@ def test_bounds_with_cap(tmp_path):
     ids=["two-point", "two-point-cap-above-support", "capped", "capped-cap-below-support"],
 )
 def test_bounds_reports_the_cap_in_force(tmp_path, family, flags, h_cap, upper):
-    # the cap in force is the lower of the requested cap and the ess-sup
+    # the cap in force is the lower of the requested cap and the ess-sup;
+    # the reported bound is the capped H increment plus its error bar
     code, report, _ = run(tmp_path, "bounds", dict(GAUSS_CFG, family=family), *flags)
     assert code == 0
-    assert report["results"]["h_cap"] == h_cap
-    assert math.isclose(report["results"]["upper_bound_e_tau"], upper, rel_tol=1e-12)
+    res = report["results"]
+    assert res["h_cap"] == h_cap
+    assert math.isclose(res["upper_bound_e_tau"] - res["upper_bound_abs_err"], upper, rel_tol=1e-12)
 
 
 def test_bounds_crossing_mass_of_floored_family(tmp_path):
@@ -576,3 +579,44 @@ def test_a_command_sums_each_node_set_once(tmp_path, monkeypatch, subcommand, su
     assert code == 0 and len(calls) == sums
     if subcommand == "validate":
         assert report["results"]["all_passed"]
+
+
+def test_bounds_report_their_error_bars(tmp_path):
+    code, report, _ = run(tmp_path, "bounds", TWO_POINT_CFG)
+    assert code == 0
+    res = report["results"]
+    assert 0.0 < res["lower_bound_abs_err"] < 1e-8 and 0.0 < res["upper_bound_abs_err"] < 1e-8
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_simulate_with_no_crossing_writes_null_not_nan(tmp_path):
+    code, _, out = run(tmp_path, "simulate", dict(GAUSS_CFG, a=3), "--paths", "100", "--max-steps", "1")
+    assert code == 0
+    res = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)["results"]
+    assert res["n_crossed"] == 0
+    for key in ("e_tau_hat", "e_tau_std_err", "overshoot_mean", "overshoot_std_err"):
+        assert res[key] is None
+
+
+LAM_0999 = dict(TWO_POINT_CFG, **{"lambda": 0.999})
+
+
+@pytest.mark.parametrize("subcommand", ["bounds", "certificate", "validate"])
+def test_two_point_at_lam_0999(tmp_path, subcommand):
+    # K(u) runs to some 14,000 terms of psi on the engine's nodes
+    start = time.perf_counter()
+    code, report, _ = run(tmp_path, subcommand, LAM_0999)
+    assert code == 0 and time.perf_counter() - start < 2.0
+    if subcommand == "validate":
+        assert report["results"]["all_passed"] is True
+
+
+def test_two_point_at_lam_0999_simulates_between_its_bounds(tmp_path):
+    _, bounds, _ = run(tmp_path, "bounds", LAM_0999)
+    code, sim, _ = run(tmp_path, "simulate", LAM_0999, "--paths", "10000")
+    assert code == 0 and sim["results"]["n_crossed"] == 10000
+    res = bounds["results"]
+    assert res["lower_bound_e_tau"] <= sim["results"]["e_tau_hat"] <= res["upper_bound_e_tau"]

@@ -2,11 +2,13 @@
 
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ar1fpt import (
@@ -21,9 +23,9 @@ from ar1fpt import (
     check_functional_equation,
     stationary_reference,
 )
-from ar1fpt import SeriesDivergenceError, cumulant
-from ar1fpt.cumulant import ABS_TERM_FLOOR, K_MAX
-from ar1fpt.innovations import Truncated
+from ar1fpt import DivergenceError, SeriesDivergenceError, cumulant, innovations
+from ar1fpt.cumulant import K_MAX
+from ar1fpt.innovations import TAYLOR_REACH, Truncated
 from ar1fpt.quadrature import panel_nodes
 
 U_GRID = np.linspace(0.0, 50.0, 26)
@@ -135,28 +137,22 @@ u_arrays = st.lists(
 
 
 def series_by_terms(lc, u):
-    """phi(u) summed term by term: the reference for the batched series."""
-    if u == 0.0:
-        return 0.0, 0.0
+    """phi(u) summed term by term: the reference for the batched series.
+
+    K(u) terms psi(lam**k u) added one at a time in k order, then phi's tail
+    at w = lam**K u; the bound is the tail's plus eps * (sum_k (1 + |psi_k|
+    + |S_k|) + |tail|), S_k the partial sums."""
     lam = lc.lam
-    k_min = math.ceil(math.log(max(u, 1.0)) / math.log(1.0 / lam)) + 8
-    total, prev, k = 0.0, None, 0
-    chunk = max(k_min + 16, 64)
-    while k < K_MAX:
-        ks = np.arange(k, min(k + chunk, K_MAX))
-        for kk, t in zip(ks, np.asarray(lc.spec.psi(u * lam**ks), dtype=float)):
-            total += t
-            if kk >= k_min and prev is not None:
-                if t == 0.0 and prev == 0.0:
-                    return total, 0.0
-                if prev != 0.0:
-                    r = min(max(abs(t) / abs(prev), lam), 1.0 - 1e-12)
-                    bound = abs(t) * r / (1.0 - r)
-                    if bound < ABS_TERM_FLOOR:
-                        return total, bound
-            prev = t
-        k = ks[-1] + 1
-    raise AssertionError("series did not settle")
+    with np.errstate(divide="ignore"):
+        ratio = np.log(np.array([u]) * (lc.spec.width() / TAYLOR_REACH)) / math.log(1.0 / lam)
+    n = int(max(np.ceil(ratio[0]), 0.0))
+    total = scale = 0.0
+    for t in np.asarray(lc.spec.psi(u * lam ** np.arange(n)), dtype=float):
+        total += t
+        scale += 1.0 + abs(t) + abs(total)
+    tail, bound = lc._tail(np.array([u * lam ** np.arange(n + 1)[-1]]))
+    eps = np.finfo(float).eps
+    return total + tail[0], bound[0] + eps * (scale + abs(tail[0]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,9 +187,8 @@ def test_series_bytes_do_not_depend_on_block_sizes(monkeypatch, spec, lam, narro
     value, abs_err = lc.series(u)
     if narrow == "buffer":  # one or two rows a block
         monkeypatch.setattr(cumulant, "_SERIES_BUF_LEN", 64)
-    else:  # one row a block: a first pass that ends at k_min, then 4 columns a pass
+    else:  # a buffer narrower than a row: one row a block, as wide as its K(u)
         monkeypatch.setattr(cumulant, "_SERIES_BUF_LEN", 4)
-        monkeypatch.setattr(cumulant, "_tail_columns", lambda term, lam: 1)
     narrow_value, narrow_err = lc.series(u)
     assert narrow_value.tobytes() == value.tobytes()
     assert narrow_err.tobytes() == abs_err.tobytes()
@@ -307,7 +302,7 @@ def test_stationary_reference_moments():
 
 
 def test_series_that_never_settles_raises_typed():
-    # lam**k u stays above 3e4 through all K_MAX terms, so the tail bound never falls
+    # K(1e5) is about 138,000 terms at lam 0.9999, beyond the budget K_MAX
     lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.9999)
     with pytest.raises(SeriesDivergenceError) as exc:
         lc.phi(1e5)
@@ -332,3 +327,130 @@ def test_phi_slope_floored_linear_limit():
     assert lc.y_adm == 2.0
     assert slopes[-1] < 2.0 * slopes[probes >= 1e3][0]
     assert abs(slopes[-1] - 2.0) < 0.02
+
+
+# -- the cumulant tail -----------------------------------------------------
+
+
+def exact_cumulants(spec, n):
+    """kappa_1..kappa_n of a Discrete law in exact rational arithmetic."""
+    atoms = [(Fraction(a), Fraction(p)) for a, p in spec.atoms()]
+    m = [sum(p * a**j for a, p in atoms) for j in range(n + 1)]
+    kappa = []
+    for j in range(1, n + 1):
+        kappa.append(m[j] - sum(math.comb(j - 1, k - 1) * kappa[k - 1] * m[j - k] for k in range(1, j)))
+    return kappa
+
+
+#: Atom values whose products with the probabilities are normal floats: a
+#: subnormal moment carries fewer than 53 bits, so no ulp claim holds there.
+atom_values = st.floats(-3.0, 3.0).filter(lambda a: a == 0.0 or abs(a) > 1e-290)
+
+
+@st.composite
+def discrete_laws(draw):
+    values = draw(st.lists(atom_values, min_size=2, max_size=4, unique=True))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    return Discrete(tuple((a, w / total) for a, w in zip(values, weights)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=discrete_laws(), frac=st.floats(1e-12, 0.5), lam=st.sampled_from(LAMBDAS))
+def test_phi_near_zero_is_the_cumulant_series(spec, frac, lam):
+    # below w0 = TAYLOR_REACH/width phi is its cumulant series alone, exact to
+    # a few ulps of its scale E|eta| u/(1 - lam), at which the mean is formed
+    u = frac * TAYLOR_REACH / spec.width()
+    assume(math.isfinite(u))  # a width near the subnormal range puts w0 past the floats
+    lam_q, u_q = Fraction(lam), Fraction(u)
+    want = sum(
+        k * u_q**j / (math.factorial(j) * (1 - lam_q**j))
+        for j, k in enumerate(exact_cumulants(spec, 30), start=1)
+    )
+    value, bound = LimitCumulant(spec, lam).phi(u)
+    scale = sum(p * abs(a) for a, p in spec.atoms()) * u / (1.0 - lam)
+    assert abs(value - float(want)) <= 4 * np.finfo(float).eps * scale
+    assert bound <= 2 * np.finfo(float).eps * abs(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spec=discrete_laws(),
+    shift=st.floats(-100.0, 100.0),
+    u=st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 50.0)),
+    lam=st.sampled_from(LAMBDAS),
+)
+def test_phi_of_a_shifted_law_shifts_by_its_mean_term(spec, shift, u, lam):
+    # phi(law + c)(u) = phi(law)(u) + c u/(1 - lam), within the two bounds
+    moved = Discrete(tuple((a + shift, p) for a, p in spec.atoms()))
+    value, bound = LimitCumulant(spec, lam).phi(u)
+    moved_value, moved_bound = LimitCumulant(moved, lam).phi(u)
+    drift = shift * u / (1.0 - lam)
+    # relative rounding, and absolute in the subnormal range
+    slack = 4 * np.finfo(float).eps * abs(drift) + 4 * np.finfo(float).smallest_subnormal
+    assert abs(moved_value - drift - value) <= bound + moved_bound + slack
+
+
+#: Most of its mass at 0, a rare atom far out: psi's Taylor radius is set by
+#: the width 1000, not by the standard deviation 0.03.
+LOPSIDED = Discrete(((1000.0, 1e-9), (0.0, 1.0 - 1e-9)))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9])
+@pytest.mark.parametrize("u", [1e-3, 0.02, 0.05])
+def test_lopsided_law_phi_within_its_bound_of_a_direct_sum(u, lam):
+    terms, t = [], u
+    while t * 1000.0 > 1e-30:
+        terms.append(float(LOPSIDED.psi(t)))
+        t *= lam
+    value, bound = LimitCumulant(LOPSIDED, lam).phi(u)
+    assert abs(value - math.fsum(terms)) <= bound
+    assert bound <= 1e-6 * abs(value)
+
+
+def test_cumulants_of_a_truncated_law_take_no_engine_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine called")
+
+    monkeypatch.setattr(innovations, "improper_integral", refuse)
+    per_law = math.inf
+    for _ in range(3):  # the best of three rounds of fresh laws
+        laws = [CappedAbove(Gaussian(0.1 * k, 1.0), 1.5) for k in range(50)]
+        laws += [FlooredPositive(Gaussian(0.1 * k, 2.0), 1.0) for k in range(50)]
+        start = time.perf_counter()
+        cumulants = [law.cumulants for law in laws]
+        per_law = min(per_law, (time.perf_counter() - start) / len(laws))
+    assert per_law <= 100e-6, f"{per_law * 1e6:.0f} us per law"
+    # the mean and variance read the same tuple
+    for law, (mean, unit, scaled) in zip(laws, cumulants):
+        assert law.mean() == mean and law.var() == scaled[0] * unit * unit
+
+
+def test_truncated_gaussian_moments_match_the_closed_form():
+    # E[eta; eta <= 1.5] + 1.5 P(eta > 1.5) and E[eta**2; ...] for N(0, 1) capped at 1.5
+    capped = CappedAbove(Gaussian(0.0, 1.0), 1.5)
+    pdf, tail = math.exp(-1.125) / math.sqrt(2.0 * math.pi), 0.5 * math.erfc(1.5 / math.sqrt(2.0))
+    mean = -pdf + 1.5 * tail
+    second = (1.0 - tail) - 1.5 * pdf + 2.25 * tail
+    assert math.isclose(capped.mean(), mean, rel_tol=1e-14)
+    assert math.isclose(capped.var(), second - mean**2, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("alpha,cap", [(1.5, 1.0), (0.7, -0.5)])  # the 0.7 law tops out at 0
+def test_a_series_law_without_variance_raises_before_any_psi_call(monkeypatch, alpha, cap):
+    spec = CappedAbove(StableSpectrallyNegative(alpha, 1.0), cap)
+    calls = []
+    monkeypatch.setattr(Truncated, "psi", lambda self, u: calls.append(u))
+    start = time.perf_counter()
+    with pytest.raises(DivergenceError, match="no variance") as exc:
+        LimitCumulant(spec, 0.5).phi(np.array([0.5, 2.0]))
+    assert exc.value.exit_code == 4
+    assert calls == [] and time.perf_counter() - start < 1.0
+
+
+def test_series_names_its_term_count_and_budget():
+    with pytest.raises(SeriesDivergenceError, match=f"K\\(u\\) = .* K_MAX = {K_MAX}"):
+        LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.9999).phi(1e5)
+    # lam 0.999 fits the budget up to the engine's u of 1e5
+    value, bound = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.999).phi(1e5)
+    assert math.isclose(value, 1e5 / 0.001, rel_tol=1e-3) and bound <= 1e-10 * value

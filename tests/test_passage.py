@@ -11,6 +11,7 @@ from ar1fpt import (
     CertificateInfeasibleError,
     CoverageError,
     Deterministic,
+    Discrete,
     DivergenceError,
     FlooredPositive,
     Gaussian,
@@ -18,6 +19,7 @@ from ar1fpt import (
     NoCrossingError,
     PassageProblem,
     TwoPoint,
+    check_harmonic,
     exponential_certificate,
     feasibility_report,
     identity_e_tau,
@@ -211,8 +213,8 @@ def test_identity_raises_where_H_of_x_diverges():
 
 
 def test_bound_sandwich_deterministic():
-    lower = lower_bound_e_tau(DET)
-    upper = upper_bound_e_tau(DET, h_cap=4.0)
+    lower, _ = lower_bound_e_tau(DET)
+    upper, _ = upper_bound_e_tau(DET, h_cap=4.0)
     assert lower <= 3.0 <= upper + 1e-9
     assert math.isclose(lower, 2.0, rel_tol=1e-9)  # H(1.5) - H(0) = log2(4)
     assert math.isclose(upper, 3.0, rel_tol=1e-8)  # cap truncates to ess-sup
@@ -221,8 +223,8 @@ def test_bound_sandwich_deterministic():
 def test_bound_sandwich_two_point():
     p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))
     sim = simulate_passage(p, n_paths=50_000, max_steps=10**5, seed=13)
-    lower = lower_bound_e_tau(p)
-    upper = upper_bound_e_tau(p, h_cap=4.0)
+    lower, _ = lower_bound_e_tau(p)
+    upper, _ = upper_bound_e_tau(p, h_cap=4.0)
     slack = 3 * sim.e_tau_std_err
     assert lower <= sim.e_tau_hat + slack
     assert sim.e_tau_hat - slack <= upper
@@ -246,7 +248,7 @@ def test_bounds_reject_unconverged_quadrature():
 
 def test_lower_bound_nonnegative():
     p = PassageProblem(lam=0.5, x=0.0, a=0.0, spec=Gaussian(0, 1))
-    assert lower_bound_e_tau(p) >= 0.0
+    assert lower_bound_e_tau(p)[0] >= 0.0
 
 
 # -- exponential certificate -------------------------------------------------
@@ -396,3 +398,41 @@ def test_every_passage_answer_refuses_a_never_crossing_problem(p, answer):
     assert not feasibility_report(p).crossing_possible
     with pytest.raises(NoCrossingError, match="the level is never crossed"):
         answer(p)
+
+
+# -- error bars of the bounds, and lam near 1 ----------------------------------
+
+
+def test_bounds_carry_the_engine_error_of_their_H_increment():
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))
+    h = transform(p.limit_cumulant(), "H", [p.a, p.x])
+    lower, lower_err = lower_bound_e_tau(p)
+    assert lower_err == float(h.abs_err[0] + h.abs_err[1]) > 0.0
+    assert lower == max(float(h.value[0] - h.value[1]) - lower_err, 0.0)
+    # the ess-sup 1 is the cap in force: the capped law is the law itself
+    h = transform(p.limit_cumulant(), "H", [p.lam * p.a + 1.0, p.x])
+    upper, upper_err = upper_bound_e_tau(p, h_cap=4.0)
+    assert upper_err == float(h.abs_err[0] + h.abs_err[1]) > 0.0
+    assert upper == float(h.value[0] - h.value[1]) + upper_err
+
+
+THREE_ATOM = Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3)))
+
+
+def test_three_atom_law_at_lam_0999():
+    # K(u) runs to some 20,000 terms of psi; E tau is near 1e8 (mean -0.15)
+    p = PassageProblem(lam=0.999, x=0.0, a=1.0, spec=THREE_ATOM)
+    start = time.perf_counter()
+    lower, _ = lower_bound_e_tau(p)
+    upper, _ = upper_bound_e_tau(p, h_cap=4.0)
+    assert 0.0 < lower <= upper
+    lc = p.limit_cumulant()
+    for kind, v in (("N", 1.0), ("H", None), ("W", -0.1)):
+        assert check_harmonic(lc, kind, y=0.0, v=v) < 1e-6, kind
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    try:
+        assert exponential_certificate(p).alpha > 0.0
+    except CertificateInfeasibleError:
+        pass
+    assert time.perf_counter() - start < 2.0

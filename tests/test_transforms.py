@@ -9,6 +9,7 @@ from scipy.special import gamma
 from ar1fpt import (
     CappedAbove,
     Deterministic,
+    Discrete,
     DivergenceError,
     FlooredPositive,
     Gaussian,
@@ -16,6 +17,7 @@ from ar1fpt import (
     StableSpectrallyNegative,
     TwoPoint,
     check_harmonic,
+    quadrature,
     transform,
 )
 
@@ -203,3 +205,36 @@ def test_batch_transform_rejects_out_of_domain_state():
     assert transform(LC_DET, "H", np.array([0.0, 1.9])).converged.all()
     with pytest.raises(DivergenceError):
         transform(LC_DET, "H", np.array([0.0, 2.0]))
+
+
+# -- phi's relative accuracy carried to orders near -1 ------------------------
+
+#: Laws with a nonzero mean, whose phi is about mean*u/(1 - lam) near 0,
+#: and the state of their harmonic check.
+MEAN_LAWS = [
+    (TwoPoint(2.0, -0.5, 0.3), 1.0),
+    (Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3))), 1.0),
+    (CappedAbove(Gaussian(0.0, 1.0), 1.5), 0.0),
+]
+MEAN_LAW_IDS = ["two-point", "three-atom", "capped"]
+
+
+@pytest.mark.parametrize("kind", ["W", "C"])
+@pytest.mark.parametrize("v", [-0.6, -0.9])
+@pytest.mark.parametrize("spec,y", MEAN_LAWS, ids=MEAN_LAW_IDS)
+def test_W_and_C_near_minus_one_lie_within_their_error_of_a_tight_evaluation(monkeypatch, spec, y, v, kind):
+    # u**(v-1) weights phi's error near u = 0; a phi accurate relative to its
+    # size keeps the engine's bar honest there
+    lc = LimitCumulant(spec, 0.5)
+    sd = math.sqrt(spec.var() / (1.0 - 0.25))
+    ys = np.array([-1.0, y, lc.y_adm - 6.0 * sd, lc.y_adm - 0.25 * sd])
+    res = transform(lc, kind, ys, v).require("W or C at the battery's states")
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
+    ref = transform(LimitCumulant(spec, 0.5), kind, ys, v)
+    assert ref.converged.all()
+    assert np.all(np.abs(res.value - ref.value) <= res.abs_err)
+
+
+@pytest.mark.parametrize("spec,y", MEAN_LAWS, ids=MEAN_LAW_IDS)
+def test_harmonic_W_near_minus_one_on_laws_with_a_mean(spec, y):
+    assert check_harmonic(LimitCumulant(spec, 0.5), "W", y=y, v=-0.9) < 1e-10
