@@ -277,7 +277,7 @@ def _cmd_identity_check(cfg):
     value, std_err = identity_e_tau(p, summary.mgf_u, summary.mgf_value, summary.mgf_std_err, nodes)
     combined = math.hypot(std_err, summary.e_tau_std_err)
     discrepancy = abs(value - summary.e_tau_hat)
-    # as DriftReport.max_sigma: a discrepancy that no error explains reads inf
+    # as DriftReport.max_sigma: a discrepancy that no error explains reads inf (null in the report)
     if combined > 0:
         sigmas = discrepancy / combined
     else:
@@ -290,7 +290,7 @@ def _cmd_identity_check(cfg):
         "mc_e_tau_std_err": summary.e_tau_std_err,
         "n_censored": summary.n_censored,
         "discrepancy": discrepancy,
-        "discrepancy_sigmas": sigmas,
+        "discrepancy_sigmas": sigmas if math.isfinite(sigmas) else None,
     }, None
 
 
@@ -375,8 +375,9 @@ def _write_outputs(out_dir: Path, subcommand, cfg, results, rows, wall_clock):
         "config": echo,
         "results": results,
     }
-    # compact, so the C encoder writes it: indent takes the Python one
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, default=_plain) + "\n")
+    # compact, so the C encoder writes it (indent takes the Python one), and
+    # strict: a value that does not exist is null, never NaN or Infinity
+    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, default=_plain, allow_nan=False) + "\n")
     if rows is not None:
         with open(out_dir / "table.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([_fmt(c) for c in row] for row in rows)

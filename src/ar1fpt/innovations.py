@@ -17,8 +17,10 @@ finite for every u >= 0.
 
 Every expectation over eta goes through one primitive per family,
 expectation_below(g, t) = E[g(eta); eta <= t]; expectation(g) is its
-t = inf case.  Moments have a closed-form primitive, moments_below, from
-which every law with a variance takes its cumulants.
+t = inf case.  The stable family has neither it nor a partial MGF with a
+checked error bar yet, so both raise DivergenceError, also under a
+Truncated law.  Moments have a closed-form primitive, moments_below,
+from which every law with a variance takes its cumulants.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .errors import InfeasibleTruncationError, UnsupportedSamplerError
+from .errors import DivergenceError, InfeasibleTruncationError, UnsupportedSamplerError
 from .quadrature import improper_integral
 
 _SQRT2 = math.sqrt(2.0)
@@ -112,16 +114,16 @@ class InnovationSpec:
 
     def log_partial_mgf_below(self, u, t: float):
         """log E[exp(u*eta); eta <= t], vectorized in u (-inf when empty)."""
-        raise NotImplementedError
+        raise DivergenceError(f"{self!r} has no partial MGF with a checked error bar")
 
     def expectation_below(self, g: Callable[[np.ndarray], np.ndarray], t: float) -> float:
         """E[g(eta); eta <= t], never evaluating g above t.
 
-        g maps an array of innovation values to an array of its shape.  All
-        families but the stable one call it on whole node arrays: atoms,
-        Gauss-Hermite nodes or an engine node set.
+        g maps an array of innovation values to an array of its shape, and
+        is called on whole node arrays: atoms, Gauss-Hermite nodes or an
+        engine node set.
         """
-        raise NotImplementedError
+        raise DivergenceError(f"{self!r} has no partial expectation with a checked error bar")
 
     def expectation(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
         """E g(eta): expectation_below at t = inf."""
@@ -453,28 +455,6 @@ class StableSpectrallyNegative(InnovationSpec):
         out = self._frozen().cdf(t)
         return float(out) if np.ndim(t) == 0 else out
 
-    def log_partial_mgf_below(self, u, t):
-        arr = np.atleast_1d(_as_u(u))
-        frozen = self._frozen()
-        out = np.empty_like(arr)
-        for i, ui in enumerate(arr):
-            val, _ = integrate.quad(
-                lambda x: math.exp(ui * x) * frozen.pdf(x),
-                -np.inf,
-                t,
-                limit=200,
-            )
-            out[i] = math.log(val) if val > 0 else -np.inf
-        return _maybe_scalar(out[0] if np.ndim(u) == 0 else out, u)
-
-    def expectation_below(self, g, t):
-        frozen = self._frozen()
-        lo, hi = frozen.ppf(1e-12), min(frozen.ppf(1.0 - 1e-12), t)
-        if not lo < hi:
-            return 0.0
-        val, _ = integrate.quad(lambda x: g(x) * frozen.pdf(x), lo, hi, limit=200)
-        return float(val)
-
 
 def _level_map(levels, eta):
     """eta where eta <= levels[0], else the largest level at or below eta."""
@@ -498,7 +478,8 @@ class Truncated(InnovationSpec):
     that sum rounds to 1, leaving about 1e-16 of absolute noise, so where
     u*width() <= TAYLOR_REACH psi is its series in the cumulants, which come
     from the base's moments below l_0 and the level atoms.  A base without
-    moments (a stable law) has no cumulants and keeps the log form.
+    moments (a stable law) has no cumulants, and its log form raises
+    DivergenceError with the base's partial MGF.
     """
 
     base: InnovationSpec

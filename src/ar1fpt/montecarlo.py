@@ -94,8 +94,11 @@ class SimulationSummary:
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["n_censored"] = self.n_censored
-        if not self.n_crossed:  # averages over no crossed path: null, not NaN
-            out.update(dict.fromkeys(("e_tau_hat", "e_tau_std_err", "overshoot_mean", "overshoot_std_err")))
+        # an average over no crossed path (NaN), or an error whose sum of
+        # squares overflowed (inf), is null, not NaN or Infinity
+        for key in ("e_tau_hat", "e_tau_std_err", "overshoot_mean", "overshoot_std_err"):
+            if not math.isfinite(out[key]):
+                out[key] = None
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
@@ -261,7 +264,7 @@ def _mean_se(s1, s2, n: int):
     """Mean of n samples from their sum s1, and its standard error from
     their sum of squares s2, elementwise for arrays; an error that is not
     finite reads inf."""
-    m = s1 / n
+    m = np.divide(s1, n)  # a numpy scalar, whose square overflows to inf
     with np.errstate(invalid="ignore", over="ignore"):
         se = np.sqrt(np.maximum(s2 / n - m**2, 0.0) / n)
     return m, np.where(np.isfinite(se), se, np.inf)

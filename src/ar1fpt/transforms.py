@@ -116,11 +116,11 @@ def check_harmonic(
 
     The expectation over the innovation is the family's expectation_below
     at t = inf: exact atom sums for discrete families, Gauss-Hermite for
-    Gaussian, the base's partial expectation plus the atoms for the
-    truncation wrappers, and density quadrature for stable families.  Each
-    call of the integrand hands its whole node array, together with y, to
-    one engine call; the stable quadrature calls it one point at a time.
-    Raises DivergenceError when a transform value it needs did not converge.
+    Gaussian, and the base's partial expectation plus the atoms for the
+    truncation wrappers.  Each call of the integrand hands its whole node
+    array, together with y, to one engine call.  Raises DivergenceError when
+    a transform value it needs did not converge, and for a stable family,
+    which has no expectation with a checked error bar.
     """
     if kind not in ("N", "H", "W"):
         raise ValueError(f"unknown transform kind {kind!r}")

@@ -4,7 +4,11 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,7 +74,6 @@ def test_report_is_one_line_of_plain_json_values(tmp_path):
         "passed": np.bool_(True),
         "value": np.float64(0.1),
         "pair": (1, np.float32(0.5)),
-        "missing": float("nan"),
     }
     cfg = {"_spec": object(), "seed": 1}
     cli._write_outputs(tmp_path, "phi", cfg, results, [("u", "phi"), (0.5, 1 / 3)], 0.25)
@@ -79,9 +82,12 @@ def test_report_is_one_line_of_plain_json_values(tmp_path):
     report = json.loads(text)
     assert report["config"] == {"seed": 1}
     res = report["results"]
-    assert math.isnan(res.pop("missing"))
     assert res == {"grid": [0.0, 1.0, 2.0], "count": 7, "passed": True, "value": 0.1, "pair": [1, 0.5]}
     assert (tmp_path / "table.csv").read_bytes() == b"u,phi\r\n0.5,0.33333333333333331\r\n"
+    # the report is strict JSON: a NaN or an infinity in it is a fault
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_outputs(tmp_path, "phi", cfg, {"missing": bad}, None, 0.25)
 
 
 def test_identity_check_deterministic_zero_discrepancy(tmp_path, capsys):
@@ -277,10 +283,10 @@ def test_identity_check_with_no_crossed_path_fails_typed(tmp_path, capsys):
     assert "error[CoverageError]" in err and "Traceback" not in err
 
 
-def test_unexplained_discrepancy_reads_inf(tmp_path, monkeypatch):
+def test_unexplained_discrepancy_reads_inf(tmp_path, monkeypatch, capsys):
     # a deterministic law has no spread, so the Monte Carlo standard error
     # is 0; with an identity error of 0 too, a discrepancy is explained by
-    # nothing
+    # nothing: inf on stdout, null in the report
     exact = cli.identity_e_tau
 
     def off_by_a_little(*args):
@@ -290,7 +296,8 @@ def test_unexplained_discrepancy_reads_inf(tmp_path, monkeypatch):
     code, report, _ = run(tmp_path, "identity-check", DET_CFG, "--paths", "500")
     res = report["results"]
     assert code == 0 and res["mc_e_tau_std_err"] == 0.0
-    assert res["discrepancy"] > 0 and res["discrepancy_sigmas"] == math.inf
+    assert res["discrepancy"] > 0 and res["discrepancy_sigmas"] is None
+    assert "discrepancy: inf combined std errs" in capsys.readouterr().out
 
 
 def test_bad_thread_count_fails_typed(tmp_path, capsys, monkeypatch):
@@ -620,3 +627,63 @@ def test_two_point_at_lam_0999_simulates_between_its_bounds(tmp_path):
     assert code == 0 and sim["results"]["n_crossed"] == 10000
     res = bounds["results"]
     assert res["lower_bound_e_tau"] <= sim["results"]["e_tau_hat"] <= res["upper_bound_e_tau"]
+
+
+@pytest.mark.parametrize(
+    "subcommand,flags",
+    [
+        ("phi", []),
+        ("simulate", ["--paths", "2000"]),
+        ("bounds", ["--cap", "2"]),
+        ("identity-check", ["--paths", "2000"]),
+        ("certificate", []),
+        ("validate", []),
+    ],
+)
+def test_every_report_is_strict_json(tmp_path, subcommand, flags):
+    code, _, out = run(tmp_path, subcommand, GAUSS_CFG, *flags)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)
+    assert report["meta"]["subcommand"] == subcommand
+
+
+STABLE_CFG = dict(GAUSS_CFG, family={"name": "stable", "alpha": 1.5, "c_scale": 1})
+
+
+def test_stable_validate_records_typed_harmonic_failures(tmp_path, capsys):
+    # the stable law has no expectation with a checked error bar, so each
+    # harmonic check fails typed while the cumulant checks still run
+    start = time.perf_counter()
+    code, report, _ = run(tmp_path, "validate", STABLE_CFG)
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+    res = report["results"]
+    assert res["all_passed"] is False
+    checks = {c["check"]: c for c in res["checks"]}
+    for kind in "NHW":
+        check = checks[f"harmonic_{kind}_residual"]
+        assert check["value"] is None and check["passed"] is False
+        assert check["error"].startswith("DivergenceError: ")
+    for name in ("functional_equation_residual", "series_vs_closed_form"):
+        assert checks[name]["passed"] is True and "error" not in checks[name]
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate, with the scipy packages it pulls in, costs a CLI call
+    # about a third of its start-up
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, ar1fpt.cli; sys.exit('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the block's sum of squares
+def test_simulate_with_an_overflowing_overshoot_error_writes_null(tmp_path):
+    # overshoots near 5e299: their mean is a float, their sum of squares is not
+    far = dict(GAUSS_CFG, x=-1e300, a=-1e300)
+    code, _, out = run(tmp_path, "simulate", far, "--paths", "100")
+    assert code == 0
+    res = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)["results"]
+    assert res["n_crossed"] == 100 and math.isfinite(res["overshoot_mean"])
+    assert res["overshoot_std_err"] is None

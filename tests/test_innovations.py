@@ -1,6 +1,7 @@
 """Innovation families: cumulants, samplers, truncations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -452,3 +453,21 @@ def test_truncated_moments_come_from_the_expectation():
     assert math.isclose(floored.mean(), want, rel_tol=1e-9)
     # truncation above keeps the heavy left tail: no variance
     assert CappedAbove(StableSpectrallyNegative(1.5, 1.0), 1.0).var() is None
+
+
+def test_stable_partial_expectations_fail_typed():
+    # none carries a checked error bar yet, and a capped law's psi needs one
+    stable = StableSpectrallyNegative(1.5, 1.0)
+    capped = CappedAbove(stable, 1.0)
+    calls = [
+        lambda: stable.log_partial_mgf_below(1.0, 0.0),
+        lambda: stable.expectation(np.ones_like),
+        lambda: capped.psi(1.0),
+        lambda: capped.expectation_below(np.ones_like, 0.5),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(DivergenceError, match="checked error bar") as exc:
+                call()
+            assert exc.value.exit_code == 4

@@ -1,6 +1,7 @@
 """Martingale transforms against closed-form oracles and harmonic equations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,3 +239,14 @@ def test_W_and_C_near_minus_one_lie_within_their_error_of_a_tight_evaluation(mon
 @pytest.mark.parametrize("spec,y", MEAN_LAWS, ids=MEAN_LAW_IDS)
 def test_harmonic_W_near_minus_one_on_laws_with_a_mean(spec, y):
     assert check_harmonic(LimitCumulant(spec, 0.5), "W", y=y, v=-0.9) < 1e-10
+
+
+@pytest.mark.parametrize("kind,v", [("N", 1.0), ("H", None), ("W", -0.1)])
+def test_stable_harmonic_check_fails_typed(kind, v):
+    # no expectation over a stable law carries a checked error bar yet
+    lc = LimitCumulant(StableSpectrallyNegative(1.5, 1.0), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="no partial expectation") as exc:
+            check_harmonic(lc, kind, y=0.0, v=v)
+    assert exc.value.exit_code == 4
