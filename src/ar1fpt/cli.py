@@ -377,7 +377,11 @@ def _write_outputs(out_dir: Path, subcommand, cfg, results, rows, wall_clock):
     }
     # compact, so the C encoder writes it (indent takes the Python one), and
     # strict: a value that does not exist is null, never NaN or Infinity
-    (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, default=_plain, allow_nan=False) + "\n")
+    try:
+        text = json.dumps(report, sort_keys=True, default=_plain, allow_nan=False)
+    except ValueError as exc:
+        raise Ar1FptError(f"report.json would not be strict JSON: {exc}") from exc
+    (out_dir / "report.json").write_text(text + "\n")
     if rows is not None:
         with open(out_dir / "table.csv", "w", newline="") as fh:
             csv.writer(fh).writerows([_fmt(c) for c in row] for row in rows)

@@ -173,11 +173,13 @@ def _run_block(
     xis = x_tau[crossed_mask] - p.a
     counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
     mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
+    with np.errstate(over="ignore"):  # overshoots past 1e154: inf, and its error reads null
+        sum_xi2 = float((xis**2).sum())
     return _BlockResult(
         tau_counts=counts,
         n_censored=n_censored,
         sum_xi=float(xis.sum()),
-        sum_xi2=float((xis**2).sum()),
+        sum_xi2=sum_xi2,
         mgf_m1=mgf_m1,
         mgf_m2=mgf_m2,
     )

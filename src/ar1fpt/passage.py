@@ -245,6 +245,8 @@ def identity_e_tau(
     MGF_REL_SE_CLIP are dropped from the value, and the reported error takes
     their neglected part: the hard envelope of e^{u X_tau} - 1 on a <= X_tau
     <= y_env when eta is bounded above, else the noisy value plus its error.
+    An error that is not finite, where the MGF overflowed at nodes whose
+    e^{-phi} underflows, raises CoverageError: it would pass any gate.
     """
     u = np.asarray(mgf_u, dtype=float)
     if u.shape != nodes.u.shape or not np.allclose(u, nodes.u, rtol=1e-12, atol=0.0):
@@ -278,11 +280,14 @@ def identity_e_tau(
         else:
             # no a.s. envelope exists; bound the dropped nodes by their own
             # noisy estimates
-            neglected = np.abs(coef[clipped]) * (
-                np.abs(mgf[clipped] - 1.0)
-                + np.where(np.isfinite(se[clipped]), se[clipped], np.abs(mgf[clipped]))
-            )
+            with np.errstate(invalid="ignore"):  # 0 * inf where e^{-phi} underflows
+                neglected = np.abs(coef[clipped]) * (
+                    np.abs(mgf[clipped] - 1.0)
+                    + np.where(np.isfinite(se[clipped]), se[clipped], np.abs(mgf[clipped]))
+                )
         std_err += float(np.sum(neglected))
+    if not math.isfinite(std_err):
+        raise CoverageError("the identity's error is not finite: the empirical MGF overflowed at nodes it cannot bound")
     return value, std_err
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ar1fpt import DivergenceError, cli
+from ar1fpt import Ar1FptError, DivergenceError, cli
 from ar1fpt.cli import main
 
 GAUSS_CFG = {
@@ -86,7 +86,7 @@ def test_report_is_one_line_of_plain_json_values(tmp_path):
     assert (tmp_path / "table.csv").read_bytes() == b"u,phi\r\n0.5,0.33333333333333331\r\n"
     # the report is strict JSON: a NaN or an infinity in it is a fault
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(Ar1FptError, match="not JSON compliant"):
             cli._write_outputs(tmp_path, "phi", cfg, {"missing": bad}, None, 0.25)
 
 
@@ -678,7 +678,6 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the block's sum of squares
 def test_simulate_with_an_overflowing_overshoot_error_writes_null(tmp_path):
     # overshoots near 5e299: their mean is a float, their sum of squares is not
     far = dict(GAUSS_CFG, x=-1e300, a=-1e300)
@@ -687,3 +686,13 @@ def test_simulate_with_an_overflowing_overshoot_error_writes_null(tmp_path):
     res = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)["results"]
     assert res["n_crossed"] == 100 and math.isfinite(res["overshoot_mean"])
     assert res["overshoot_std_err"] is None
+
+
+def test_identity_check_with_an_unbounded_error_fails_typed(tmp_path, capsys):
+    # paths cross near 2000, so e^{u X_tau} overflows at nodes where
+    # e^{-phi(u)} underflows: the identity's error has no finite bound
+    far = dict(GAUSS_CFG, family={"name": "gaussian", "m": 1000, "var": 1}, a=1500)
+    code, report, _ = run(tmp_path, "identity-check", far, "--paths", "500")
+    err = capsys.readouterr().err
+    assert code == 6 and report is None
+    assert "error[CoverageError]" in err and "not finite" in err and "Traceback" not in err
