@@ -7,8 +7,9 @@ Optional stopping of H(X_n) - n gives
 where X_tau = a + overshoot.  Dropping the (nonnegative) overshoot yields
 the lower bound H(a) - H(x); capping the innovation above at H_cap enlarges
 tau pathwise and yields a computable upper bound.  The identity takes
-H(x) from the transform engine and E H(X_tau) by plugging the simulated MGF
-of X_tau into the H integral at quadrature nodes frozen before the simulation.
+H(x) from the transform engine, and E H(X_tau) as the mean of h(Z) over the
+simulated pre-crossing states Z = X_{tau-1}, where h(z) = E[H(X_tau) | Z = z]
+is tabulated from the engine before the simulation.
 """
 
 import math
@@ -18,8 +19,8 @@ from ar1fpt import (
     Gaussian,
     PassageProblem,
     feasibility_report,
-    identity_e_tau,
-    identity_nodes,
+    h_table,
+    identity_estimate,
     lower_bound_e_tau,
     simulate_passage,
     upper_bound_e_tau,
@@ -27,9 +28,9 @@ from ar1fpt import (
 
 print("== deterministic warm-up: everything is exact ==")
 p = PassageProblem(lam=0.5, x=0.0, a=1.5, spec=Deterministic(1.0))
-nodes = identity_nodes(p)
-sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=0, mgf_u_nodes=nodes.u)
-value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+table = h_table(p)
+sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=0, h=table)
+value, _ = identity_estimate(p, sim, table)
 print(f"path: 0 -> 1 -> 1.5 -> 1.75 crosses a=1.5 at step 3; simulated "
       f"E tau = {sim.e_tau_hat}, identity = {value:.12f}")
 print(f"bounds: {lower_bound_e_tau(p)[0]:.6f} <= 3 <= {upper_bound_e_tau(p, 4.0)[0]:.6f}")
@@ -37,11 +38,9 @@ print(f"bounds: {lower_bound_e_tau(p)[0]:.6f} <= 3 <= {upper_bound_e_tau(p, 4.0)
 print()
 print("== Gaussian flagship: identity vs direct Monte Carlo ==")
 p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
-nodes = identity_nodes(p)
-sim = simulate_passage(
-    p, n_paths=200_000, max_steps=10**6, seed=42, mgf_u_nodes=nodes.u
-)
-value, std_err = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+table = h_table(p)
+sim = simulate_passage(p, n_paths=200_000, max_steps=10**6, seed=42, h=table)
+value, std_err = identity_estimate(p, sim, table)
 combined = math.hypot(std_err, sim.e_tau_std_err)
 print(f"direct MC:  E tau = {sim.e_tau_hat:.4f} +- {sim.e_tau_std_err:.4f} "
       f"({sim.n_censored} censored)")

@@ -43,12 +43,12 @@ from .montecarlo import (
 from .passage import (
     ExponentialCertificate,
     FeasibilityReport,
-    IdentityNodes,
+    HTable,
     PassageProblem,
     exponential_certificate,
     feasibility_report,
-    identity_e_tau,
-    identity_nodes,
+    h_table,
+    identity_estimate,
     lower_bound_e_tau,
     upper_bound_e_tau,
 )

@@ -37,8 +37,8 @@ from .passage import (
     PassageProblem,
     exponential_certificate,
     feasibility_report,
-    identity_e_tau,
-    identity_nodes,
+    h_table,
+    identity_estimate,
     lower_bound_e_tau,
     upper_bound_e_tau,
 )
@@ -266,15 +266,11 @@ def _cmd_bounds(cfg):
 
 def _cmd_identity_check(cfg):
     p = _problem(cfg)
-    nodes = identity_nodes(p)
+    table = h_table(p)
     summary = simulate_passage(
-        p,
-        n_paths=cfg["n_paths"],
-        max_steps=cfg["max_steps"],
-        seed=cfg["seed"],
-        mgf_u_nodes=nodes.u,
+        p, n_paths=cfg["n_paths"], max_steps=cfg["max_steps"], seed=cfg["seed"], h=table
     )
-    value, std_err = identity_e_tau(p, summary.mgf_u, summary.mgf_value, summary.mgf_std_err, nodes)
+    value, std_err = identity_estimate(p, summary, table)
     combined = math.hypot(std_err, summary.e_tau_std_err)
     discrepancy = abs(value - summary.e_tau_hat)
     # as DriftReport.max_sigma: a discrepancy that no error explains reads inf (null in the report)
@@ -289,6 +285,7 @@ def _cmd_identity_check(cfg):
         "mc_e_tau_hat": summary.e_tau_hat,
         "mc_e_tau_std_err": summary.e_tau_std_err,
         "n_censored": summary.n_censored,
+        "n_outside_table": summary.n_outside_table,
         "discrepancy": discrepancy,
         "discrepancy_sigmas": sigmas if math.isfinite(sigmas) else None,
     }, None

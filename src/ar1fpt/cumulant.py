@@ -109,6 +109,7 @@ class LimitCumulant:
         arr = _as_u(u)
         return _pair(self._closed_form(arr), np.zeros_like(arr))
 
+    @np.errstate(over="ignore")  # a law as wide as 1e300 reaches inf, its value
     def _closed_form(self, u):
         spec = self.spec
         if self.mode == "closed_form_deterministic":

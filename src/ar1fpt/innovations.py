@@ -17,10 +17,12 @@ finite for every u >= 0.
 
 Every expectation over eta goes through one primitive per family,
 expectation_below(g, t) = E[g(eta); eta <= t]; expectation(g) is its
-t = inf case.  The stable family has neither it nor a partial MGF with a
-checked error bar yet, so both raise DivergenceError, also under a
-Truncated law.  Moments have a closed-form primitive, moments_below,
-from which every law with a variance takes its cumulants.
+t = inf case.  The upper partial MGF log E[e^{u eta}; t < eta <= top],
+with an array of t, is formed directly on each family, never as the total
+minus the part below.  The stable family has none of these with a checked
+error bar yet, so each raises DivergenceError, also under a Truncated law.
+Moments have a closed-form primitive, moments_below, from which every law
+with a variance takes its cumulants.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class InnovationSpec:
         """Essential supremum of eta, or None when unbounded above."""
         return None
 
-    def upper_quantile(self, q: float) -> float:
-        """A value exceeded with probability at most 1 - q."""
-        raise NotImplementedError
-
     def tail_prob(self, t: float) -> float:
         """P(eta > t)."""
         raise NotImplementedError
@@ -110,11 +108,21 @@ class InnovationSpec:
         atoms = self.atoms()
         return 0.0 if atoms is None else sum(p for a, p in atoms if a == t)
 
+    def atom_values(self) -> tuple[float, ...]:
+        """The values of positive mass, in descending order: where an
+        expectation conditioned on eta > t jumps as t moves."""
+        atoms = self.atoms()
+        return () if atoms is None else tuple(a for a, _ in atoms)
+
     # -- integration helpers ----------------------------------------------
 
     def log_partial_mgf_below(self, u, t: float):
         """log E[exp(u*eta); eta <= t], vectorized in u (-inf when empty)."""
         raise DivergenceError(f"{self!r} has no partial MGF with a checked error bar")
+
+    def log_partial_mgf_above(self, u, t, top: float = math.inf):
+        """log E[exp(u*eta); t < eta <= top], u and t broadcast (-inf when empty)."""
+        raise DivergenceError(f"{self!r} has no upper partial MGF with a checked error bar")
 
     def expectation_below(self, g: Callable[[np.ndarray], np.ndarray], t: float) -> float:
         """E[g(eta); eta <= t], never evaluating g above t.
@@ -201,6 +209,36 @@ def _atom_sum(g, vals, probs, t):
     return float(np.sum(probs[kept] * np.asarray(g(vals[kept]))))
 
 
+def _log_sum_exp(terms):
+    """log sum_i exp(terms_i), terms broadcast against each other; -inf where all are."""
+    shift = reduce(np.maximum, terms)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(sum(np.exp(e - shift) for e in terms))
+
+
+def _log_atoms_above(u, t, top, vals, probs):
+    """log sum p_i e^{u a_i} over the atoms a_i in (t, top], one term per atom."""
+    t = np.asarray(t, dtype=float)
+    terms = [
+        np.where((a > t) & (a <= top), u * a + math.log(p), -np.inf)
+        for a, p in zip(vals, probs)
+        if p > 0.0
+    ]
+    return _log_sum_exp(terms) if terms else np.full(np.broadcast(u, t).shape, -np.inf)
+
+
+def _log_normal_mass(lo, hi):
+    """log P(lo < Y <= hi) for a standard normal Y, from the tail the interval
+    lies in, so that neither a small mass nor a narrow interval cancels."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = special.log_ndtr(-lo)
+        upper = upper + np.log(-np.expm1(special.log_ndtr(-hi) - upper))
+        lower = special.log_ndtr(hi)
+        lower = lower + np.log(-np.expm1(special.log_ndtr(lo) - lower))
+    return np.where(lo >= hi, -np.inf, np.where(lo + hi > 0.0, upper, lower))
+
+
 @dataclass(frozen=True)
 class Gaussian(InnovationSpec):
     """Normal innovation N(m, sigma2)."""
@@ -232,9 +270,6 @@ class Gaussian(InnovationSpec):
     def var(self):
         return self.sigma2
 
-    def upper_quantile(self, q):
-        return self.m + math.sqrt(self.sigma2) * special.ndtri(q)
-
     def tail_prob(self, t):
         return float(special.ndtr((self.m - t) / math.sqrt(self.sigma2)))
 
@@ -245,6 +280,16 @@ class Gaussian(InnovationSpec):
         z = (t - self.m - self.sigma2 * arr) / s
         out = self.psi(arr) + special.log_ndtr(z)
         return _maybe_scalar(out, u)
+
+    def log_partial_mgf_above(self, u, t, top=math.inf):
+        # the tilted law N(m + s2 u, s2) on (t, top], times e^{psi(u)}
+        arr = _as_u(u)
+        s = math.sqrt(self.sigma2)
+        mu = self.m + self.sigma2 * arr
+        lo = (np.asarray(t, dtype=float) - mu) / s
+        if top == math.inf:
+            return self.psi(arr) + special.log_ndtr(-lo)
+        return self.psi(arr) + _log_normal_mass(lo, (top - mu) / s)
 
     def expectation_below(self, g, t):
         s = math.sqrt(self.sigma2)
@@ -342,6 +387,9 @@ class Discrete(InnovationSpec):
         if not kept.any():
             return _maybe_scalar(np.full_like(arr, -np.inf), u)
         return _maybe_scalar(_log_mgf(arr, vals[kept], probs[kept]), u)
+
+    def log_partial_mgf_above(self, u, t, top=math.inf):
+        return _log_atoms_above(_as_u(u), t, top, *self._arrays)
 
     def expectation_below(self, g, t):
         return _atom_sum(g, *self._arrays, t)
@@ -445,9 +493,6 @@ class StableSpectrallyNegative(InnovationSpec):
 
         return stats.levy_stable(self.alpha_stab, -1.0, loc=self.m, scale=self._sigma())
 
-    def upper_quantile(self, q):
-        return float(self._frozen().ppf(q))
-
     def tail_prob(self, t):
         return float(self._frozen().sf(t))
 
@@ -537,6 +582,17 @@ class Truncated(InnovationSpec):
     def point_mass(self, t):
         own = self.base.point_mass(t) if t <= self.levels[0] else 0.0
         return own + sum(m for x, m in zip(self.levels, self.masses) if x == t)
+
+    def atom_values(self):
+        below = [a for a in self.base.atom_values() if a < self.levels[0]]
+        return tuple(x for x in self.levels[::-1] if self.point_mass(x) > 0.0) + tuple(below)
+
+    def log_partial_mgf_above(self, u, t, top=math.inf):
+        # the base on (t, min(top, l_0)] and the levels in (t, top], each
+        # formed directly
+        arr = _as_u(u)
+        body = self.base.log_partial_mgf_above(arr, t, min(top, self.levels[0]))
+        return _log_sum_exp([body, _log_atoms_above(arr, t, top, self.levels, self.masses)])
 
     def log_partial_mgf_below(self, u, t):
         if t < self.levels[0]:

@@ -71,6 +71,14 @@ class SimulationSummary:
     still below the level after max_steps) are counted separately and the
     survival curve includes them.  mgf_* are aligned per-node arrays of
     the empirical estimate of E exp(u * X_tau) over crossed paths.
+
+    With an h table (passage.HTable), h_mean and h_std_err estimate E h(Z)
+    over the pre-crossing states Z = X_{tau-1} of the crossed paths, which
+    is E H(X_tau): the identity's random half, unbiased and of finite
+    variance where H(X_tau) has none.  h_abs_err bounds the error of the h
+    values, and n_outside_table counts the states the table does not cover,
+    evaluated directly.  Without a table the four are None and left out of
+    to_dict.
     """
 
     n_paths: int
@@ -86,6 +94,10 @@ class SimulationSummary:
     mgf_u: np.ndarray = field(repr=False)
     mgf_value: np.ndarray = field(repr=False)
     mgf_std_err: np.ndarray = field(repr=False)
+    h_mean: float | None = None
+    h_std_err: float | None = None
+    h_abs_err: float | None = None
+    n_outside_table: int | None = None
 
     @property
     def n_censored(self) -> int:
@@ -93,11 +105,15 @@ class SimulationSummary:
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.h_mean is None:  # a run without an h table reports as before
+            for key in ("h_mean", "h_std_err", "h_abs_err", "n_outside_table"):
+                del out[key]
         out["n_censored"] = self.n_censored
         # an average over no crossed path (NaN), or an error whose sum of
         # squares overflowed (inf), is null, not NaN or Infinity
-        for key in ("e_tau_hat", "e_tau_std_err", "overshoot_mean", "overshoot_std_err"):
-            if not math.isfinite(out[key]):
+        averages = ("e_tau_hat", "e_tau_std_err", "overshoot_mean", "overshoot_std_err", "h_mean", "h_std_err")
+        for key in averages:
+            if key in out and not math.isfinite(out[key]):
                 out[key] = None
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
@@ -110,13 +126,17 @@ class _BlockResult:
     sum_xi2: float
     mgf_m1: np.ndarray
     mgf_m2: np.ndarray
+    h_sum: float = 0.0
+    h_sum2: float = 0.0
+    z_outside: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _passages(
-    p: PassageProblem, rng: np.random.Generator, size: int, max_steps: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Each path's passage step tau (0 if censored) and state x_tau (NaN if
-    censored), in path order, and the number of censored paths.
+    p: PassageProblem, rng: np.random.Generator, size: int, max_steps: int, with_z: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """Each path's passage step tau (0 if censored), state x_tau and, if
+    with_z, pre-crossing state z = x_{tau-1} (NaN if censored), in path
+    order, and the number of censored paths.
 
     Each step's draws go to the live paths in path order.  A step records
     its crossings once and only a step with crossings compacts the live
@@ -129,6 +149,7 @@ def _passages(
     # number of them at each step that had some
     done = np.empty(size, dtype=np.int64)
     x_done = np.empty(size)
+    z_done = np.empty(size if with_z else 0)
     hit_steps, hit_counts = [], []
     n_done = 0
     step = 0
@@ -142,6 +163,8 @@ def _passages(
             k = n_done + len(hits)
             alive_idx.take(hits, out=done[n_done:k])
             x_new.take(hits, out=x_done[n_done:k])
+            if with_z:
+                x_alive.take(hits, out=z_done[n_done:k])
             hit_steps.append(step)
             hit_counts.append(len(hits))
             n_done = k
@@ -154,7 +177,11 @@ def _passages(
     x_tau = np.full(size, np.nan)
     tau[done[:n_done]] = np.repeat(hit_steps, hit_counts)
     x_tau[done[:n_done]] = x_done[:n_done]
-    return tau, x_tau, len(alive_idx)
+    z_tau = None
+    if with_z:
+        z_tau = np.full(size, np.nan)
+        z_tau[done[:n_done]] = z_done[:n_done]
+    return tau, x_tau, z_tau, len(alive_idx)
 
 
 def _run_block(
@@ -164,17 +191,20 @@ def _run_block(
     max_steps: int,
     seed: int,
     u_nodes: np.ndarray,
+    h=None,
 ) -> _BlockResult:
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
-    tau, x_tau, n_censored = _passages(p, rng, size, max_steps)
+    tau, x_tau, z_tau, n_censored = _passages(p, rng, size, max_steps, h is not None)
     # path order fixes the order of every reduction
     crossed_mask = tau > 0
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
     counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
     mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
-    with np.errstate(over="ignore"):  # overshoots past 1e154: inf, and its error reads null
+    # overshoots past 1e154, or h values past 1e154: inf, and the error reads null
+    with np.errstate(over="ignore"):
         sum_xi2 = float((xis**2).sum())
+        extra = {} if h is None else dict(zip(("h_sum", "h_sum2", "z_outside"), h.fold(z_tau[crossed_mask])))
     return _BlockResult(
         tau_counts=counts,
         n_censored=n_censored,
@@ -182,6 +212,7 @@ def _run_block(
         sum_xi2=sum_xi2,
         mgf_m1=mgf_m1,
         mgf_m2=mgf_m2,
+        **extra,
     )
 
 
@@ -298,6 +329,7 @@ def simulate_passage(
     seed: int = 0,
     mgf_u_nodes=None,
     block_size: int = BLOCK_SIZE,
+    h=None,
 ) -> SimulationSummary:
     """Simulate n_paths independent passages of the level a.
 
@@ -305,6 +337,12 @@ def simulate_passage(
     error: censored paths are excluded from e_tau_hat and the MGF but kept in
     the survival curve.  When feasibility_report proves that no path can
     cross, no step is run and every path is censored.
+
+    With h, an HTable of p, each block also folds h(Z) and h(Z)**2 over its
+    crossed paths in path order, where the table covers Z; the states it
+    does not cover are evaluated directly after the fold, in block and path
+    order, so the sums are bit-identical for any worker count.  A direct
+    value that does not converge raises DivergenceError.
     """
     if n_paths < 1 or max_steps < 1 or block_size < 1:
         raise ValueError("n_paths, max_steps and block_size must be >= 1")
@@ -316,7 +354,7 @@ def simulate_passage(
 
     def job(i):
         # every block is full but the last, which holds the remainder
-        return _run_block(p, i, min(block_size, n_paths - i * block_size), steps, seed, u_nodes)
+        return _run_block(p, i, min(block_size, n_paths - i * block_size), steps, seed, u_nodes, h)
 
     # Ordered fold over block indices: bit-identical for any worker count.
     counts = np.zeros(0, dtype=np.int64)
@@ -324,6 +362,8 @@ def simulate_passage(
     sum_xi = sum_xi2 = 0.0
     mgf_m1 = np.zeros(len(u_nodes))
     mgf_m2 = np.zeros(len(u_nodes))
+    h_sum = h_sum2 = 0.0
+    outside = []
     for r in _in_block_order(job, n_blocks, _worker_count()):
         if len(r.tau_counts) > len(counts):
             counts = np.pad(counts, (0, len(r.tau_counts) - len(counts)))
@@ -335,19 +375,32 @@ def simulate_passage(
         with np.errstate(over="ignore"):
             mgf_m1 += r.mgf_m1
             mgf_m2 += r.mgf_m2
+        h_sum += r.h_sum
+        h_sum2 += r.h_sum2
+        outside.append(r.z_outside)
 
     n_crossed = n_paths - n_censored
     ns = np.arange(len(counts))
     if n_crossed > 0:
         # tau's sums from its histogram: exact below 2**53
-        h = counts.astype(float)
-        e_tau, se_tau = _mean_se(float((ns * h).sum()), float((ns * ns * h).sum()), n_crossed)
+        hist = counts.astype(float)
+        e_tau, se_tau = _mean_se(float((ns * hist).sum()), float((ns * ns * hist).sum()), n_crossed)
         xi_mean, se_xi = _mean_se(sum_xi, sum_xi2, n_crossed)
         m1, se = _mean_se(mgf_m1, mgf_m2, n_crossed)
     else:
         e_tau = se_tau = xi_mean = se_xi = float("nan")
         m1 = np.full(len(u_nodes), np.nan)
         se = np.full(len(u_nodes), np.inf)
+    h_fold = {}
+    if h is not None:
+        h_sum, h_sum2, h_err, n_outside = _fold_outside(h, np.concatenate(outside), h_sum, h_sum2)
+        h_mean, h_se = _mean_se(h_sum, h_sum2, n_crossed) if n_crossed else (math.nan, math.nan)
+        h_fold = {
+            "h_mean": float(h_mean),
+            "h_std_err": float(h_se),
+            "h_abs_err": float(max(h.abs_err, h_err)),
+            "n_outside_table": n_outside,
+        }
     survival = 1.0 - np.cumsum(counts) / n_paths
 
     return SimulationSummary(
@@ -364,7 +417,26 @@ def simulate_passage(
         mgf_u=u_nodes,
         mgf_value=m1,
         mgf_std_err=se,
+        **h_fold,
     )
+
+
+def _fold_outside(h, z, h_sum: float, h_sum2: float) -> tuple[float, float, float, int]:
+    """(h_sum, h_sum2) with h of the states z added in order, the largest
+    engine error among them (0 for none) and their count.  h is evaluated
+    once per distinct state, a bounded batch per engine call."""
+    if not len(z):
+        return h_sum, h_sum2, 0.0, 0
+    zs, where = np.unique(z, return_inverse=True)
+    batches = [
+        h.direct(zs[i : i + _STATE_BATCH]).require("h at a state outside its table")
+        for i in range(0, len(zs), _STATE_BATCH)
+    ]
+    vals = np.concatenate([b.value for b in batches])[where]
+    with np.errstate(over="ignore"):
+        h_sum += float(vals.sum())
+        h_sum2 += float((vals * vals).sum())
+    return h_sum, h_sum2, float(max(b.abs_err.max() for b in batches)), len(z)
 
 
 def default_stationary_horizon(spec: InnovationSpec, lam: float) -> int:

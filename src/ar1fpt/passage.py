@@ -3,7 +3,9 @@
 Given the problem (lam, x, a, innovation family) this module produces:
 
   * the exact identity  E tau = E H(X_tau) - H(x), H(x) from the transform
-    engine and E H(X_tau) from an empirical plug-in for the MGF of X_tau;
+    engine and E H(X_tau) as the mean of h(Z) over the pre-crossing states
+    Z = X_{tau-1} of simulated paths, h(z) = E[H(X_tau) | Z = z] tabulated
+    once from the engine (HTable);
   * the overshoot-free lower bound H(a) - H(x);
   * an upper bound from capping the innovation above;
   * an exponential tail certificate (alpha, c_bound) with
@@ -30,21 +32,25 @@ from .cumulant import LimitCumulant
 from .errors import (
     CertificateInfeasibleError,
     CoverageError,
-    DivergenceError,
     InfeasibleTruncationError,
     NoCrossingError,
 )
 from .innovations import CappedAbove, InnovationSpec
-from .quadrature import DEFAULT_U_MAX, QuadratureResult, panel_nodes
-from .transforms import transform
+from .quadrature import QuadratureResult
+from .transforms import expected_H, transform
 
-#: Nodes with empirical MGF relative standard error above this are clipped.
+#: Not used by the package: bench/tracing.py reads it, and simulate_passage's
+#: mgf_u_nodes and block_size, in every traced run; they go with the
+#: benchmark's next revision.
 MGF_REL_SE_CLIP = 0.10
 #: Transform orders the certificate scans at lam*a + cap.
 _CERT_ORDERS = 64
-#: The identity's nodes end where its envelope exp(u*y_env - phi(u))/u
-#: falls below this.
-_ENV_CUTOFF = 1e-15
+#: Chebyshev points per piece of the h table, and its reach below the level
+#: in scales of the innovation.
+_TABLE_NODES = 24
+_TABLE_REACH = 12.0
+#: States a chunk of HTable.fold: 64 KB arrays.
+_FOLD_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -170,124 +176,192 @@ def upper_bound_e_tau(p: PassageProblem, h_cap: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Identity with empirical overshoot MGF plug-in
+# Identity, Rao-Blackwellised over the pre-crossing state
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityNodes:
-    """Fixed quadrature nodes for the identity integral.
+def _crossing_threshold(lam: float, a: float, v: float) -> float:
+    """The least float z with lam*z + v > a in float arithmetic, as the
+    kernel rounds it: the pre-crossing states from which the atom v crosses."""
 
-    Frozen before any simulation so the empirical MGF can be estimated at
-    exactly these u values, with no interpolation in between.
+    def crosses(z):
+        return lam * z + v > a
+
+    lo = hi = (a - v) / lam
+    if not math.isfinite(lo):
+        return lo
+    step = math.ulp(lo)
+    while crosses(lo):
+        lo, step = lo - step, 2.0 * step
+    while not crosses(hi):
+        hi, step = hi + step, 2.0 * step
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return hi
+        lo, hi = (lo, mid) if crosses(mid) else (mid, hi)
+
+
+@dataclass(frozen=True)
+class HTable:
+    """h(z) = E[H(lam*z + eta) | lam*z + eta > a] on pre-crossing states z <= a.
+
+    Given the state Z = X_{tau-1} before the crossing, the crossing
+    innovation is eta conditioned on eta > t = a - lam*Z, so E H(X_tau) =
+    E h(Z): the paper's identity E tau = E H(X_tau) - H(x) averages h over
+    the pre-crossing states (conditional Monte Carlo, Asmussen & Glynn,
+    Stochastic Simulation, 2007, ch. V), with none of the infinite variance
+    of H(X_tau) itself.
+
+    h jumps where an atom of eta starts to cross, at the thresholds (the
+    least z from which atom i crosses, ascending as the atoms descend); on
+    each piece between them it is smooth.  The table holds h's Chebyshev
+    interpolant on each piece's part of [a - _TABLE_REACH * scale, a], in
+    powers of the piece's own coordinate x in [-1, 1] for Horner's rule, as
+    (count of atoms crossing, lo, hi, coefficients).  A state outside every
+    piece is evaluated directly.  abs_err bounds the table's error at any
+    state it covers; h_x is H(x) from the engine.
     """
 
-    u: np.ndarray
-    w: np.ndarray
-    phi_u: np.ndarray
-    y_env: float  # envelope level lam*a + (ess-sup or high quantile of eta)
-    env_is_hard: bool  # True when y_env comes from a hard support bound
-    x: float  # the start the nodes were frozen for
-    h_x: QuadratureResult  # H(x) and its error bound, from the transform engine
+    problem: PassageProblem
+    h_x: QuadratureResult
+    thresholds: np.ndarray = field(repr=False)
+    pieces: tuple[tuple[int, float, float, np.ndarray], ...] = field(repr=False)
+    abs_err: float
+
+    def direct(self, z) -> QuadratureResult:
+        """h at each state of z, one engine call."""
+        z = np.asarray(z, dtype=float)
+        return _h_at(self.problem, z, np.searchsorted(self.thresholds, z, side="right"))
+
+    def fold(self, z) -> tuple[float, float, np.ndarray]:
+        """(sum of h, sum of h**2) over the states of z that the table covers,
+        and the other states, in the order of z.
+
+        The sums are taken _FOLD_CHUNK states at a time, so no temporary is
+        as large as z: a fresh array of a block's size, per block, grows
+        and trims the heap, and the next block faults its arrays in anew.
+        """
+        h_sum = h_sum2 = 0.0
+        outside = [np.empty(0)]
+        for i in range(0, len(z), _FOLD_CHUNK):
+            hz, out = self.lookup(z[i : i + _FOLD_CHUNK])
+            h_sum += float(hz.sum())
+            h_sum2 += float(np.square(hz, out=hz).sum())
+            outside.append(out)
+        return h_sum, h_sum2, np.concatenate(outside)
+
+    def lookup(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(h at the states of z that the table covers, the other states),
+        each in the order of z."""
+        # a law without atoms has the one count 0
+        counts = np.searchsorted(self.thresholds, z, side="right") if len(self.thresholds) else 0
+        inside = np.zeros(len(z), dtype=bool)
+        out = np.empty(len(z))
+        for count, lo, hi, coef in self.pieces:
+            mine = (counts == count) & (z >= lo) & (z <= hi)
+            if mine.all():  # a law without atoms: one piece, and it covers z
+                return _polyval(z, lo, hi, coef), np.empty(0)
+            inside |= mine
+            out[mine] = _polyval(z[mine], lo, hi, coef)
+        return out[inside], z[~inside]
 
 
-def identity_nodes(p: PassageProblem) -> IdentityNodes:
-    """The engine's K15 nodes and weights for the identity's H integrand.
+def _polyval(z, lo: float, hi: float, coef) -> np.ndarray:
+    """The polynomial sum_k coef[k] x**k at x = (2z - lo - hi)/(hi - lo), by
+    Horner's rule in place: two arrays of z's size, and no other."""
+    x = z - 0.5 * (lo + hi)
+    x *= 2.0 / (hi - lo)
+    y = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        y *= x
+        y += c
+    return y
 
-    They lie on the engine's own partition for H: the unsubstituted head
-    panel [0, 1], then the dyadic panels [1, 2], ..., [u_hi/2, u_hi].  u_hi
-    is the first power of two at which exp(u*max(y_env, 0) - phi(u))/u, a
-    bound on |e^{uX} - 1| e^{-phi}/u for X <= y_env, falls below
-    _ENV_CUTOFF; y_env = lam*a plus the ess-sup of eta (or its 1 - 1e-9
-    quantile when eta is unbounded above).  Past the crossing gate, y_env <
-    y_adm: lam*a + ess-sup < ess-sup/(1 - lam) exactly when a < y_adm, and
-    y_adm is inf for a law unbounded above.  H(x) is taken here, before any
-    path is simulated: an unconverged H(x) raises DivergenceError.
+
+def _h_at(p: PassageProblem, z, counts) -> QuadratureResult:
+    """h at each state z, from which counts[i] atoms cross, one engine call.
+
+    t = a - lam*z is clipped so that exactly those atoms exceed it, as the
+    kernel's own arithmetic decided at a state within rounding of a threshold.
+    """
+    spec = p.spec
+    atoms = np.array((np.inf, *spec.atom_values(), -np.inf))
+    y0 = p.lam * z
+    t = np.clip(p.a - y0, atoms[counts + 1], np.nextafter(atoms[counts], -np.inf))[:, None]
+    log_p, y0 = spec.log_partial_mgf_above(0.0, t), y0[:, None]
+    # log E[e^{u X} | X > a] for X = lam*z + eta
+    return expected_H(
+        p.limit_cumulant(), lambda u: u * y0 + (spec.log_partial_mgf_above(u, t) - log_p)
+    )
+
+
+def h_table(p: PassageProblem) -> HTable:
+    """The identity's h table and H(x), before any path is simulated.
+
+    One engine call evaluates h at the _TABLE_NODES Chebyshev points of each
+    piece and at the extrema of T_n between them, where an interpolant's
+    error peaks.  The table's bound is twice the largest gap between the
+    polynomial and the evaluation at those extrema, plus the engine's error
+    there, its error at the points times the Lebesgue constant
+    1 + (2/pi) log n, and Horner's rounding.  The continuous part of every
+    law here lies below its atoms, so a state from which no atom crosses is
+    never a pre-crossing state, unless the law has no atoms.  An unconverged
+    H(x) or table raises DivergenceError; so does a law with no upper
+    partial MGF (stable).
     """
     feasibility_report(p).require()
-    lc = p.limit_cumulant()
-    h_x = transform(lc, "H", p.x).require(f"H(x) at x = {p.x:.6g}")
-    ub = p.spec.upper_support()
-    if ub is not None:
-        eta_hi, hard = ub, True
-    else:
-        eta_hi, hard = p.spec.upper_quantile(1.0 - 1e-9), False
-    y_env = p.lam * p.a + eta_hi
+    h_x = transform(p.limit_cumulant(), "H", p.x).require(f"H(x) at x = {p.x:.6g}")
+    atoms = p.spec.atom_values()
+    thresholds = np.array([_crossing_threshold(p.lam, p.a, v) for v in atoms])
+    edges = np.concatenate([[-np.inf], thresholds, [np.inf]])
+    lo = p.a - _TABLE_REACH * p.spec.scale()
+    counts = range(1 if atoms else 0, len(atoms) + 1)
+    spans = [(c, max(lo, edges[c]), min(p.a, edges[c + 1])) for c in counts]
+    spans = [(c, a, b) for c, a, b in spans if math.isfinite(a) and a < b]
+    if not spans:
+        return HTable(p, h_x, thresholds, (), 0.0)
+    n = _TABLE_NODES
+    theta = (np.arange(n) + 0.5) * math.pi / n
+    x_check = np.cos(np.arange(1, n) * math.pi / n)
+    grid = np.concatenate([np.cos(theta), x_check])
+    z = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * grid for _, a, b in spans])
+    res = _h_at(p, z, np.repeat([c for c, _, _ in spans], len(grid))).require("the h table")
+    basis = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    basis[0] *= 0.5
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(n)
+    pieces, bound = [], 0.0
+    values, errs = res.value.reshape(len(spans), -1), res.abs_err.reshape(len(spans), -1)
+    for (count, a, b), f, e in zip(spans, values, errs):
+        coef = np.polynomial.chebyshev.cheb2poly(basis @ f[:n])
+        gap = np.abs(_polyval(x_check, -1.0, 1.0, coef) - f[n:])
+        # Horner's rounding on |x| <= 1 is at most 2n ulps of sum |coef|
+        horner = 2 * n * 2.0**-53 * np.abs(coef).sum()
+        bound = max(bound, 2.0 * gap.max() + e[n:].max() + lebesgue * e[:n].max() + horner)
+        pieces.append((count, a, b, coef))
+    return HTable(p, h_x, thresholds, tuple(pieces), float(bound))
 
-    # the envelope exp(u*max(y_env, 0) - phi(u))/u at u = 2, 4, ..., up to
-    # the first power of two at or above DEFAULT_U_MAX
-    u_hi = 2.0 ** np.arange(1, math.ceil(math.log2(DEFAULT_U_MAX)) + 1)
-    env = np.exp(np.minimum(u_hi * max(y_env, 0.0) - lc.phi(u_hi)[0], 700.0)) / u_hi
-    below = np.flatnonzero(env < _ENV_CUTOFF)
-    if len(below) == 0:
-        raise DivergenceError(
-            f"identity integral envelope is still {env[-1]:.3g} at u={u_hi[-1]:.6g} "
-            f"(cutoff {_ENV_CUTOFF:.3g}); y_env={y_env:.6g} is too close to "
-            f"y_adm={lc.y_adm:.6g}"
-        )
-    u, w = panel_nodes(u_hi[below[0]])
-    phi_u = lc.phi(u)[0]
-    return IdentityNodes(u=u, w=w, phi_u=phi_u, y_env=y_env, env_is_hard=hard, x=p.x, h_x=h_x)
 
+def identity_estimate(p: PassageProblem, summary, table: HTable) -> tuple[float, float]:
+    """E tau = E h(Z) - H(x) and its error, from a simulation that folded h(Z).
 
-def identity_e_tau(
-    p: PassageProblem, mgf_u, mgf_value, mgf_std_err, nodes: IdentityNodes
-) -> tuple[float, float]:
-    """E tau = E H(X_tau) - H(x), with an empirical MGF plug-in for E H(X_tau).
-
-    H(x) and its error bound come with the nodes, which integrate only
-    E H(X_tau) = int (E e^{u X_tau} - 1) e^{-phi(u)} / u du / log(1/lam).
-    mgf_* are per-node arrays aligned with nodes = identity_nodes(p): the
-    estimate of E exp(u * X_tau) and its standard error.  Foreign nodes raise
-    CoverageError, and so does a summary in which no path crossed (every
-    estimate NaN), whose nodes have no data to bound.  Node standard errors
-    propagate linearly; nodes with relative standard error above
-    MGF_REL_SE_CLIP are dropped from the value, and the reported error takes
-    their neglected part: the hard envelope of e^{u X_tau} - 1 on a <= X_tau
-    <= y_env when eta is bounded above, else the noisy value plus its error.
-    An error that is not finite, where the MGF overflowed at nodes whose
-    e^{-phi} underflows, raises CoverageError: it would pass any gate.
+    summary is simulate_passage(p, ..., h=table)'s.  The error is the sum
+    of the fold's standard error, the bound on the h values (the table's,
+    or a direct evaluation's where larger) and H(x)'s engine error.  A
+    table built for another problem, a summary without the fold, one in
+    which no path crossed and an error that is not finite each raise
+    CoverageError.
     """
-    u = np.asarray(mgf_u, dtype=float)
-    if u.shape != nodes.u.shape or not np.allclose(u, nodes.u, rtol=1e-12, atol=0.0):
-        raise CoverageError("empirical MGF nodes do not match the quadrature nodes")
-    if nodes.x != p.x:
-        raise CoverageError(f"identity nodes were frozen for x = {nodes.x:.6g}, not x = {p.x:.6g}")
-    mgf = np.asarray(mgf_value, dtype=float)
-    se = np.asarray(mgf_std_err, dtype=float)
-    if np.isnan(mgf).all():
-        raise CoverageError("no path crossed the level: the empirical MGF covers no node")
-
-    scale = 1.0 / math.log(1.0 / p.lam)
-    coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u * scale
-    # moments that overflowed give inf/inf: a NaN that counts as clipped
-    with np.errstate(invalid="ignore"):
-        rel_se = np.divide(se, np.abs(mgf), out=np.full_like(se, np.inf), where=mgf != 0)
-    active = rel_se <= MGF_REL_SE_CLIP
-
-    value = float(np.sum(coef[active] * (mgf[active] - 1.0))) - nodes.h_x.value
-    std_err = float(np.sum(np.abs(coef[active]) * se[active])) + nodes.h_x.abs_err
-    if not np.all(active):
-        clipped = ~active
-        if nodes.env_is_hard:
-            # w*scale/u * e^{-phi} max(e^{u*y_env} - 1, 1 - e^{u*min(a, 0)}),
-            # each exponent formed whole: e^{u*y_env} alone overflows where
-            # e^{-phi} is tiny
-            uc, phic, lo = nodes.u[clipped], nodes.phi_u[clipped], min(p.a, 0.0)
-            e0 = np.exp(-phic)
-            gap = np.maximum(np.exp(uc * nodes.y_env - phic) - e0, e0 - np.exp(uc * lo - phic))
-            neglected = nodes.w[clipped] * scale / uc * gap
-        else:
-            # no a.s. envelope exists; bound the dropped nodes by their own
-            # noisy estimates
-            with np.errstate(invalid="ignore"):  # 0 * inf where e^{-phi} underflows
-                neglected = np.abs(coef[clipped]) * (
-                    np.abs(mgf[clipped] - 1.0)
-                    + np.where(np.isfinite(se[clipped]), se[clipped], np.abs(mgf[clipped]))
-                )
-        std_err += float(np.sum(neglected))
-    if not math.isfinite(std_err):
-        raise CoverageError("the identity's error is not finite: the empirical MGF overflowed at nodes it cannot bound")
+    if table.problem != p:
+        raise CoverageError(f"the h table was built for {table.problem}, not {p}")
+    if summary.h_mean is None:
+        raise CoverageError("the simulation folded no h(Z): pass h=table to simulate_passage")
+    if summary.n_crossed == 0:
+        raise CoverageError("no path crossed the level: the identity has no pre-crossing state")
+    value = summary.h_mean - table.h_x.value
+    std_err = summary.h_std_err + summary.h_abs_err + table.h_x.abs_err
+    if not (math.isfinite(value) and math.isfinite(std_err)):
+        raise CoverageError(f"the identity is not finite: {value!r} +- {std_err!r}")
     return value, std_err
 
 

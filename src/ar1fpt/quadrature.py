@@ -14,9 +14,7 @@ to [128, 256] together; while some state's integrand is still alive at the
 end of the tail, one more call adds eight panels (to 65,536, then to the
 ceiling DEFAULT_U_MAX).  A panel's error is |K15 - G7|, and the
 panels whose error exceeds their share of some state's tolerance are
-bisected, all of them in one integrand call per round.  panel_nodes freezes
-the K15 nodes of that partition, before bisection, for integrands known only
-at fixed nodes, such as an empirical moment generating function.
+bisected, all of them in one integrand call per round.
 """
 
 from __future__ import annotations
@@ -240,21 +238,3 @@ def improper_integral(
         diag.reshape(state_shape),
     )
 
-
-# ---------------------------------------------------------------------------
-# Fixed node sets (for empirical plug-ins)
-# ---------------------------------------------------------------------------
-
-
-def panel_nodes(u_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The engine's K15 nodes and weights on its first partition of [0, u_hi].
-
-    The panels are the unsubstituted head panel [0, 1] and the dyadic panels
-    [1, 2], [2, 4], ..., [u_hi/2, u_hi], u_hi rounded up to a power of two
-    (at least 2): the panels improper_integral lays down for s = 0 before
-    it bisects.  Suitable for integrands that are smooth on (0, u_hi) and
-    negligible beyond.
-    """
-    a, b = _dyadic_panels(max(1, math.ceil(math.log2(u_hi))))
-    u, jac = _nodes(a, b, None, 1.0)
-    return u.ravel(), (jac * _WK15).ravel()

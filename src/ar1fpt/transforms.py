@@ -19,7 +19,9 @@ quadrature.improper_integral: the integrand takes the engine's node array
 u, evaluates phi(u) once, and returns the (states x nodes) array of
 integrand values for a whole batch of states.  transform is the one
 entry point: it evaluates any batch, a single state included, with one
-order v or one order per state.
+order v or one order per state.  expected_H averages H over a batch of
+laws of the state, given by their log-MGFs: the u- and state-integrals
+swapped, H's integrand with e^{u y} replaced by E e^{u Y}.
 """
 
 from __future__ import annotations
@@ -43,6 +45,30 @@ def _require_admissible(lc, y):
             f"transform integral diverges at y={y_top}: states must lie below "
             f"y_adm={lc.y_adm:.6g}"
         )
+
+
+def expected_H(lc: LimitCumulant, log_mgf) -> QuadratureResult:
+    """E H(Y) for a batch of laws of Y, in one engine call.
+
+    log_mgf maps the engine's node array u to the (states x nodes) array
+    log E e^{uY}; then E H(Y) = (1/log(1/lam)) int (E e^{uY} - 1) e^{-phi(u)}
+    du/u, the u- and Y-integrals swapped.  H(y) is the point mass
+    log_mgf(u) = u*y.  Every law must live below lc.y_adm, or its integral
+    diverges.
+    """
+
+    def integrand(u):
+        phi_u = lc.phi(u)[0]
+        e = log_mgf(u)
+        e0 = np.exp(np.minimum(-phi_u, _EXP_CLIP))
+        # the expm1 form where the difference of exponentials cancels; the
+        # clip keeps the unselected branch finite
+        small = e0 * np.expm1(np.clip(e, -1.0, 1.0))
+        return np.where(np.abs(e) < 0.5, small, np.exp(np.minimum(e - phi_u, _EXP_CLIP)) - e0) / u
+
+    res = improper_integral(integrand)
+    scale = 1.0 / math.log(1.0 / lc.lam)
+    return dataclasses.replace(res, value=res.value * scale, abs_err=res.abs_err * scale)
 
 
 def transform(lc: LimitCumulant, kind: str, y, v=None) -> QuadratureResult:
@@ -74,28 +100,19 @@ def transform(lc: LimitCumulant, kind: str, y, v=None) -> QuadratureResult:
         y, v = np.broadcast_arrays(y, orders)
     ys, vs = y[..., None], v[..., None] if np.ndim(v) > 0 else v
 
+    if kind == "H":
+        return expected_H(lc, lambda u: u * ys)
+
     def integrand(u):
-        phi_u = lc.phi(u)[0]
-        uy = u * ys
-        expo = np.minimum(uy - phi_u, _EXP_CLIP)
+        expo = np.minimum(u * ys - lc.phi(u)[0], _EXP_CLIP)
         if kind == "N":
             return np.exp(expo) * u ** (vs - 1.0)
-        if kind == "H":
-            e0 = np.exp(np.minimum(-phi_u, _EXP_CLIP))
-            # the expm1 form where the difference of exponentials cancels;
-            # the clip keeps the unselected branch finite
-            small = e0 * np.expm1(np.clip(uy, -1.0, 1.0))
-            return np.where(np.abs(uy) < 0.5, small, np.exp(expo) - e0) / u
         bracket = np.where(u <= 1.0, np.expm1(expo), np.exp(expo))
         return bracket * u ** (vs - 1.0)
 
-    res = improper_integral(
+    return improper_integral(
         integrand, singular_power=power, offset=1.0 / v if kind == "W" else 0.0
     )
-    if kind != "H":
-        return res
-    scale = 1.0 / math.log(1.0 / lc.lam)
-    return dataclasses.replace(res, value=res.value * scale, abs_err=res.abs_err * scale)
 
 
 # ---------------------------------------------------------------------------

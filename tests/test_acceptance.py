@@ -24,8 +24,8 @@ from ar1fpt import (
     check_harmonic,
     exponential_certificate,
     feasibility_report,
-    identity_e_tau,
-    identity_nodes,
+    h_table,
+    identity_estimate,
     lower_bound_e_tau,
     simulate_passage,
     simulate_stationary,
@@ -39,15 +39,15 @@ Z99_ONE_SIDED = 2.3263478740408408
 
 @pytest.fixture(scope="module")
 def flagship_run():
-    nodes = identity_nodes(FLAGSHIP)
+    table = h_table(FLAGSHIP)
     sim = simulate_passage(
         FLAGSHIP,
         n_paths=10**6,
         max_steps=10**6,
         seed=FLAGSHIP_SEED,
-        mgf_u_nodes=nodes.u,
+        h=table,
     )
-    return nodes, sim
+    return table, sim
 
 
 def test_criterion_01_series_matches_closed_form():
@@ -98,11 +98,11 @@ def test_criterion_03_harmonicity_suite():
 
 def test_criterion_04_deterministic_identity_exact():
     p = PassageProblem(lam=0.5, x=0.0, a=1.5, spec=Deterministic(1.0))
-    nodes = identity_nodes(p)
-    sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=1, mgf_u_nodes=nodes.u)
+    table = h_table(p)
+    sim = simulate_passage(p, n_paths=4096, max_steps=50, seed=1, h=table)
     assert sim.n_crossed == sim.n_paths
     assert sim.e_tau_hat == 3.0 and sim.e_tau_std_err == 0.0
-    value, _ = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+    value, _ = identity_estimate(p, sim, table)
     assert abs(value - 3.0) < 1e-8
     print(
         f"PASS criterion 4: deterministic identity = {value!r} "
@@ -111,9 +111,9 @@ def test_criterion_04_deterministic_identity_exact():
 
 
 def test_criterion_05_flagship_identity_cross_check(flagship_run):
-    nodes, sim = flagship_run
+    table, sim = flagship_run
     assert sim.n_censored == 0
-    value, std_err = identity_e_tau(FLAGSHIP, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+    value, std_err = identity_estimate(FLAGSHIP, sim, table)
     combined = math.hypot(std_err, sim.e_tau_std_err)
     diff = abs(value - sim.e_tau_hat)
     assert diff <= 3.0 * combined
@@ -209,17 +209,15 @@ def test_criterion_11_thread_count_reproducibility(monkeypatch):
     blobs = {}
     for threads in ("1", "8"):
         monkeypatch.setenv("FPT_THREADS", threads)
-        nodes = identity_nodes(FLAGSHIP)
+        table = h_table(FLAGSHIP)
         sim5 = simulate_passage(
             FLAGSHIP,
             n_paths=10**6,
             max_steps=10**6,
             seed=FLAGSHIP_SEED,
-            mgf_u_nodes=nodes.u,
+            h=table,
         )
-        value, std_err = identity_e_tau(
-            FLAGSHIP, sim5.mgf_u, sim5.mgf_value, sim5.mgf_std_err, nodes
-        )
+        value, std_err = identity_estimate(FLAGSHIP, sim5, table)
         sim7 = simulate_passage(FLAGSHIP, n_paths=10**6, max_steps=10**4, seed=314159)
         blobs[threads] = json.dumps(
             {

@@ -101,8 +101,8 @@ def test_identity_check_deterministic_zero_discrepancy(tmp_path, capsys):
 
 
 def test_identity_check_with_overflowing_moments(tmp_path):
-    # near y_adm the nodes reach u = 2**13 or more, where the MGF moments of
-    # X_tau overflow to inf; those nodes are clipped, silently
+    # near y_adm, where an MGF of X_tau would overflow at the large u its
+    # integral needs: the h table integrates it whole, E[e^{uX} | Z] e^{-phi}
     det = {"family": {"name": "deterministic", "c": 0.5}, "lambda": 0.5, "x": 0, "a": 0.99}
     code, report, _ = run(tmp_path, "identity-check", det, "--paths", "100")
     assert code == 0
@@ -254,11 +254,13 @@ def test_non_finite_inputs_fail_typed(tmp_path, capsys, subcommand, cfg, flags):
 
 
 def test_identity_check_truncated_envelope_fails_typed(tmp_path, capsys):
+    # X_tau = 1.99995 sits 5e-5 below y_adm = 2: the h table's integrand is
+    # still alive at the engine's ceiling u = 1e5
     cfg = dict(DET_CFG, a=2.0 - 1e-4)
     code, report, _ = run(tmp_path, "identity-check", cfg, "--paths", "100")
     err = capsys.readouterr().err
     assert code == 4 and report is None
-    assert "error[DivergenceError]" in err and "Traceback" not in err
+    assert "error[DivergenceError]: the h table did not converge" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("subcommand", ["identity-check", "bounds", "certificate"])
@@ -287,12 +289,12 @@ def test_unexplained_discrepancy_reads_inf(tmp_path, monkeypatch, capsys):
     # a deterministic law has no spread, so the Monte Carlo standard error
     # is 0; with an identity error of 0 too, a discrepancy is explained by
     # nothing: inf on stdout, null in the report
-    exact = cli.identity_e_tau
+    exact = cli.identity_estimate
 
     def off_by_a_little(*args):
         return exact(*args)[0] + 1e-3, 0.0
 
-    monkeypatch.setattr(cli, "identity_e_tau", off_by_a_little)
+    monkeypatch.setattr(cli, "identity_estimate", off_by_a_little)
     code, report, _ = run(tmp_path, "identity-check", DET_CFG, "--paths", "500")
     res = report["results"]
     assert code == 0 and res["mc_e_tau_std_err"] == 0.0
@@ -689,10 +691,40 @@ def test_simulate_with_an_overflowing_overshoot_error_writes_null(tmp_path):
 
 
 def test_identity_check_with_an_unbounded_error_fails_typed(tmp_path, capsys):
-    # paths cross near 2000, so e^{u X_tau} overflows at nodes where
-    # e^{-phi(u)} underflows: the identity's error has no finite bound
+    # paths cross near 1500 to 2000, where the empirical MGF of X_tau
+    # overflowed at nodes whose e^{-phi(u)} underflows and its error had no
+    # finite bound (exit 6).  h(Z) has none of that: about half the states,
+    # near 1000, lie below the table and are evaluated directly, and the
+    # identity is checked against the Monte Carlo mean
     far = dict(GAUSS_CFG, family={"name": "gaussian", "m": 1000, "var": 1}, a=1500)
     code, report, _ = run(tmp_path, "identity-check", far, "--paths", "500")
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    res = report["results"]
+    assert 0 < res["n_outside_table"] < 500
+    assert math.isfinite(res["identity_std_err"]) and res["discrepancy_sigmas"] <= 3.0
+
+
+def test_identity_check_on_a_law_wider_than_its_level_writes_no_warning(tmp_path):
+    # Gaussian(0, 1e300) at x = a = -1e300: phi's closed form reaches inf on
+    # the engine's nodes, silently; the run exits 0 with strict JSON, or
+    # fails typed
+    cfg = dict(GAUSS_CFG, family={"name": "gaussian", "m": 0, "var": 1e300}, x=-1e300, a=-1e300)
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["identity-check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]
+    argv += ["--paths", "200"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ar1fpt.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode in (0, 4, 6), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=refuse_constant)
+
+
+def test_stable_identity_check_fails_typed(tmp_path, capsys):
+    # no upper partial MGF with a checked error bar, so no h table
+    code, report, _ = run(tmp_path, "identity-check", STABLE_CFG, "--paths", "200")
     err = capsys.readouterr().err
-    assert code == 6 and report is None
-    assert "error[CoverageError]" in err and "not finite" in err and "Traceback" not in err
+    assert code == 4 and report is None
+    assert "error[DivergenceError]" in err and "upper partial MGF" in err and "Traceback" not in err

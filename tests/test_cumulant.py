@@ -26,7 +26,7 @@ from ar1fpt import (
 from ar1fpt import DivergenceError, SeriesDivergenceError, cumulant, innovations
 from ar1fpt.cumulant import K_MAX
 from ar1fpt.innovations import TAYLOR_REACH, Truncated
-from ar1fpt.quadrature import panel_nodes
+from ar1fpt import quadrature
 
 U_GRID = np.linspace(0.0, 50.0, 26)
 LAMBDAS = (0.3, 0.5, 0.9)
@@ -194,8 +194,14 @@ def test_series_bytes_do_not_depend_on_block_sizes(monkeypatch, spec, lam, narro
     assert narrow_err.tobytes() == abs_err.tobytes()
 
 
+def _engine_nodes(k):
+    """The K15 nodes of the engine's head panel [0, 1] and its dyadic panels up to u = 2**k."""
+    a, b = quadrature._dyadic_panels(k)
+    return quadrature._nodes(a, b, np.arange(len(a)) == 0, 1.0)[0].ravel()
+
+
 #: Node sets of the engine's head and dyadic panels, up to u = 2, 16, 256, 2**17.
-NODE_SETS = [panel_nodes(2.0**k)[0] for k in (1, 4, 8, 17)]
+NODE_SETS = [_engine_nodes(k) for k in (1, 4, 8, 17)]
 
 
 @st.composite
@@ -347,8 +353,13 @@ def exact_cumulants(spec, n):
 atom_values = st.floats(-3.0, 3.0).filter(lambda a: a == 0.0 or abs(a) > 1e-290)
 
 
+#: Atoms on the grid of 2**-20, so that a law moved by a shift on the same
+#: grid (below 2**32 in size) has its atoms moved exactly.
+dyadic_values = st.integers(-3 << 20, 3 << 20).map(lambda k: k / 2.0**20)
+
+
 @st.composite
-def discrete_laws(draw):
+def discrete_laws(draw, atom_values=atom_values):
     values = draw(st.lists(atom_values, min_size=2, max_size=4, unique=True))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values)))
     total = sum(weights)
@@ -375,14 +386,16 @@ def test_phi_near_zero_is_the_cumulant_series(spec, frac, lam):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    spec=discrete_laws(),
-    shift=st.floats(-100.0, 100.0),
+    spec=discrete_laws(dyadic_values),
+    shift=st.integers(-100 << 20, 100 << 20).map(lambda k: k / 2.0**20),
     u=st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 50.0)),
     lam=st.sampled_from(LAMBDAS),
 )
 def test_phi_of_a_shifted_law_shifts_by_its_mean_term(spec, shift, u, lam):
-    # phi(law + c)(u) = phi(law)(u) + c u/(1 - lam), within the two bounds
+    # phi(law + c)(u) = phi(law)(u) + c u/(1 - lam), within the two bounds;
+    # atoms and shift on one dyadic grid, so every moved atom is exact
     moved = Discrete(tuple((a + shift, p) for a, p in spec.atoms()))
+    assert all(a - shift == b for (a, _), (b, _) in zip(moved.atoms(), spec.atoms()))
     value, bound = LimitCumulant(spec, lam).phi(u)
     moved_value, moved_bound = LimitCumulant(moved, lam).phi(u)
     drift = shift * u / (1.0 - lam)

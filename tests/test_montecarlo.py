@@ -21,12 +21,12 @@ from ar1fpt import (
     StableSpectrallyNegative,
     TwoPoint,
     empirical_martingale_check,
-    identity_nodes,
+    h_table,
     simulate_passage,
     simulate_stationary,
     stationary_reference,
 )
-from ar1fpt import montecarlo
+from ar1fpt import montecarlo, quadrature
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 
@@ -77,14 +77,15 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     assert montecarlo._worker_count() == 1
 
 
-def _reference_run_block(p, block, size, max_steps, seed, u_nodes):
+def _reference_run_block(p, block, size, max_steps, seed, u_nodes, h=None):
     # the kernel as first written: each step scatters its crossings into the
-    # path-ordered tau and x_tau, then compacts the live paths
+    # path-ordered tau, x_tau and pre-crossing z, then compacts the live paths
     rng = montecarlo._block_rng(seed, montecarlo._DOMAIN_PASSAGE, block)
     alive_idx = np.arange(size)
     x_alive = np.full(size, float(p.x))
     tau = np.zeros(size, dtype=np.int64)
     x_tau = np.full(size, np.nan)
+    z_tau = np.full(size, np.nan)
     step = 0
     while len(alive_idx) and step < max_steps:
         step += 1
@@ -93,12 +94,16 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes):
         done = alive_idx[crossed]
         tau[done] = step
         x_tau[done] = x_new[crossed]
+        z_tau[done] = x_alive[crossed]
         alive_idx = alive_idx[~crossed]
         x_alive = x_new[~crossed]
     crossed_mask = tau > 0
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
     mgf = _direct_mgf_moments(u_nodes, x_tau[crossed_mask])
+    extra = {}
+    if h is not None:
+        extra = dict(zip(("h_sum", "h_sum2", "z_outside"), h.fold(z_tau[crossed_mask])))
     return montecarlo._BlockResult(
         tau_counts=np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64),
         n_censored=int(len(alive_idx)),
@@ -106,10 +111,11 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes):
         sum_xi2=float((xis**2).sum()),
         mgf_m1=mgf[0],
         mgf_m2=mgf[1],
+        **extra,
     )
 
 
-@pytest.mark.parametrize("with_nodes", [False, True], ids=["plain", "mgf"])
+@pytest.mark.parametrize("with_nodes", [False, True, "h"], ids=["plain", "mgf", "h"])
 @pytest.mark.parametrize(
     "p,n_paths,kwargs",
     [
@@ -125,13 +131,21 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes):
 )
 def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwargs, with_nodes):
     # the last node clips where X_tau > 709 / 400
-    nodes = np.append(np.linspace(0.0, 3.0, 20), 400.0) if with_nodes else None
+    nodes = np.append(np.linspace(0.0, 3.0, 20), 400.0) if with_nodes is True else None
+    if with_nodes == "h" and isinstance(p.spec, StableSpectrallyNegative):
+        with pytest.raises(DivergenceError, match="upper partial MGF"):
+            h_table(p)  # no h table for a stable law yet
+        return
+    if with_nodes == "h":
+        kwargs = dict(kwargs, h=h_table(p))
     runs = []
     for kernel in (montecarlo._run_block, _reference_run_block):
         monkeypatch.setattr(montecarlo, "_run_block", kernel)
         sim = simulate_passage(p, n_paths, seed=5, mgf_u_nodes=nodes, **kwargs)
         runs.append(json.dumps(sim.to_dict(), sort_keys=True))
     assert runs[0] == runs[1]
+    if with_nodes == "h":
+        assert json.loads(runs[0])["h_mean"] is not None
 
 
 @pytest.mark.parametrize("m,var", [(0.0, 1.0), (0.3, 2.0), (-1.7, 0.37)])
@@ -266,7 +280,9 @@ def test_rows_that_can_clip_are_plain_exp_bit_for_bit(x):
 
 
 def test_a_doubled_rows_first_sum_is_its_halfs_second():
-    nodes = identity_nodes(GAUSS).u
+    # the K15 nodes of the engine's panels [0, 1], [1, 2], ..., [8, 16]
+    a, b = quadrature._dyadic_panels(4)
+    nodes = quadrature._nodes(a, b, np.arange(len(a)) == 0, 1.0)[0].ravel()
     vals = _overshoots(5000)
     m1, m2 = montecarlo._mgf_moments(nodes, vals)
     pairs = [

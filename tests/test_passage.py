@@ -1,10 +1,15 @@
 """Passage problems: feasibility, expectation identity, bounds, certificates."""
 
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import reference  # noqa: E402  (the benchmark's references: numpy only, no ar1fpt)
 
 from ar1fpt import (
     CappedAbove,
@@ -18,12 +23,13 @@ from ar1fpt import (
     InfeasibleTruncationError,
     NoCrossingError,
     PassageProblem,
+    StableSpectrallyNegative,
     TwoPoint,
     check_harmonic,
     exponential_certificate,
     feasibility_report,
-    identity_e_tau,
-    identity_nodes,
+    h_table,
+    identity_estimate,
     lower_bound_e_tau,
     simulate_passage,
     transform,
@@ -32,6 +38,7 @@ from ar1fpt import (
 
 DET = PassageProblem(lam=0.5, x=0.0, a=1.5, spec=Deterministic(1.0))
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
+THREE_ATOM = Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3)))
 
 
 def test_problem_validation():
@@ -69,27 +76,31 @@ def test_feasibility_unbounded_family_never_certain_infinite():
 
 
 # -- expectation identity ----------------------------------------------------
+#
+# The identity's nodes are the h table's Chebyshev points in the
+# pre-crossing state z, frozen before any path is simulated.
 
 
 def test_deterministic_identity_exact():
-    nodes = identity_nodes(DET)
-    sim = simulate_passage(DET, n_paths=512, max_steps=50, seed=0, mgf_u_nodes=nodes.u)
+    table = h_table(DET)
+    sim = simulate_passage(DET, n_paths=512, max_steps=50, seed=0, h=table)
     assert sim.e_tau_hat == 3.0 and sim.e_tau_std_err == 0.0
-    value, std_err = identity_e_tau(DET, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+    value, std_err = identity_estimate(DET, sim, table)
     assert abs(value - 3.0) < 1e-8
     assert std_err < 1e-6
 
 
 def test_identity_rejects_foreign_nodes():
-    nodes = identity_nodes(DET)
-    u = np.linspace(0.01, 5.0, 40)
-    with pytest.raises(CoverageError):
-        identity_e_tau(DET, u, np.ones_like(u), np.zeros_like(u), nodes)
-    # the same u, frozen with the H(x) of another start
+    table = h_table(DET)
+    sim = simulate_passage(DET, n_paths=16, max_steps=50, seed=0, h=table)
+    # the same law, tabulated with the H(x) of another start
     other = PassageProblem(lam=DET.lam, x=-1.0, a=DET.a, spec=DET.spec)
-    ones = np.ones_like(nodes.u)
-    with pytest.raises(CoverageError, match="frozen for x = 0"):
-        identity_e_tau(other, nodes.u, ones, np.zeros_like(ones), nodes)
+    with pytest.raises(CoverageError, match="built for"):
+        identity_estimate(other, sim, table)
+    # a simulation that folded no h(Z)
+    plain = simulate_passage(DET, n_paths=16, max_steps=50, seed=0)
+    with pytest.raises(CoverageError, match="folded no h"):
+        identity_estimate(DET, plain, table)
 
 
 @pytest.mark.parametrize(
@@ -98,56 +109,54 @@ def test_identity_rejects_foreign_nodes():
     ids=["unbounded-law", "hard-envelope"],
 )
 def test_identity_with_no_crossed_path_raises(p):
-    # every estimate is NaN and every standard error inf; the two branches
-    # that bound the dropped nodes gave (0.0, nan) and (0.0, 9.27)
-    nodes = identity_nodes(p)
-    sim = simulate_passage(p, 5, max_steps=1, seed=0, mgf_u_nodes=nodes.u)
+    table = h_table(p)
+    sim = simulate_passage(p, 5, max_steps=1, seed=0, h=table)
     assert sim.n_crossed == 0
     with pytest.raises(CoverageError, match="no path crossed"):
-        identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
-
-
-def test_identity_hard_envelope_bounds_the_clipped_nodes():
-    # tau = 7 exactly; 69 of the 210 nodes have overflowed moments and are
-    # clipped.  Their neglected part, the sum of w/u (e^{u*y_env - phi} -
-    # e^{-phi}) / log(1/lam) at x = 0, is 0.1042; capping e^{u*y_env} at e^700
-    # apart from e^{-phi} would understate it as 0.0934
-    p = PassageProblem(lam=0.5, x=0.0, a=0.99, spec=Deterministic(0.5))
-    nodes = identity_nodes(p)
-    sim = simulate_passage(p, n_paths=100, seed=0, mgf_u_nodes=nodes.u)
-    value, std_err = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
-    assert abs(value - 7.0) <= std_err
-    assert math.isclose(std_err, 0.1042, rel_tol=1e-3)
+        identity_estimate(p, sim, table)
 
 
 def test_identity_hard_envelope_covers_a_level_below_zero():
-    # tau = 1 and X_tau = -0.9 exactly, y_env = -0.4.  With every node
-    # clipped the value is -H(x), and the dropped E H(X_tau) = H(-0.9) =
-    # -log2(5.5) is bounded by 1 - e^{u*a}, not by |e^{u*y_env} - 1|: that
-    # bound integrates to log2(3) and falls short
+    # tau = 1, Z = x = -2 and X_tau = -0.9 exactly: the table's one piece
+    # covers the negative state, and h(-2) = H(-0.9)
     p = PassageProblem(lam=0.5, x=-2.0, a=-1.0, spec=Deterministic(0.1))
-    nodes = identity_nodes(p)
-    mgf = np.exp(nodes.u * -0.9)
-    value, std_err = identity_e_tau(p, nodes.u, mgf, mgf, nodes)
-    assert abs(value - 1.0) <= std_err
-    assert math.isclose(std_err - nodes.h_x.abs_err, math.log2(6.0), rel_tol=1e-8)
+    table = h_table(p)
+    sim = simulate_passage(p, n_paths=100, seed=0, h=table)
+    assert sim.n_outside_table == 0 and sim.h_abs_err == table.abs_err
+    value, std_err = identity_estimate(p, sim, table)
+    assert abs(value - 1.0) <= std_err < 1e-7
+    h_y = transform(p.limit_cumulant(), "H", -0.9)
+    assert abs(sim.h_mean - h_y.value) <= table.abs_err + h_y.abs_err
 
 
 def test_identity_nodes_deterministic_envelope_is_hard():
-    nodes = identity_nodes(DET)
-    assert nodes.env_is_hard and nodes.y_env == 1.75  # lam*a + ess-sup
-    gn = identity_nodes(GAUSS)
-    assert not gn.env_is_hard
+    # a law bounded above is crossed only from z > (a - ess-sup)/lam: the
+    # table starts there and covers every pre-crossing state
+    table = h_table(DET)
+    (count, lo, hi, _), = table.pieces
+    (threshold,) = table.thresholds
+    assert (count, lo, hi) == (1, threshold, 1.5)
+    # the kernel's own test: 0.5*z + 1 > 1.5 holds from the threshold on,
+    # two ulps above 1, where 0.5*z + 1 first rounds above 1.5
+    assert 0.5 * threshold + 1.0 > 1.5 >= 0.5 * np.nextafter(threshold, 0.0) + 1.0
+    assert threshold == np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+    # a Gaussian has no such bound: the table reaches 12 scales below the
+    # level, and a state further down is evaluated directly
+    (count, lo, hi, _), = h_table(GAUSS).pieces
+    assert (count, lo, hi) == (0, -11.0, 1.0)
+    _, outside = h_table(GAUSS).lookup(np.array([-11.5, -11.0, 0.0]))
+    assert outside.tolist() == [-11.5]
 
 
 def test_identity_nodes_raise_on_truncated_envelope():
-    # y_env = 1.9999 sits 5e-5 below y_adm = 2: at u = 2**17 the envelope
-    # exp(u*(y_env - 2))/u is still about 7e-8, far above the cutoff
+    # lam*z + 1 reaches 1.99995, 5e-5 below y_adm = 2: at u = 1e5 the
+    # integrand exp(u*(y - 2))/u is still about 7e-8
     p = PassageProblem(lam=0.5, x=0.0, a=2.0 - 1e-4, spec=Deterministic(1.0))
-    with pytest.raises(DivergenceError):
-        identity_nodes(p)
-    # the flagship envelope dies at u = 16: five 15-node panels, [0, 1] to [8, 16]
-    assert len(identity_nodes(GAUSS).u) == 75
+    with pytest.raises(DivergenceError, match="h table"):
+        h_table(p)
+    # the flagship table: one piece of 24 Chebyshev coefficients
+    (_, _, _, coef), = h_table(GAUSS).pieces
+    assert len(coef) == 24
 
 
 NODE_RULE_PROBLEMS = [
@@ -163,6 +172,11 @@ NODE_RULE_PROBLEMS = [
 ]
 
 
+def _off_node_states(table, k=41):
+    """k states strictly inside each piece, none of them a Chebyshev point."""
+    return np.concatenate([np.linspace(lo, hi, k + 2)[1:-1] for _, lo, hi, _ in table.pieces])
+
+
 @pytest.mark.parametrize(
     "p",
     NODE_RULE_PROBLEMS,
@@ -172,41 +186,129 @@ NODE_RULE_PROBLEMS = [
     ],
 )
 def test_identity_nodes_reproduce_H_increments(p):
-    # the frozen rule with the MGF of a point mass at y is H(y) alone, and
-    # the identity of that point mass is H(y) - H(x); the nodes' u and
-    # weights do not depend on x, so x far below the level tests H(x) alone
-    lc = p.limit_cumulant()
-    nodes = identity_nodes(p)
-    y = np.linspace(p.a, nodes.y_env, 9)
-    coef = nodes.w * np.exp(-nodes.phi_u) / nodes.u / math.log(1.0 / p.lam)
-    mgf = np.exp(np.outer(y, nodes.u))
-    ref = transform(lc, "H", np.append(y, p.x))
+    # the identity's increment at a pre-crossing state z is h(z) - H(x):
+    # the table's, at 41 off-node states a piece, against a direct
+    # evaluation, within the table's bound and the engine's errors; H(x) is
+    # the engine's own
+    table = h_table(p)
+    h_x = transform(p.limit_cumulant(), "H", p.x)
+    assert (table.h_x.value, table.h_x.abs_err) == (h_x.value, h_x.abs_err)
+    z = _off_node_states(table)
+    got, outside = table.lookup(z)
+    assert len(outside) == 0
+    ref = table.direct(z)
     assert ref.converged.all()
-    np.testing.assert_allclose((mgf - 1.0) @ coef, ref.value[:-1], rtol=1e-10, atol=0.0)
-    zero = np.zeros_like(nodes.u)
-    identity = [identity_e_tau(p, nodes.u, row, zero, nodes)[0] for row in mgf]
-    want = ref.value[:-1] - ref.value[-1]
-    np.testing.assert_allclose(identity, want, rtol=1e-10, atol=0.0)
+    gap = np.abs((got - h_x.value) - (ref.value - h_x.value))
+    np.testing.assert_array_less(gap, table.abs_err + ref.abs_err)
 
 
 def test_identity_far_below_the_level_matches_monte_carlo():
     # x = -1000 enters only through H(x); lam**n * 1000 falls below 1 after
     # about ten steps, so E tau is about ten more than at x = 0
     p = PassageProblem(lam=0.5, x=-1000.0, a=1.0, spec=Gaussian(0.0, 1.0))
-    nodes = identity_nodes(p)
-    sim = simulate_passage(p, n_paths=20_000, seed=3, mgf_u_nodes=nodes.u)
-    value, std_err = identity_e_tau(p, sim.mgf_u, sim.mgf_value, sim.mgf_std_err, nodes)
+    table = h_table(p)
+    sim = simulate_passage(p, n_paths=20_000, seed=3, h=table)
+    value, std_err = identity_estimate(p, sim, table)
     combined = math.hypot(std_err, sim.e_tau_std_err)
     assert abs(value - sim.e_tau_hat) <= 3.0 * combined
 
 
 def test_identity_raises_where_H_of_x_diverges():
     # H(-1e300) needs the integrand (e^{u*x} - 1)/u resolved on u < 1e-300:
-    # the engine does not converge there, and the nodes, frozen before any
-    # path is simulated, refuse the problem
+    # the engine does not converge there, and the table, built before any
+    # path is simulated, refuses the problem
     p = PassageProblem(lam=0.5, x=-1e300, a=1.0, spec=Gaussian(0.0, 1.0))
     with pytest.raises(DivergenceError, match="H\\(x\\)"):
-        identity_nodes(p)
+        h_table(p)
+
+
+# -- the h table against independent references --------------------------------
+
+
+def _gauss_legendre(lo, hi, panels=64, order=20):
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+def _normal_tail(t):
+    return 0.5 * math.erfc(t / math.sqrt(2.0))
+
+
+def _h_by_quadrature(p, z, cap=math.inf):
+    """E[H(lam*z + eta) | lam*z + eta > a] for eta ~ N(0, 1) capped at cap:
+    Gauss-Legendre over (t, min(cap, t + 24)) for the density part, plus the
+    atom at the cap, and H from the engine at every point."""
+    lc = p.limit_cumulant()
+    t = p.a - p.lam * z
+    eta, w = _gauss_legendre(t, min(cap, t + 24.0))
+    dens = w * np.exp(-0.5 * eta**2) / math.sqrt(2.0 * math.pi)
+    total = dens @ transform(lc, "H", p.lam * z + eta).require("reference H").value
+    mass = dens.sum()
+    if cap < math.inf:
+        top = _normal_tail(cap)
+        total += top * transform(lc, "H", p.lam * z + cap).value
+        mass += top
+    return total / mass
+
+
+@pytest.mark.parametrize("cap", [math.inf, 1.5], ids=["gaussian", "capped"])
+def test_h_table_matches_gauss_legendre_over_the_crossing_innovation(cap):
+    spec = Gaussian(0.0, 1.0) if cap == math.inf else CappedAbove(Gaussian(0.0, 1.0), cap)
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=spec)
+    table = h_table(p)
+    # the reach of the capped table starts where the cap crosses, z = -1
+    z = np.linspace(max(-4.0, table.pieces[0][1]), 1.0, 9)[1:]
+    got, _ = table.lookup(z)
+    want = np.array([_h_by_quadrature(p, zi, cap) for zi in z])
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=table.abs_err)
+
+
+def test_h_table_matches_exact_atom_sums():
+    # a skewed three-atom law at lam 0.3, a 0.2: the top two atoms cross
+    # from z > -4.33 and z > -0.33, so the table has two pieces
+    p = PassageProblem(lam=0.3, x=0.0, a=0.2, spec=THREE_ATOM)
+    table = h_table(p)
+    assert [c for c, *_ in table.pieces] == [1, 2]
+    lc = p.limit_cumulant()
+    z = _off_node_states(table, 37)
+    got, outside = table.lookup(z)
+    assert len(outside) == 0
+    for zi, hi in zip(z, got):
+        crossing = [(v, w) for v, w in THREE_ATOM.pairs if p.lam * zi + v > p.a]
+        h_vals = transform(lc, "H", [p.lam * zi + v for v, _ in crossing])
+        mass = math.fsum(w for _, w in crossing)
+        want = math.fsum(w * h for (_, w), h in zip(crossing, h_vals.value)) / mass
+        assert abs(hi - want) <= table.abs_err + float(h_vals.abs_err.max()), zi
+
+
+@pytest.mark.parametrize(
+    "lam,a,x,n_paths,seed",
+    [(0.5, 1.0, 0.0, 1 << 16, 104), (0.5, 2.0, -1.0, 20_000, 7)],
+    ids=["flagship", "higher-level"],
+)
+def test_identity_matches_the_nystrom_e_tau(lam, a, x, n_paths, seed):
+    p = PassageProblem(lam=lam, x=x, a=a, spec=Gaussian(0.0, 1.0))
+    table = h_table(p)
+    sim = simulate_passage(p, n_paths=n_paths, seed=seed, h=table)
+    value, std_err = identity_estimate(p, sim, table)
+    assert abs(value - reference.GaussianPassage(lam, a, x).e_tau()) <= 3.0 * std_err
+
+
+def test_identity_lies_in_the_enumeration_bracket():
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))
+    table = h_table(p)
+    sim = simulate_passage(p, n_paths=40_000, seed=1, h=table)
+    value, std_err = identity_estimate(p, sim, table)
+    lo, hi = reference.discrete_e_tau_bracket(list(p.spec.pairs), 0.5, 0.0, 1.0, 22)
+    assert lo - 3.0 * std_err <= value <= hi + 3.0 * std_err
+
+
+def test_stable_law_has_no_h_table():
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=StableSpectrallyNegative(1.5, 1.0))
+    with pytest.raises(DivergenceError, match="upper partial MGF"):
+        h_table(p)
 
 
 # -- bounds ------------------------------------------------------------------
@@ -387,7 +489,8 @@ PASSAGE_ANSWERS = {
     "lower_bound": lower_bound_e_tau,
     # a cap above the ess-sup: the gate, not the cap, must refuse it
     "upper_bound": lambda p: upper_bound_e_tau(p, h_cap=4.0),
-    "identity_nodes": identity_nodes,
+    # the identity's nodes: its h table, built before any path
+    "identity_nodes": h_table,
     "certificate": exponential_certificate,
 }
 
@@ -414,9 +517,6 @@ def test_bounds_carry_the_engine_error_of_their_H_increment():
     upper, upper_err = upper_bound_e_tau(p, h_cap=4.0)
     assert upper_err == float(h.abs_err[0] + h.abs_err[1]) > 0.0
     assert upper == float(h.value[0] - h.value[1]) + upper_err
-
-
-THREE_ATOM = Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3)))
 
 
 def test_three_atom_law_at_lam_0999():

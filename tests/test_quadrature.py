@@ -13,7 +13,6 @@ from scipy.special import gamma
 
 from ar1fpt import DivergenceError, Gaussian, LimitCumulant, improper_integral, transform
 from ar1fpt import quadrature
-from ar1fpt.quadrature import panel_nodes
 
 
 def test_singular_power_must_exceed_minus_one():
@@ -175,13 +174,3 @@ def test_offset_is_part_of_the_value():
     )
     assert res.converged
     assert math.isclose(res.value, gamma(v), rel_tol=1e-9)
-
-
-def test_panel_nodes_integrate_smooth_decay():
-    u, w = panel_nodes(32.0)
-    assert np.all(np.diff(u) > 0) and np.all(w > 0)
-    val = float(np.sum(w * np.exp(-u)))
-    assert math.isclose(val, 1.0 - math.exp(-32.0), rel_tol=1e-12)
-    # polynomial exactness inside a panel span
-    val = float(np.sum(w * np.where(u <= 1.0, u**3, 0.0)))
-    assert math.isclose(val, 0.25, rel_tol=1e-12)
