@@ -16,17 +16,20 @@ All families here are spectrally light on the right, i.e. E exp(u*eta) is
 finite for every u >= 0.
 
 Every expectation over eta goes through one primitive per family,
-expectation_below(g, t) = E[g(eta); eta <= t]; expectation(g) is its
-t = inf case.  The upper partial MGF log E[e^{u eta}; t < eta <= top],
-with an array of t, is formed directly on each family, never as the total
-minus the part below.  The stable family has none of these with a checked
-error bar yet, so each raises DivergenceError, also under a Truncated law.
+expectation(g, t) = E[g(eta); eta <= t], by default over the whole law.
+Every partial MGF goes through another, log_partial_mgf(u, lo, hi) =
+log E[e^{u eta}; lo < eta <= hi] with an array of lo: psi's log form for
+a Truncated law, the part below its first level and the part above the
+identity's crossing threshold, each formed directly, never as the total
+minus the rest.  The stable family has neither with a checked error bar
+yet, so each raises DivergenceError, also under a Truncated law.
 Moments have a closed-form primitive, moments_below, from which every law
 with a variance takes its cumulants.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -116,15 +119,13 @@ class InnovationSpec:
 
     # -- integration helpers ----------------------------------------------
 
-    def log_partial_mgf_below(self, u, t: float):
-        """log E[exp(u*eta); eta <= t], vectorized in u (-inf when empty)."""
+    def log_partial_mgf(self, u, lo=-math.inf, hi: float = math.inf):
+        """log E[exp(u*eta); lo < eta <= hi], u and lo broadcast (-inf when empty)."""
         raise DivergenceError(f"{self!r} has no partial MGF with a checked error bar")
 
-    def log_partial_mgf_above(self, u, t, top: float = math.inf):
-        """log E[exp(u*eta); t < eta <= top], u and t broadcast (-inf when empty)."""
-        raise DivergenceError(f"{self!r} has no upper partial MGF with a checked error bar")
-
-    def expectation_below(self, g: Callable[[np.ndarray], np.ndarray], t: float) -> float:
+    def expectation(
+        self, g: Callable[[np.ndarray], np.ndarray], t: float = math.inf
+    ) -> float:
         """E[g(eta); eta <= t], never evaluating g above t.
 
         g maps an array of innovation values to an array of its shape, and
@@ -132,10 +133,6 @@ class InnovationSpec:
         engine node set.
         """
         raise DivergenceError(f"{self!r} has no partial expectation with a checked error bar")
-
-    def expectation(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        """E g(eta): expectation_below at t = inf."""
-        return self.expectation_below(g, math.inf)
 
     def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS) -> np.ndarray | None:
         """E[((eta - center)/unit)**j; eta <= t], j = 0..order, in closed form; None for a stable law."""
@@ -170,13 +167,13 @@ class InnovationSpec:
 
 def _as_u(u):
     arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("cumulant is only defined for u >= 0")
     return arr
 
 
-def _maybe_scalar(value, u):
-    return float(value) if np.ndim(u) == 0 else value
+def _maybe_scalar(value):
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _cumulant_series(cumulants, weights, u):
@@ -209,25 +206,6 @@ def _atom_sum(g, vals, probs, t):
     return float(np.sum(probs[kept] * np.asarray(g(vals[kept]))))
 
 
-def _log_sum_exp(terms):
-    """log sum_i exp(terms_i), terms broadcast against each other; -inf where all are."""
-    shift = reduce(np.maximum, terms)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    with np.errstate(divide="ignore"):
-        return shift + np.log(sum(np.exp(e - shift) for e in terms))
-
-
-def _log_atoms_above(u, t, top, vals, probs):
-    """log sum p_i e^{u a_i} over the atoms a_i in (t, top], one term per atom."""
-    t = np.asarray(t, dtype=float)
-    terms = [
-        np.where((a > t) & (a <= top), u * a + math.log(p), -np.inf)
-        for a, p in zip(vals, probs)
-        if p > 0.0
-    ]
-    return _log_sum_exp(terms) if terms else np.full(np.broadcast(u, t).shape, -np.inf)
-
-
 def _log_normal_mass(lo, hi):
     """log P(lo < Y <= hi) for a standard normal Y, from the tail the interval
     lies in, so that neither a small mass nor a narrow interval cancels."""
@@ -252,7 +230,7 @@ class Gaussian(InnovationSpec):
 
     def psi(self, u):
         arr = _as_u(u)
-        return _maybe_scalar(self.m * arr + 0.5 * self.sigma2 * arr**2, u)
+        return _maybe_scalar(self.m * arr + 0.5 * self.sigma2 * arr**2)
 
     def sample(self, rng, n):
         # the standard draws scaled and shifted in place: the values of
@@ -273,25 +251,23 @@ class Gaussian(InnovationSpec):
     def tail_prob(self, t):
         return float(special.ndtr((self.m - t) / math.sqrt(self.sigma2)))
 
-    def log_partial_mgf_below(self, u, t):
-        # Exponential tilting: E[e^{u eta}; eta <= t] = e^{psi(u)} Phi((t - m - s2 u)/s).
+    def log_partial_mgf(self, u, lo=-math.inf, hi=math.inf):
+        # exponential tilting: e^{psi(u)} times the mass of N(m + s2 u, s2) on
+        # (lo, hi].  A one-sided interval takes one log_ndtr from its open
+        # side: the two-sided form would cost four, and turn -inf into NaN.
         arr = _as_u(u)
         s = math.sqrt(self.sigma2)
-        z = (t - self.m - self.sigma2 * arr) / s
-        out = self.psi(arr) + special.log_ndtr(z)
-        return _maybe_scalar(out, u)
+        psi = self.m * arr + 0.5 * self.sigma2 * arr**2
+        if hi == math.inf:
+            mass = special.log_ndtr((self.m + self.sigma2 * arr - lo) / s)
+        elif isinstance(lo, float) and lo == -math.inf:
+            mass = special.log_ndtr((hi - self.m - self.sigma2 * arr) / s)
+        else:
+            mu = self.m + self.sigma2 * arr
+            mass = _log_normal_mass((lo - mu) / s, (hi - mu) / s)
+        return _maybe_scalar(psi + mass)
 
-    def log_partial_mgf_above(self, u, t, top=math.inf):
-        # the tilted law N(m + s2 u, s2) on (t, top], times e^{psi(u)}
-        arr = _as_u(u)
-        s = math.sqrt(self.sigma2)
-        mu = self.m + self.sigma2 * arr
-        lo = (np.asarray(t, dtype=float) - mu) / s
-        if top == math.inf:
-            return self.psi(arr) + special.log_ndtr(-lo)
-        return self.psi(arr) + _log_normal_mass(lo, (top - mu) / s)
-
-    def expectation_below(self, g, t):
+    def expectation(self, g, t=math.inf):
         s = math.sqrt(self.sigma2)
         pts = self.m + s * _SQRT2 * _HERMITE_X
         if pts[-1] <= t:
@@ -362,7 +338,7 @@ class Discrete(InnovationSpec):
         out = np.empty_like(arr)
         out[small] = np.log1p(np.expm1(np.multiply.outer(arr[small], vals)) @ probs)
         out[~small] = _log_mgf(arr[~small], vals, probs)
-        return _maybe_scalar(out, u)
+        return _maybe_scalar(out)
 
     def sample(self, rng, n):
         # inverse CDF: atom i is drawn when r lands in [cum_{i-1}, cum_i)
@@ -380,18 +356,18 @@ class Discrete(InnovationSpec):
     def tail_prob(self, t):
         return float(sum(p for a, p in self.pairs if a > t))
 
-    def log_partial_mgf_below(self, u, t):
+    def log_partial_mgf(self, u, lo=-math.inf, hi=math.inf):
+        # one term per atom, -inf off (lo, hi], shifted by the largest
         arr = _as_u(u)
-        vals, probs = self._arrays
-        kept = vals <= t
-        if not kept.any():
-            return _maybe_scalar(np.full_like(arr, -np.inf), u)
-        return _maybe_scalar(_log_mgf(arr, vals[kept], probs[kept]), u)
+        terms = [
+            np.where((a > lo) & (a <= hi), arr * a + math.log(p), -np.inf) for a, p in self.pairs
+        ]
+        shift = reduce(np.maximum, terms)
+        shift = np.where(np.isfinite(shift), shift, 0.0)
+        with np.errstate(divide="ignore"):
+            return _maybe_scalar(shift + np.log(sum(np.exp(e - shift) for e in terms)))
 
-    def log_partial_mgf_above(self, u, t, top=math.inf):
-        return _log_atoms_above(_as_u(u), t, top, *self._arrays)
-
-    def expectation_below(self, g, t):
+    def expectation(self, g, t=math.inf):
         return _atom_sum(g, *self._arrays, t)
 
     def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS):
@@ -449,7 +425,7 @@ class StableSpectrallyNegative(InnovationSpec):
         arr = _as_u(u)
         sgn = 1.0 if self.alpha_stab > 1.0 else -1.0
         out = self.m * arr + sgn * self.c_scale * arr**self.alpha_stab
-        return _maybe_scalar(out, u)
+        return _maybe_scalar(out)
 
     def _sigma(self):
         a = self.alpha_stab
@@ -519,12 +495,13 @@ class Truncated(InnovationSpec):
     l_0 (with its own atom at l_0) plus an atom at each level: masses holds
     P(l_0 < eta < l_1) and then P(l_i <= eta < l_{i+1}).
 
-    psi is u*l_k plus the log of a sum of the shifted pieces.  As u -> 0
-    that sum rounds to 1, leaving about 1e-16 of absolute noise, so where
-    u*width() <= TAYLOR_REACH psi is its series in the cumulants, which come
-    from the base's moments below l_0 and the level atoms.  A base without
-    moments (a stable law) has no cumulants, and its log form raises
-    DivergenceError with the base's partial MGF.
+    psi's log form is log_partial_mgf(u): u*l_k plus the log of a sum of
+    the shifted pieces.  As u -> 0 that sum rounds to 1, leaving about
+    1e-16 of absolute noise, so where u*width() <= TAYLOR_REACH psi is its
+    series in the cumulants, which come from the base's moments below l_0
+    and the level atoms.  A base without moments (a stable law) has no
+    cumulants, and its log form raises DivergenceError with the base's
+    partial MGF.
     """
 
     base: InnovationSpec
@@ -546,23 +523,14 @@ class Truncated(InnovationSpec):
         m = self.mean() if center is None else center
         return self.scale() if m is None else max(self.base.width(m), *(abs(x - m) for x in self.levels))
 
-    def _log_mgf_to(self, u, n):
-        """log E[e^{u eta~}; eta~ <= l_{n-1}], u an array."""
-        top = self.levels[n - 1]
-        acc = np.exp(self.base.log_partial_mgf_below(u, self.levels[0]) - u * top)
-        acc += self.masses[n - 1]
-        for level, mass in zip(self.levels[: n - 1], self.masses[: n - 1]):
-            acc += mass * np.exp(u * (level - top))
-        return u * top + np.log(acc)
-
     def psi(self, u):
         arr, kappa = _as_u(u), self.cumulants
         small = (arr * self.width() <= TAYLOR_REACH) & (kappa is not None)
         out = np.empty_like(arr)
         if kappa is not None:
             out[small] = _cumulant_series(kappa, 1.0 / _FACTORIALS, arr[small])[0]
-        out[~small] = self._log_mgf_to(arr[~small], len(self.levels))
-        return _maybe_scalar(out, u)
+        out[~small] = self.log_partial_mgf(arr[~small])
+        return _maybe_scalar(out)
 
     def sample(self, rng, n):
         return _level_map(self.levels, self.base.sample(rng, n))
@@ -587,23 +555,23 @@ class Truncated(InnovationSpec):
         below = [a for a in self.base.atom_values() if a < self.levels[0]]
         return tuple(x for x in self.levels[::-1] if self.point_mass(x) > 0.0) + tuple(below)
 
-    def log_partial_mgf_above(self, u, t, top=math.inf):
-        # the base on (t, min(top, l_0)] and the levels in (t, top], each
-        # formed directly
-        arr = _as_u(u)
-        body = self.base.log_partial_mgf_above(arr, t, min(top, self.levels[0]))
-        return _log_sum_exp([body, _log_atoms_above(arr, t, top, self.levels, self.masses)])
+    def log_partial_mgf(self, u, lo=-math.inf, hi=math.inf):
+        # the base on (lo, min(hi, l_0)] and each level in (lo, hi], summed in
+        # place, shifted by u times the top level at or below hi: no term
+        # exceeds 1, and the top level's is its mass wherever it lies above lo
+        n = bisect.bisect_right(self.levels, hi)
+        if n == 0:
+            return self.base.log_partial_mgf(u, lo, hi)
+        arr, top = _as_u(u), self.levels[n - 1]
+        acc = np.exp(self.base.log_partial_mgf(arr, lo, self.levels[0]) - arr * top)
+        acc += self.masses[n - 1] * (top > lo)
+        for level, mass in zip(self.levels[: n - 1], self.masses[: n - 1]):
+            acc += mass * (level > lo) * np.exp(arr * (level - top))
+        with np.errstate(divide="ignore"):
+            return _maybe_scalar(arr * top + np.log(acc))
 
-    def log_partial_mgf_below(self, u, t):
-        if t < self.levels[0]:
-            return self.base.log_partial_mgf_below(u, t)
-        if t >= self.levels[-1]:
-            return self.psi(u)
-        n = int(np.searchsorted(self.levels, t, side="right"))
-        return _maybe_scalar(self._log_mgf_to(_as_u(u), n), u)
-
-    def expectation_below(self, g, t):
-        body = self.base.expectation_below(g, min(t, self.levels[0]))
+    def expectation(self, g, t=math.inf):
+        body = self.base.expectation(g, min(t, self.levels[0]))
         return body + _atom_sum(g, self.levels, self.masses, t)
 
     def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS):

@@ -25,6 +25,16 @@ from .transforms import transform
 
 BLOCK_SIZE = 1 << 14
 
+# Bytes of one array allocated and freed before the blocks run.  A block
+# allocates and frees about 1 MB of block-sized arrays; where they end at
+# the heap's top, glibc's malloc hands a freed top above its trim threshold
+# (256 KB by then) back to the system, and the next block faults the pages
+# in anew: 1,140 minor faults a 65,536-path flagship op, or none, as the
+# allocations before the run happened to leave the heap.  Freeing a mapped
+# chunk this large sets glibc's trim threshold to twice it, so no block
+# trims the heap; to another malloc it is one allocation.
+_HEAP_RESERVE = 1 << 22
+
 # Float64 capacity (1 MB) of the buffer that holds the rows of a block's
 # u_nodes x crossed-paths MGF matrix, a chunk of chain roots at a time, each
 # squared in place down its chain of doubled nodes (see _mgf_moments);
@@ -39,8 +49,8 @@ _DOMAIN_MARTINGALE = 0x165667B19E3779F9
 
 _MASK64 = (1 << 64) - 1
 
-#: Distinct states per engine call in empirical_martingale_check; bounds its
-#: states x nodes integrand arrays to a few MB.
+#: Distinct states per engine call of _at_distinct; bounds its states x
+#: nodes integrand arrays to a few MB.
 _STATE_BATCH = 256
 
 
@@ -351,6 +361,7 @@ def simulate_passage(
     steps = max_steps if feasibility_report(p).crossing_possible else 0
 
     n_blocks = -(-n_paths // block_size)
+    np.empty(_HEAP_RESERVE, dtype=np.uint8)
 
     def job(i):
         # every block is full but the last, which holds the remainder
@@ -427,16 +438,28 @@ def _fold_outside(h, z, h_sum: float, h_sum2: float) -> tuple[float, float, floa
     once per distinct state, a bounded batch per engine call."""
     if not len(z):
         return h_sum, h_sum2, 0.0, 0
-    zs, where = np.unique(z, return_inverse=True)
-    batches = [
-        h.direct(zs[i : i + _STATE_BATCH]).require("h at a state outside its table")
-        for i in range(0, len(zs), _STATE_BATCH)
-    ]
-    vals = np.concatenate([b.value for b in batches])[where]
+    vals, errs, where = _at_distinct(h.direct, z, "h at a state outside its table")
+    vals = vals[where]
     with np.errstate(over="ignore"):
         h_sum += float(vals.sum())
         h_sum2 += float((vals * vals).sum())
-    return h_sum, h_sum2, float(max(b.abs_err.max() for b in batches)), len(z)
+    return h_sum, h_sum2, float(errs.max()), len(z)
+
+
+def _at_distinct(evaluate, states, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, engine errors) at the distinct states, in ascending order,
+    and each state's index among them.
+
+    evaluate maps an array of states to a QuadratureResult; it is called
+    once per _STATE_BATCH distinct states, and each result must converge.
+    """
+    distinct, where = np.unique(states, return_inverse=True)
+    batches = [
+        evaluate(distinct[i : i + _STATE_BATCH]).require(what)
+        for i in range(0, len(distinct), _STATE_BATCH)
+    ]
+    values = np.concatenate([b.value for b in batches])
+    return values, np.concatenate([b.abs_err for b in batches]), where
 
 
 def default_stationary_horizon(spec: InnovationSpec, lam: float) -> int:
@@ -522,14 +545,9 @@ def empirical_martingale_check(
         kept = states <= lc.y_adm - 1e-9 * abs(lc.y_adm)
         escaped = int(np.sum(~kept))
 
-    # the transform at each distinct state, a bounded batch per engine call
-    ys, where = np.unique(np.append(states[kept], y0), return_inverse=True)
-    batches = [
-        transform(lc, kind, ys[i : i + _STATE_BATCH], v).require(f"{kind} transform")
-        for i in range(0, len(ys), _STATE_BATCH)
-    ]
-    vals = np.concatenate([b.value for b in batches])
-    errs = np.concatenate([b.abs_err for b in batches])
+    vals, errs, where = _at_distinct(
+        lambda ys: transform(lc, kind, ys, v), np.append(states[kept], y0), f"{kind} transform"
+    )
     state_idx = np.zeros(states.shape, dtype=np.intp)
     state_idx[kept] = where[:-1]
     m0, m0_err = vals[where[-1]], errs[where[-1]]

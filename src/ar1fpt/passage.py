@@ -289,10 +289,10 @@ def _h_at(p: PassageProblem, z, counts) -> QuadratureResult:
     atoms = np.array((np.inf, *spec.atom_values(), -np.inf))
     y0 = p.lam * z
     t = np.clip(p.a - y0, atoms[counts + 1], np.nextafter(atoms[counts], -np.inf))[:, None]
-    log_p, y0 = spec.log_partial_mgf_above(0.0, t), y0[:, None]
+    log_p, y0 = spec.log_partial_mgf(0.0, t), y0[:, None]
     # log E[e^{u X} | X > a] for X = lam*z + eta
     return expected_H(
-        p.limit_cumulant(), lambda u: u * y0 + (spec.log_partial_mgf_above(u, t) - log_p)
+        p.limit_cumulant(), lambda u: u * y0 + (spec.log_partial_mgf(u, t) - log_p)
     )
 
 
@@ -307,8 +307,8 @@ def h_table(p: PassageProblem) -> HTable:
     1 + (2/pi) log n, and Horner's rounding.  The continuous part of every
     law here lies below its atoms, so a state from which no atom crosses is
     never a pre-crossing state, unless the law has no atoms.  An unconverged
-    H(x) or table raises DivergenceError; so does a law with no upper
-    partial MGF (stable).
+    H(x) or table raises DivergenceError; so does a law with no partial
+    MGF (stable).
     """
     feasibility_report(p).require()
     h_x = transform(p.limit_cumulant(), "H", p.x).require(f"H(x) at x = {p.x:.6g}")

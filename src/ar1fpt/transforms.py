@@ -54,13 +54,17 @@ def expected_H(lc: LimitCumulant, log_mgf) -> QuadratureResult:
     log E e^{uY}; then E H(Y) = (1/log(1/lam)) int (E e^{uY} - 1) e^{-phi(u)}
     du/u, the u- and Y-integrals swapped.  H(y) is the point mass
     log_mgf(u) = u*y.  Every law must live below lc.y_adm, or its integral
-    diverges.
+    diverges.  Where e^{-phi} underflows at every node of a call that
+    reaches below u = 1, the integrand's mass lies below the engine's first
+    node, out of its sight: the call returns NaN, so every state diverges.
     """
 
     def integrand(u):
         phi_u = lc.phi(u)[0]
         e = log_mgf(u)
         e0 = np.exp(np.minimum(-phi_u, _EXP_CLIP))
+        if not e0.any() and u.min() < 1.0:
+            return np.full(np.broadcast(e, u).shape, np.nan)
         # the expm1 form where the difference of exponentials cancels; the
         # clip keeps the unselected branch finite
         small = e0 * np.expm1(np.clip(e, -1.0, 1.0))
@@ -131,13 +135,13 @@ def check_harmonic(
     For kinds "N" and "W": |lam**v * E f(lam*y + eta) - f(y)|.
     For kind "H":          |E H(lam*y + eta) - H(y) - 1|.
 
-    The expectation over the innovation is the family's expectation_below
-    at t = inf: exact atom sums for discrete families, Gauss-Hermite for
-    Gaussian, and the base's partial expectation plus the atoms for the
-    truncation wrappers.  Each call of the integrand hands its whole node
-    array, together with y, to one engine call.  Raises DivergenceError when
-    a transform value it needs did not converge, and for a stable family,
-    which has no expectation with a checked error bar.
+    The expectation over the innovation is the family's expectation(g)
+    over the whole law: exact atom sums for discrete families, Gauss-Hermite
+    for Gaussian, and the base's expectation below the first level plus the
+    level atoms for a Truncated law.  Each call of the integrand hands its
+    whole node array, together with y, to one engine call.  Raises
+    DivergenceError when a transform value it needs did not converge, and
+    for a stable family, which has no expectation with a checked error bar.
     """
     if kind not in ("N", "H", "W"):
         raise ValueError(f"unknown transform kind {kind!r}")

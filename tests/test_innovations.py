@@ -80,7 +80,7 @@ def test_gaussian_partial_mgf_matches_quadrature():
             -40.0,
             t,
         )
-        got = g.log_partial_mgf_below(u, t)
+        got = g.log_partial_mgf(u, hi=t)
         assert math.isclose(got, math.log(ref), rel_tol=1e-8)
 
 
@@ -240,14 +240,14 @@ def test_floored_partial_mgf_three_ranges():
     u = np.array([0.0, 0.7, 3.0])
     moved = stats.norm.cdf(1.0) - 0.5  # P(0 < eta < 1), mapped to 0
     np.testing.assert_allclose(
-        fl.log_partial_mgf_below(u, -0.5), base.log_partial_mgf_below(u, -0.5), rtol=1e-14
+        fl.log_partial_mgf(u, hi=-0.5), base.log_partial_mgf(u, hi=-0.5), rtol=1e-14
     )
     np.testing.assert_allclose(
-        fl.log_partial_mgf_below(u, 0.5),
-        np.log(np.exp(base.log_partial_mgf_below(u, 0.0)) + moved),
+        fl.log_partial_mgf(u, hi=0.5),
+        np.log(np.exp(base.log_partial_mgf(u, hi=0.0)) + moved),
         rtol=1e-12,
     )
-    np.testing.assert_allclose(fl.log_partial_mgf_below(u, 1.0), fl.psi(u), rtol=1e-14)
+    np.testing.assert_allclose(fl.log_partial_mgf(u, hi=1.0), fl.psi(u), rtol=1e-14)
 
 
 def test_nested_floor_psi_matches_three_piece_sum():
@@ -394,8 +394,8 @@ def test_gaussian_expectation_below_matches_closed_form(m, var, t):
     g = Gaussian(m, var)
     s = math.sqrt(var)
     z = (t - m) / s
-    mass = g.expectation_below(np.ones_like, t)
-    first = g.expectation_below(lambda e: e, t)
+    mass = g.expectation(np.ones_like, t)
+    first = g.expectation(lambda e: e, t)
     assert math.isclose(mass, special.ndtr(z), rel_tol=1e-9, abs_tol=1e-12)
     want = m * special.ndtr(z) - s * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     assert math.isclose(first, want, rel_tol=1e-9, abs_tol=1e-12)
@@ -405,7 +405,7 @@ def test_gaussian_expectation_below_raises_when_unconverged():
     # t = 0.3 is below the top Hermite node, so the engine integrates g, and
     # a NaN there reads diverged
     with pytest.raises(DivergenceError, match="Gaussian expectation below t=0.3"):
-        Gaussian(0.0, 1.0).expectation_below(lambda e: np.full_like(e, np.nan), 0.3)
+        Gaussian(0.0, 1.0).expectation(lambda e: np.full_like(e, np.nan), 0.3)
 
 
 @st.composite
@@ -424,11 +424,53 @@ def truncated_laws(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(spec=truncated_laws(), u=st.floats(0.0, 3.0), t=st.floats(-3.0, 4.0))
-def test_expectation_below_matches_partial_mgf(spec, u, t):
-    got = spec.expectation_below(lambda e: np.exp(u * e), t)
-    want = math.exp(float(spec.log_partial_mgf_below(u, t)))
+def test_expectation_matches_partial_mgf(spec, u, t):
+    got = spec.expectation(lambda e: np.exp(u * e), t)
+    want = math.exp(float(spec.log_partial_mgf(u, hi=t)))
     if want > 1e-6:
         assert abs(got - want) <= 1e-8 * want
+
+
+@st.composite
+def partial_mgf_laws(draw):
+    if draw(st.booleans()):
+        return Gaussian(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 4.0)))
+    return draw(truncated_laws())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=partial_mgf_laws(),
+    u=st.floats(0.0, 3.0),
+    cuts=st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3, unique=True),
+    open_lo=st.booleans(),
+    open_hi=st.booleans(),
+)
+def test_partial_mgf_adds_over_adjacent_intervals(spec, u, cuts, open_lo, open_hi):
+    # M(lo, t) and M(t, hi) are each formed directly, below and above t, and
+    # over the whole line M is psi's log form
+    lo, t, hi = sorted(cuts)
+    lo, hi = -math.inf if open_lo else lo, math.inf if open_hi else hi
+    m = lambda a, b: float(spec.log_partial_mgf(u, a, b))
+    whole = m(lo, hi)
+    if whole > math.log(1e-300):
+        assert abs(np.logaddexp(m(lo, t), m(t, hi)) - whole) <= 1e-12
+    assert abs(m(-math.inf, math.inf) - float(spec.psi(u))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(-2.0, 2.0), var=st.floats(0.1, 4.0), u=st.floats(0.0, 3.0))
+def test_gaussian_far_tail_partial_mgf_is_its_mills_ratio_asymptote(m, var, u):
+    # M(m + 40s, inf) = e^{psi(u)} P(Y > z) for Y standard normal and
+    # z = 40 - s*u >= 34, where the asymptotic series of the Mills ratio has
+    # converged to rounding by its z**-12 term
+    s = math.sqrt(var)
+    z = 40.0 - s * u
+    series = math.fsum((-1) ** k * math.prod(range(1, 2 * k, 2)) / z ** (2 * k) for k in range(7))
+    want = m * u + 0.5 * var * u * u - 0.5 * z * z - math.log(z * math.sqrt(2.0 * math.pi))
+    got = float(Gaussian(m, var).log_partial_mgf(u, m + 40.0 * s))
+    assert math.isfinite(got)
+    assert abs(got - (want + math.log(series))) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -460,10 +502,10 @@ def test_stable_partial_expectations_fail_typed():
     stable = StableSpectrallyNegative(1.5, 1.0)
     capped = CappedAbove(stable, 1.0)
     calls = [
-        lambda: stable.log_partial_mgf_below(1.0, 0.0),
+        lambda: stable.log_partial_mgf(1.0, hi=0.0),
         lambda: stable.expectation(np.ones_like),
         lambda: capped.psi(1.0),
-        lambda: capped.expectation_below(np.ones_like, 0.5),
+        lambda: capped.expectation(np.ones_like, 0.5),
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -307,7 +307,7 @@ def test_identity_lies_in_the_enumeration_bracket():
 
 def test_stable_law_has_no_h_table():
     p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=StableSpectrallyNegative(1.5, 1.0))
-    with pytest.raises(DivergenceError, match="upper partial MGF"):
+    with pytest.raises(DivergenceError, match="partial MGF"):
         h_table(p)
 
 

@@ -111,6 +111,18 @@ def test_transforms_raise_on_divergent_state():
         transform(LC_DET, "N", 2.5, 1.0)
 
 
+def test_H_diverges_where_exp_minus_phi_underflows_at_every_node():
+    # Gaussian(0, 1e300): phi(u) > 745 from the engine's first node on, so the
+    # integrand's mass lies below it, and a zero there is no answer
+    res = transform(LimitCumulant(Gaussian(0.0, 1e300), 0.5), "H", -1e300)
+    assert not res.converged and res.tail_diagnostic == "diverged"
+    assert math.isnan(res.value) and res.abs_err == math.inf
+    # a tail call past u = 256, where e^{-phi} underflows at every node of a
+    # capped law, still converges
+    res = transform(LimitCumulant(CappedAbove(Gaussian(0.0, 1.0), 1.5), 0.5), "H", 2.999)
+    assert res.converged and res.tail_diagnostic == "decayed"
+
+
 def test_order_domain_validation():
     with pytest.raises(ValueError):
         transform(LC_DET, "N", 0.0, -1.0)
