@@ -3,8 +3,9 @@
 Theta = sum lam**k eta_{k+1} is the distributional limit of X_n and the
 fixed point of Theta =d lam*Theta + eta.  The sampler truncates the series
 once the remaining terms are below 1e-8 of the innovation scale.  All
-simulation in this package is counter-based (Philox keyed per block), so
-results are bit-identical for any FPT_THREADS worker count.
+simulation in this package draws from streams keyed per block (SFC64 seeded
+by the seed and the block index), so results are bit-identical for any
+FPT_THREADS worker count.
 """
 
 import json

@@ -331,12 +331,14 @@ class Discrete(InnovationSpec):
     def psi(self, u):
         # near 0 the shifted log-sum rounds psi(u) to u*(top atom); the log1p
         # form keeps it accurate relative to u*mean.  u >= 0, so u*max|a| is
-        # the largest |u*a|.
+        # the largest |u*a|.  The sum runs over the atoms in atom order, so a
+        # point's bits do not depend on how many points share the call.
         arr = _as_u(u)
         vals, probs = self._arrays
         small = arr * np.abs(vals).max() <= 0.5
         out = np.empty_like(arr)
-        out[small] = np.log1p(np.expm1(np.multiply.outer(arr[small], vals)) @ probs)
+        near = arr[small]
+        out[small] = np.log1p(sum(np.expm1(near * a) * p for a, p in zip(vals, probs)))
         out[~small] = _log_mgf(arr[~small], vals, probs)
         return _maybe_scalar(out)
 

@@ -1,10 +1,10 @@
 """Monte Carlo oracle: AR(1) paths, passage times, overshoots, stationary draws.
 
-Randomness is counter-based: every block of paths owns a Philox stream keyed
-by (seed, block index), and per-summary reductions are ordered folds over
-block indices.  Results are therefore bit-identical for any worker count;
-the FPT_THREADS environment variable merely caps parallelism, at the CPU
-count.
+Randomness is keyed per block: every block of paths owns an SFC64 stream
+seeded by the SeedSequence of (seed, block index), and per-summary
+reductions are ordered folds over block indices.  Results are therefore
+bit-identical for any worker count; the FPT_THREADS environment variable
+merely caps parallelism, at the CPU count.
 """
 
 from __future__ import annotations
@@ -67,10 +67,9 @@ def _worker_count() -> int:
 
 
 def _block_rng(seed: int, domain: int, block: int) -> np.random.Generator:
-    key = np.array(
-        [(seed & _MASK64) ^ domain, block & _MASK64], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 seeded by the SeedSequence of the key (seed ^ domain, block)."""
+    key = [(seed & _MASK64) ^ domain, block & _MASK64]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
 
 
 @dataclass(frozen=True)
@@ -163,12 +162,16 @@ def _passages(
     hit_steps, hit_counts = [], []
     n_done = 0
     step = 0
+    # most steps of a slow-mixing block have few live paths and cost only
+    # their fixed overhead: the loop looks up no attribute, and nonzero()[0]
+    # skips the ravel and checks of np.flatnonzero
+    lam, a, sample = p.lam, p.a, p.spec.sample
     while len(alive_idx) and step < max_steps:
         step += 1
-        x_new = p.lam * x_alive
-        x_new += p.spec.sample(rng, len(alive_idx))
-        crossed = x_new > p.a
-        hits = np.flatnonzero(crossed)
+        x_new = lam * x_alive
+        x_new += sample(rng, len(alive_idx))
+        crossed = x_new > a
+        hits = crossed.nonzero()[0]
         if len(hits):
             k = n_done + len(hits)
             alive_idx.take(hits, out=done[n_done:k])

@@ -274,12 +274,17 @@ def test_never_crossing_problem_exits_3(tmp_path, capsys, subcommand):
     assert "error[NoCrossingError]" in err and "Traceback" not in err
 
 
+#: From x = -60 one step of the flagship law crosses a = 1 only past 31
+#: standard deviations, with probability below 1e-210 a path.
+FAR_BELOW_CFG = dict(GAUSS_CFG, x=-60)
+
+
 def test_identity_check_with_no_crossed_path_fails_typed(tmp_path, capsys):
     few = ("--paths", "5", "--max-steps", "1")
     (tmp_path / "sim").mkdir()
-    code, report, _ = run(tmp_path / "sim", "simulate", GAUSS_CFG, *few)
+    code, report, _ = run(tmp_path / "sim", "simulate", FAR_BELOW_CFG, *few)
     assert code == 0 and report["results"]["n_crossed"] == 0
-    code, report, _ = run(tmp_path, "identity-check", GAUSS_CFG, *few)
+    code, report, _ = run(tmp_path, "identity-check", FAR_BELOW_CFG, *few)
     err = capsys.readouterr().err
     assert code == 6 and report is None
     assert "error[CoverageError]" in err and "Traceback" not in err
@@ -602,7 +607,7 @@ def refuse_constant(name):
 
 
 def test_simulate_with_no_crossing_writes_null_not_nan(tmp_path):
-    code, _, out = run(tmp_path, "simulate", dict(GAUSS_CFG, a=3), "--paths", "100", "--max-steps", "1")
+    code, _, out = run(tmp_path, "simulate", dict(FAR_BELOW_CFG, a=3), "--paths", "100", "--max-steps", "1")
     assert code == 0
     res = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)["results"]
     assert res["n_crossed"] == 0

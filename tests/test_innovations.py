@@ -293,7 +293,7 @@ def _psi_by_matrix(spec, u):
     expo = np.multiply.outer(arr, vals)
     small = np.abs(expo).max(axis=-1) <= 0.5
     out = np.empty_like(arr)
-    out[small] = np.log1p(np.expm1(expo[small]) @ probs)
+    out[small] = np.log1p(np.sum(np.expm1(expo[small]) * probs, axis=-1, initial=0.0))
     big = expo[~small]
     shift = big.max(axis=-1, keepdims=True)
     out[~small] = np.squeeze(shift, axis=-1) + np.log(

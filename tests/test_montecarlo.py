@@ -463,3 +463,33 @@ def test_martingale_check_has_its_own_stream(monkeypatch):
     empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=8, n_steps=1, seed=10)
     simulate_passage(GAUSS, n_paths=8, max_steps=1, seed=10)
     assert len(first_draws) == 2 and first_draws[0] != first_draws[1]
+
+
+def test_distinct_stream_keys_give_distinct_first_draws():
+    domains = (montecarlo._DOMAIN_PASSAGE, montecarlo._DOMAIN_STATIONARY, montecarlo._DOMAIN_MARTINGALE)
+    keys = [(seed, domain, block) for seed in (0, 1, 2**63) for domain in domains for block in (0, 1, 7)]
+    firsts = {montecarlo._block_rng(*key).standard_normal() for key in keys}
+    assert len(firsts) == len(keys)
+
+
+@pytest.mark.parametrize("seed", [2**64 + 5, 2**200 - 1, -3])
+def test_seeds_are_masked_to_64_bits(seed):
+    # SeedSequence takes no negative entropy: the seed is masked to 64 bits first
+    masked = seed & (2**64 - 1)
+    domain = montecarlo._DOMAIN_PASSAGE
+    draws = montecarlo._block_rng(seed, domain, 2).standard_normal(8)
+    want = np.random.Generator(np.random.SFC64(np.random.SeedSequence([masked ^ domain, 2])))
+    assert draws.tobytes() == want.standard_normal(8).tobytes()
+    runs = [simulate_passage(GAUSS, n_paths=500, max_steps=100, seed=s).to_dict() for s in (seed, masked)]
+    for run in runs:
+        del run["seed"]
+    assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+
+
+def test_stationary_and_martingale_draws_reproduce_from_their_seed():
+    draws = [simulate_stationary(Gaussian(0.0, 1.0), 0.5, 1000, seed=s) for s in (3, 3, 4)]
+    assert draws[0].tobytes() == draws[1].tobytes() != draws[2].tobytes()
+    lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5)
+    reports = [empirical_martingale_check(lc, "H", None, y0=0.0, n_paths=200, n_steps=3, seed=s) for s in (3, 3, 4)]
+    drifts = [r.drifts.tobytes() for r in reports]
+    assert drifts[0] == drifts[1] != drifts[2]

@@ -105,7 +105,11 @@ def test_identity_rejects_foreign_nodes():
 
 @pytest.mark.parametrize(
     "p",
-    [GAUSS, PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))],
+    [
+        # from x = -60 one step crosses a = 1 only past 31 sigmas (P < 1e-210)
+        PassageProblem(lam=0.5, x=-60.0, a=1.0, spec=Gaussian(0.0, 1.0)),
+        PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5)),
+    ],
     ids=["unbounded-law", "hard-envelope"],
 )
 def test_identity_with_no_crossed_path_raises(p):
