@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import DivergenceError, SeriesDivergenceError
 from .innovations import (
-    _FACTORIALS,
-    N_CUMULANTS,
     TAYLOR_REACH,
     Gaussian,
     InnovationSpec,
@@ -133,9 +131,7 @@ class LimitCumulant:
             raise DivergenceError(
                 "phi's series has no cumulant tail: the innovation law has no variance"
             )
-        j = np.arange(1, N_CUMULANTS + 1)
-        weights = 1.0 / (_FACTORIALS * -np.expm1(j * math.log(self.lam)))
-        return _cumulant_series(self.spec.cumulants, weights, w)
+        return _cumulant_series(self.spec.cumulants, w, self.lam, self.spec.cumulant_lows)
 
     def series(self, u):
         """(phi(u), error bound) in K(u) terms of psi and phi's tail, for any family.

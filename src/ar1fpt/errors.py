@@ -52,6 +52,7 @@ class UnsupportedSamplerError(Ar1FptError):
 
 
 class CoverageError(Ar1FptError):
-    """Empirical MGF nodes do not cover the quadrature node set."""
+    """The simulation cannot carry the identity: an h table built for another
+    problem, no h(Z) fold, no crossed path, or an identity that is not finite."""
 
     exit_code = 6

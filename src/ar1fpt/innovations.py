@@ -32,7 +32,8 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -46,7 +47,6 @@ _SQRT2 = math.sqrt(2.0)
 #: TAYLOR_REACH, inside psi's Taylor radius of at least pi/(2*width), so a
 #: term is at most 1/15 of the one before and the series is exact to rounding.
 N_CUMULANTS, TAYLOR_REACH = 17, 0.1
-_FACTORIALS = np.array([math.factorial(j) for j in range(1, N_CUMULANTS + 1)], dtype=float)
 _BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(N_CUMULANTS + 1)]
 #: Gauss-Hermite rule of the Gaussian expectations (weight e^{-x^2}).
 _HERMITE_X, _HERMITE_W = np.polynomial.hermite.hermgauss(64)
@@ -160,6 +160,12 @@ class InnovationSpec:
             kappa.append(acc)
         return center + kappa[0] * unit, unit, tuple(kappa[1:])
 
+    @property
+    def cumulant_lows(self) -> tuple[float, float]:
+        """What the mean and kappa_2/unit**2 of cumulants leave of their exact
+        values, where the law knows them (a Discrete law's); else 0."""
+        return 0.0, 0.0
+
     def atoms(self) -> list[tuple[float, float]] | None:
         """(value, probability) pairs for purely discrete families."""
         return None
@@ -176,18 +182,99 @@ def _maybe_scalar(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _cumulant_series(cumulants, weights, u):
-    """(sum_j kappa_j weights[j-1] u**j over j < N_CUMULANTS, bound), with
-    Horner's rule in x = u*unit from order 2 on.  The bound is the last kept
-    and the first omitted terms, as a symmetric law's odd cumulants vanish."""
+@lru_cache(maxsize=64)
+def _series_weights(lam: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """w_j = 1/(j! (1 - lam**j)), j = 1..N_CUMULANTS, each the exact quotient
+    rounded once, and what that rounding left; lam = 0 gives 1/j!."""
+    exact = [1 / (math.factorial(j) * (1 - Fraction(lam) ** j)) for j in range(1, N_CUMULANTS + 1)]
+    hi = tuple(float(w) for w in exact)
+    return hi, tuple(float(w - Fraction(h)) for w, h in zip(exact, hi))
+
+
+def _two_sum(a, b):
+    """(a + b, its rounding error), exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _halves(a):
+    """Veltkamp's split, a = hi + lo with 26 bits each."""
+    hi = 134217729.0 * a  # 2**27 + 1
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _two_prod(a, b, b_halves=None):
+    """(a * b, its rounding error), exactly unless a part over- or underflows
+    (Dekker); b_halves, if given, are _halves(b)."""
+    p = a * b
+    (a1, a2), (b1, b2) = _halves(a), b_halves or _halves(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
+def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0)):
+    """(sum_j kappa_j w_j u**j over j < N_CUMULANTS, bound), w_j as in
+    _series_weights, for x = u*unit <= 0.25 (u*width() <= TAYLOR_REACH).
+
+    lows are InnovationSpec.cumulant_lows; the cumulants are otherwise taken
+    as given.  The mean term t1 = (mean + lows[0]) w_1 u and the rest
+    t2 = x**2 (c_2 + x P(x)), c_j = kappa_j w_j and P by Horner's rule, are
+    formed and added with their rounding errors carried (Dekker's products,
+    Knuth's sums), so the value is their sum rounded once.  The bound is the
+    last kept and the first omitted terms (a symmetric law's odd cumulants
+    vanish), and in units of u_r = eps/2: the final rounding, |value|; to
+    first order (2% for the rest), x**3 sum_{j>=3} (2j - 1) |c_j|
+    0.25**(j-3) for P's Horner steps and x P, with 2 u_r for each c_j (w_j's
+    rounding and the product's); 18 roundings of the carried errors, each at
+    most 2 eps (|t1| + |t2|) + |c1_lo| u + |c2_lo| x**2, and eps**2
+    (|t1| + |t2|) for w_1 and w_2; and 32 (1 + u) subnormal ulps for
+    products that underflow.  Where a carried error overflows, the value is
+    the plain sum t1 + t2, within 3 eps (|t1| + |t2|) and the lows.
+    """
     mean, unit, scaled = cumulants
-    coef = np.array(scaled) * weights[1:]
+    w, w_lo = _series_weights(lam)
+    c1, c1_lo = _two_prod(mean, w[0])
+    c2, c2_lo = _two_prod(scaled[0], w[1])
+    c1_lo += mean * w_lo[0] + lows[0] * w[0]
+    c2_lo += scaled[0] * w_lo[1] + lows[1] * w[1]
+    coef = [k * wj for k, wj in zip(scaled, w[1:])]
     x = u * unit
-    acc = np.full_like(x, coef[-2])
-    for c in coef[-3::-1]:
-        acc = acc * x + c
-    bound = np.abs(coef[-2]) * x ** (N_CUMULANTS - 1) + np.abs(coef[-1]) * x**N_CUMULANTS
-    return mean * weights[0] * u + acc * x * x, bound
+    p = np.full_like(x, coef[-2])
+    horner = (2 * N_CUMULANTS - 3) * abs(coef[-2])
+    for j in range(N_CUMULANTS - 2, 2, -1):
+        p *= x
+        p += coef[j - 2]
+        horner = horner * 0.25 + (2 * j - 1) * abs(coef[j - 2])
+    s2, e2 = _two_sum(c2, p * x)
+    x_halves = _halves(x)
+    q, q_lo = _two_prod(s2, x, x_halves)
+    t2, t2_lo = _two_prod(q, x, x_halves)
+    t1, t1_lo = _two_prod(c1, u)
+    s, e = _two_sum(t1, t2)
+    lo = e + (t1_lo + c1_lo * u) + (t2_lo + (q_lo + (e2 + c2_lo) * x) * x)
+    value = s + lo
+    eps, tiny = np.finfo(float).eps, 32 * np.finfo(float).smallest_subnormal
+    xx, big = x * x, np.abs(t1) + np.abs(t2)
+    carry = 9 * eps * (abs(c1_lo) * u + abs(c2_lo) * xx) + 19 * eps**2 * big
+    carried = np.isfinite(lo)
+    if not carried.all():
+        dropped = 3 * eps * big + abs(lows[0] * w[0]) * u + abs(lows[1] * w[1]) * xx
+        value, carry = np.where(carried, value, s), np.where(carried, carry, dropped)
+    bound = x ** (N_CUMULANTS - 1) * (abs(coef[-2]) + abs(coef[-1]) * x) + 0.5 * eps * np.abs(value)
+    return value, bound + 0.51 * eps * horner * xx * x + tiny * (1.0 + u) + carry
+
+
+@lru_cache(maxsize=64)
+def _atom_lows(pairs, mean, unit, scaled_var):
+    """Discrete.cumulant_lows: the exact mean and variance / unit**2 of the
+    atoms, their probabilities normalised, less mean and scaled_var."""
+    pairs = [(Fraction(a), Fraction(p)) for a, p in pairs]
+    total = sum(p for _, p in pairs)
+    m = sum(a * p for a, p in pairs) / total
+    var = sum((a - m) ** 2 * p for a, p in pairs) / total
+    return float(m - Fraction(mean)), float(var / Fraction(unit) ** 2 - Fraction(scaled_var))
 
 
 def _atom_moments(vals, probs, t, center, unit, order):
@@ -319,6 +406,11 @@ class Discrete(InnovationSpec):
 
     def atoms(self):
         return list(self.pairs)
+
+    @property
+    def cumulant_lows(self):
+        mean, unit, scaled = self.cumulants
+        return _atom_lows(self.pairs, mean, unit, scaled[0])
 
     @cached_property
     def _arrays(self):
@@ -529,8 +621,8 @@ class Truncated(InnovationSpec):
         arr, kappa = _as_u(u), self.cumulants
         small = (arr * self.width() <= TAYLOR_REACH) & (kappa is not None)
         out = np.empty_like(arr)
-        if kappa is not None:
-            out[small] = _cumulant_series(kappa, 1.0 / _FACTORIALS, arr[small])[0]
+        if small.any():
+            out[small] = _cumulant_series(kappa, arr[small])[0]
         out[~small] = self.log_partial_mgf(arr[~small])
         return _maybe_scalar(out)
 

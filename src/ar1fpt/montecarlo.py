@@ -35,12 +35,6 @@ BLOCK_SIZE = 1 << 14
 # trims the heap; to another malloc it is one allocation.
 _HEAP_RESERVE = 1 << 22
 
-# Float64 capacity (1 MB) of the buffer that holds the rows of a block's
-# u_nodes x crossed-paths MGF matrix, a chunk of chain roots at a time, each
-# squared in place down its chain of doubled nodes (see _mgf_moments);
-# buffers of 128 KB to 2 MB time alike.
-_MGF_BUF_LEN = 1 << 17
-
 # Domain tags keep the passage, stationary and martingale-check samplers on
 # disjoint streams even when they share a seed.
 _DOMAIN_PASSAGE = 0x9E3779B97F4A7C15
@@ -78,8 +72,7 @@ class SimulationSummary:
 
     e_tau_hat is averaged over crossed paths only; censored paths (those
     still below the level after max_steps) are counted separately and the
-    survival curve includes them.  mgf_* are aligned per-node arrays of
-    the empirical estimate of E exp(u * X_tau) over crossed paths.
+    survival curve includes them.
 
     With an h table (passage.HTable), h_mean and h_std_err estimate E h(Z)
     over the pre-crossing states Z = X_{tau-1} of the crossed paths, which
@@ -100,9 +93,6 @@ class SimulationSummary:
     overshoot_std_err: float
     survival_n: np.ndarray = field(repr=False)
     survival_p: np.ndarray = field(repr=False)
-    mgf_u: np.ndarray = field(repr=False)
-    mgf_value: np.ndarray = field(repr=False)
-    mgf_std_err: np.ndarray = field(repr=False)
     h_mean: float | None = None
     h_std_err: float | None = None
     h_abs_err: float | None = None
@@ -133,8 +123,6 @@ class _BlockResult:
     n_censored: int
     sum_xi: float
     sum_xi2: float
-    mgf_m1: np.ndarray
-    mgf_m2: np.ndarray
     h_sum: float = 0.0
     h_sum2: float = 0.0
     z_outside: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -203,7 +191,6 @@ def _run_block(
     size: int,
     max_steps: int,
     seed: int,
-    u_nodes: np.ndarray,
     h=None,
 ) -> _BlockResult:
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
@@ -213,7 +200,6 @@ def _run_block(
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
     counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
-    mgf_m1, mgf_m2 = _mgf_moments(u_nodes, x_tau[crossed_mask])
     # overshoots past 1e154, or h values past 1e154: inf, and the error reads null
     with np.errstate(over="ignore"):
         sum_xi2 = float((xis**2).sum())
@@ -223,93 +209,13 @@ def _run_block(
         n_censored=n_censored,
         sum_xi=float(xis.sum()),
         sum_xi2=sum_xi2,
-        mgf_m1=mgf_m1,
-        mgf_m2=mgf_m2,
         **extra,
     )
 
 
-def _doubling_chains(u_nodes: np.ndarray, x_max: float) -> list[list[int]]:
-    """The node indices as chains i_0, i_1, ... with u[i_{k+1}] == 2.0 * u[i_k].
-
-    A node joins its half's chain only when it is the first node of its
-    value and |u| * x_max <= 709, so that no clip can bind on its row; every
-    other node starts a chain.  The chains come longest first, each group
-    of equal length in node order.
-    """
-    first = {}
-    for i, u in enumerate(u_nodes.tolist()):
-        first.setdefault(u, i)
-    child = {}
-    for u, i in first.items():
-        c = first.get(2.0 * u)
-        if c is not None and c != i and abs(2.0 * u) * x_max <= 709.0:  # NaN fails
-            child[i] = c
-    halved = set(child.values())
-    chains = []
-    for i in range(len(u_nodes)):
-        if i not in halved:
-            chain = [i]
-            while chain[-1] in child:
-                chain.append(child[chain[-1]])
-            chains.append(chain)
-    chains.sort(key=len, reverse=True)  # stable: node order within a length
-    return chains
-
-
-def _mgf_moments(u_nodes: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums of e = exp(min(u_i * x_j, 709)) and of e**2 over the values x_j.
-
-    A row whose node is 2.0 * u of another node (see _doubling_chains) is
-    that node's e**2, the square the other row's second sum is taken over,
-    so its first sum is that row's second, bit for bit: a chain of doubled
-    nodes costs one exp.  Doubling is exact, so u * x and 2u * x round
-    alike, and after d squarings a row is within 4 (2**d + 1) 2**-52 of
-    exp(2**d * u * x), relative: the exp's error doubles with each square,
-    which rounds once more, against the plain exp's own, allowing each exp
-    2 ulp.  Rows whose products can clip, and nodes with no half among the
-    nodes, take the exp of their own row.
-
-    The rows are built a few chain roots at a time in one buffer of
-    _MGF_BUF_LEN floats, squared in place along their chains; the chains
-    still going at each depth are a prefix of the chunk, the longest first.
-    Each row is still summed over the same contiguous values, so the sums
-    equal those of the whole matrix bit for bit.
-    """
-    m1 = np.empty(len(u_nodes))
-    m2 = np.empty(len(u_nodes))
-    n = len(vals)
-    x_max = np.abs(vals).max(initial=0.0)
-    chains = _doubling_chains(u_nodes, x_max)
-    rows = max(1, _MGF_BUF_LEN // max(n, 1))
-    buf = np.empty(min(rows, len(chains)) * n)
-    with np.errstate(over="ignore"):
-        for lo in range(0, len(chains), rows):
-            chunk = chains[lo : lo + rows]
-            heads = [chain[0] for chain in chunk]
-            roots = u_nodes[heads]
-            e = buf[: len(chunk) * n].reshape(len(chunk), n)
-            np.multiply.outer(roots, vals, out=e)
-            # a chunk whose products cannot exceed 709 skips the clip: rounding
-            # is monotone, so no u_i * x_j rounds above the rounded bound
-            if not np.abs(roots).max() * x_max <= 709.0:  # NaN clips too
-                np.minimum(e, 709.0, out=e)
-            np.exp(e, out=e)
-            m1[heads] = e.sum(axis=1)
-            for depth in range(len(chunk[0])):
-                e = e[: sum(len(chain) > depth for chain in chunk)]
-                np.multiply(e, e, out=e)
-                sums = e.sum(axis=1)
-                m2[[chain[depth] for chain in chunk[: len(e)]]] = sums
-                going = [chain[depth + 1] for chain in chunk if len(chain) > depth + 1]
-                m1[going] = sums[: len(going)]
-    return m1, m2
-
-
 def _mean_se(s1, s2, n: int):
     """Mean of n samples from their sum s1, and its standard error from
-    their sum of squares s2, elementwise for arrays; an error that is not
-    finite reads inf."""
+    their sum of squares s2; an error that is not finite reads inf."""
     m = np.divide(s1, n)  # a numpy scalar, whose square overflows to inf
     with np.errstate(invalid="ignore", over="ignore"):
         se = np.sqrt(np.maximum(s2 / n - m**2, 0.0) / n)
@@ -347,20 +253,24 @@ def simulate_passage(
     """Simulate n_paths independent passages of the level a.
 
     Censoring (a path still below the level after max_steps) is data, not an
-    error: censored paths are excluded from e_tau_hat and the MGF but kept in
-    the survival curve.  When feasibility_report proves that no path can
-    cross, no step is run and every path is censored.
+    error: censored paths are excluded from e_tau_hat and the overshoot but
+    kept in the survival curve.  When feasibility_report proves that no path
+    can cross, no step is run and every path is censored.
 
     With h, an HTable of p, each block also folds h(Z) and h(Z)**2 over its
     crossed paths in path order, where the table covers Z; the states it
     does not cover are evaluated directly after the fold, in block and path
     order, so the sums are bit-identical for any worker count.  A direct
     value that does not converge raises DivergenceError.
+
+    mgf_u_nodes accepts only None, and anything else raises ValueError:
+    bench/tracing.py binds it in every traced run, and it goes with the
+    benchmark's next revision.
     """
     if n_paths < 1 or max_steps < 1 or block_size < 1:
         raise ValueError("n_paths, max_steps and block_size must be >= 1")
-    # a run with no nodes is a run with zero nodes
-    u_nodes = np.asarray([] if mgf_u_nodes is None else mgf_u_nodes, dtype=float)
+    if mgf_u_nodes is not None:
+        raise ValueError("mgf_u_nodes must be None: the overshoot MGF is no longer estimated")
     steps = max_steps if feasibility_report(p).crossing_possible else 0
 
     n_blocks = -(-n_paths // block_size)
@@ -368,14 +278,12 @@ def simulate_passage(
 
     def job(i):
         # every block is full but the last, which holds the remainder
-        return _run_block(p, i, min(block_size, n_paths - i * block_size), steps, seed, u_nodes, h)
+        return _run_block(p, i, min(block_size, n_paths - i * block_size), steps, seed, h)
 
     # Ordered fold over block indices: bit-identical for any worker count.
     counts = np.zeros(0, dtype=np.int64)
     n_censored = 0
     sum_xi = sum_xi2 = 0.0
-    mgf_m1 = np.zeros(len(u_nodes))
-    mgf_m2 = np.zeros(len(u_nodes))
     h_sum = h_sum2 = 0.0
     outside = []
     for r in _in_block_order(job, n_blocks, _worker_count()):
@@ -385,10 +293,6 @@ def simulate_passage(
         n_censored += r.n_censored
         sum_xi += r.sum_xi
         sum_xi2 += r.sum_xi2
-        # sums at clipped nodes may overflow to inf, as in the block kernel
-        with np.errstate(over="ignore"):
-            mgf_m1 += r.mgf_m1
-            mgf_m2 += r.mgf_m2
         h_sum += r.h_sum
         h_sum2 += r.h_sum2
         outside.append(r.z_outside)
@@ -400,11 +304,8 @@ def simulate_passage(
         hist = counts.astype(float)
         e_tau, se_tau = _mean_se(float((ns * hist).sum()), float((ns * ns * hist).sum()), n_crossed)
         xi_mean, se_xi = _mean_se(sum_xi, sum_xi2, n_crossed)
-        m1, se = _mean_se(mgf_m1, mgf_m2, n_crossed)
     else:
         e_tau = se_tau = xi_mean = se_xi = float("nan")
-        m1 = np.full(len(u_nodes), np.nan)
-        se = np.full(len(u_nodes), np.inf)
     h_fold = {}
     if h is not None:
         h_sum, h_sum2, h_err, n_outside = _fold_outside(h, np.concatenate(outside), h_sum, h_sum2)
@@ -428,9 +329,6 @@ def simulate_passage(
         overshoot_std_err=float(se_xi),
         survival_n=ns,
         survival_p=survival,
-        mgf_u=u_nodes,
-        mgf_value=m1,
-        mgf_std_err=se,
         **h_fold,
     )
 

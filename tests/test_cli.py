@@ -615,6 +615,12 @@ def test_simulate_with_no_crossing_writes_null_not_nan(tmp_path):
         assert res[key] is None
 
 
+def test_simulate_reports_no_overshoot_mgf(tmp_path):
+    code, report, _ = run(tmp_path, "simulate", GAUSS_CFG, "--paths", "2000")
+    assert code == 0 and report["results"]["n_crossed"] > 0
+    assert not [key for key in report["results"] if key.startswith("mgf_")]
+
+
 LAM_0999 = dict(TWO_POINT_CFG, **{"lambda": 0.999})
 
 

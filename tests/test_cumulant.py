@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ar1fpt import (
@@ -390,6 +390,13 @@ def test_phi_near_zero_is_the_cumulant_series(spec, frac, lam):
     shift=st.integers(-100 << 20, 100 << 20).map(lambda k: k / 2.0**20),
     u=st.one_of(st.floats(0.0, 1e-3), st.floats(0.0, 50.0)),
     lam=st.sampled_from(LAMBDAS),
+)
+# at K(u) = 0 phi is the cumulant tail alone, led by its mean term
+@example(
+    spec=Discrete(((8949 / 2**20, 1 / 3), (0.0, 1 / 3), (-7111 / 2**20, 1 / 3))),
+    shift=2.0**-20,
+    u=8.064e-4,
+    lam=0.3,
 )
 def test_phi_of_a_shifted_law_shifts_by_its_mean_term(spec, shift, u, lam):
     # phi(law + c)(u) = phi(law)(u) + c u/(1 - lam), within the two bounds;

@@ -5,8 +5,6 @@ import json
 import math
 import os
 import platform
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +25,7 @@ from ar1fpt import (
     simulate_stationary,
     stationary_reference,
 )
-from ar1fpt import montecarlo, quadrature
+from ar1fpt import montecarlo
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 
@@ -44,18 +42,14 @@ def test_deterministic_paths_all_hit_at_three():
 
 
 def test_results_independent_of_worker_count(monkeypatch):
+    table = h_table(GAUSS)
     runs = {}
     for threads in ("1", "7"):
         monkeypatch.setenv("FPT_THREADS", threads)
-        sim = simulate_passage(
-            GAUSS,
-            n_paths=40_000,
-            max_steps=10**4,
-            seed=3,
-            mgf_u_nodes=np.array([0.1, 0.5, 1.0]),
-        )
+        sim = simulate_passage(GAUSS, n_paths=40_000, max_steps=10**4, seed=3, h=table)
         runs[threads] = json.dumps(sim.to_dict(), sort_keys=True)
     assert runs["1"] == runs["7"]
+    assert json.loads(runs["1"])["h_mean"] is not None
 
 
 def test_many_blocks_fold_alike_for_any_worker_count(monkeypatch):
@@ -78,7 +72,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     assert montecarlo._worker_count() == 1
 
 
-def _reference_run_block(p, block, size, max_steps, seed, u_nodes, h=None):
+def _reference_run_block(p, block, size, max_steps, seed, h=None):
     # the kernel as first written: each step scatters its crossings into the
     # path-ordered tau, x_tau and pre-crossing z, then compacts the live paths
     rng = montecarlo._block_rng(seed, montecarlo._DOMAIN_PASSAGE, block)
@@ -101,7 +95,6 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes, h=None):
     crossed_mask = tau > 0
     taus = tau[crossed_mask]
     xis = x_tau[crossed_mask] - p.a
-    mgf = _direct_mgf_moments(u_nodes, x_tau[crossed_mask])
     extra = {}
     if h is not None:
         extra = dict(zip(("h_sum", "h_sum2", "z_outside"), h.fold(z_tau[crossed_mask])))
@@ -110,13 +103,11 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes, h=None):
         n_censored=int(len(alive_idx)),
         sum_xi=float(xis.sum()),
         sum_xi2=float((xis**2).sum()),
-        mgf_m1=mgf[0],
-        mgf_m2=mgf[1],
         **extra,
     )
 
 
-@pytest.mark.parametrize("with_nodes", [False, True, "h"], ids=["plain", "mgf", "h"])
+@pytest.mark.parametrize("with_nodes", [False, "h"], ids=["plain", "h"])
 @pytest.mark.parametrize(
     "p,n_paths,kwargs",
     [
@@ -131,8 +122,6 @@ def _reference_run_block(p, block, size, max_steps, seed, u_nodes, h=None):
     ids=["flagship", "slow-mixing", "two-point", "capped", "stable", "censored", "ragged-blocks"],
 )
 def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwargs, with_nodes):
-    # the last node clips where X_tau > 709 / 400
-    nodes = np.append(np.linspace(0.0, 3.0, 20), 400.0) if with_nodes is True else None
     if with_nodes == "h" and isinstance(p.spec, StableSpectrallyNegative):
         with pytest.raises(DivergenceError, match="partial MGF"):
             h_table(p)  # no h table for a stable law yet
@@ -142,7 +131,7 @@ def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwar
     runs = []
     for kernel in (montecarlo._run_block, _reference_run_block):
         monkeypatch.setattr(montecarlo, "_run_block", kernel)
-        sim = simulate_passage(p, n_paths, seed=5, mgf_u_nodes=nodes, **kwargs)
+        sim = simulate_passage(p, n_paths, seed=5, **kwargs)
         runs.append(json.dumps(sim.to_dict(), sort_keys=True))
     assert runs[0] == runs[1]
     if with_nodes == "h":
@@ -166,158 +155,6 @@ def test_never_crossing_runs_no_steps():
     assert full["survival_n"] == [0] and full["survival_p"] == [1.0]
 
 
-def _plain_mgf_moments(u_nodes, vals):
-    # e = exp(min(u * x, 709)) on the whole u_nodes x vals matrix at once
-    with np.errstate(over="ignore"):
-        e = np.exp(np.minimum(np.multiply.outer(u_nodes, vals), 709.0))
-        return e, e.sum(axis=1), (e * e).sum(axis=1)
-
-
-def _direct_mgf_moments(u_nodes, vals):
-    # the whole matrix, but the row of the first node of value 2u, when no
-    # product of it can exceed 709, is the square of the row of the first
-    # node of value u (!= 0); parents are squared before their children
-    e = _plain_mgf_moments(u_nodes, vals)[0]
-    x_max = np.abs(vals).max(initial=0.0)
-    first = {}
-    for i, u in enumerate(u_nodes.tolist()):
-        first.setdefault(u, i)
-    for u in sorted(first, key=abs):
-        c = first.get(2.0 * u)
-        if c is not None and u != 0.0 and abs(2.0 * u) * x_max <= 709.0:
-            with np.errstate(over="ignore"):
-                e[c] = e[first[u]] * e[first[u]]
-    with np.errstate(over="ignore"):
-        return e.sum(axis=1), (e * e).sum(axis=1)
-
-
-def _overshoots(n, scale=0.5):
-    return 1.0 + np.random.default_rng(12).exponential(scale, n)
-
-
-@pytest.mark.parametrize(
-    "u_nodes,vals",
-    [
-        # 26 chain roots per chunk: 95 of the 192 nodes are twice another,
-        # and the 97 roots, in chains of up to 8, leave a final chunk of 19
-        (np.linspace(0.0, 3.0, 192), _overshoots(5000)),
-        # exp clips at 709 and the squares overflow to inf
-        (np.geomspace(1e-3, 800.0, 64), _overshoots(3)),
-        (np.linspace(0.0, 3.0, 192), _overshoots(0)),
-        # 26 chain roots per chunk: only the second and last chunk reaches
-        # 709, at the one value 20, and its row sums of e stay finite
-        (
-            np.append(np.linspace(0.0, 3.0, 52), np.linspace(40.0, 100.0, 8)),
-            np.append(_overshoots(4999, 0.2), 20.0),
-        ),
-        # |u| bounds the products: negative nodes clip on negative values
-        (-np.geomspace(1e-3, 800.0, 64), -_overshoots(3)),
-        # only the first node of a value joins a chain; 0 and -0 double to
-        # themselves and start none
-        (np.array([0.0, -0.0, 1.0, 1.0, 2.0, 2.0, 4.0, 0.5, -1.0, -2.0]), _overshoots(300)),
-    ],
-    ids=[
-        "ragged-chunks",
-        "clipped",
-        "no-crossing",
-        "last-chunk-clipped",
-        "negative-nodes",
-        "repeated-nodes",
-    ],
-)
-def test_chunked_mgf_moments_match_direct_formula(u_nodes, vals):
-    m1, m2 = montecarlo._mgf_moments(u_nodes, vals)
-    d1, d2 = _direct_mgf_moments(u_nodes, vals)
-    assert m1.tobytes() == d1.tobytes() and m2.tobytes() == d2.tobytes()
-
-
-def _squaring_bound(depth):
-    # relative: an exp within 2 ulp, its error doubled by each of `depth`
-    # squarings, each of which rounds once, against a plain exp within 2 ulp
-    return 4.0 * (2.0**depth + 1.0) * 2.0**-52
-
-
-def test_squared_rows_stay_near_the_plain_formula():
-    # the chains 2**-3, ..., 2**9 and their negatives; |2**9 * x| <= 706.6
-    # for every x, so each row but the chain's first is squared, 12 times
-    # at the end of the chain.  A single value makes each sum one element.
-    k = np.arange(-3, 10)
-    nodes = np.concatenate([2.0**k, -(2.0**k)])
-    depth = np.concatenate([k + 3, k + 3])
-    xs = np.append(np.random.default_rng(3).uniform(-1.38, 1.38, 200), [1.38, -1.38])
-    exact = True
-    for x in xs:
-        m1, m2 = montecarlo._mgf_moments(nodes, np.array([x]))
-        _, p1, p2 = _plain_mgf_moments(nodes, np.array([x]))
-        err1 = np.abs(m1 - p1) / p1
-        assert np.all(err1 <= _squaring_bound(depth)), x
-        # e**2 doubles the row's error and rounds once more.  Near 2**9 it
-        # overflows, near -2**9 it is subnormal or 0 and rounds absolutely
-        fin = np.isfinite(p2)
-        assert np.array_equal(fin, np.isfinite(m2)), x
-        bound2 = (2.0 * _squaring_bound(depth) + 2.0**-52) * p2 + 2.0**-1074
-        assert np.all(np.abs(m2[fin] - p2[fin]) <= bound2[fin]), x
-        exact &= bool(np.all(err1 == 0.0))
-    # the squared rows are not the plain formula's bits
-    assert not exact
-
-
-@pytest.mark.parametrize("x", [1.0, -1.0])
-def test_rows_that_can_clip_are_plain_exp_bit_for_bit(x):
-    # 709 = 2 * 354.5 is squared: its products reach 709 and no more.  The
-    # next double above 709 can clip, so its row is exp(min(u * x, 709)),
-    # though its half is a node too
-    b = np.nextafter(354.5, np.inf)
-    nodes = np.array([354.5, 709.0, b, 2.0 * b])
-    vals = np.array([x, 0.5 * x])
-    m1, m2 = montecarlo._mgf_moments(nodes, vals)
-    _, p1, p2 = _plain_mgf_moments(nodes, vals)
-    assert m1[[0, 2, 3]].tobytes() == p1[[0, 2, 3]].tobytes()
-    assert m2[[0, 2, 3]].tobytes() == p2[[0, 2, 3]].tobytes()
-    assert m1[1] == m2[0]  # squared, not exp'd
-    # below exp(-708.4) the squares are subnormal and round absolutely
-    assert abs(m1[1] - p1[1]) <= _squaring_bound(1) * p1[1] + 2.0**-1074
-    assert np.isinf(m2[1]) == np.isinf(p2[1])
-
-
-def test_a_doubled_rows_first_sum_is_its_halfs_second():
-    # the K15 nodes of the engine's panels [0, 1], [1, 2], ..., [8, 16]
-    a, b = quadrature._dyadic_panels(4)
-    nodes = quadrature._nodes(a, b, np.arange(len(a)) == 0, 1.0)[0].ravel()
-    vals = _overshoots(5000)
-    m1, m2 = montecarlo._mgf_moments(nodes, vals)
-    pairs = [
-        (i, j)
-        for i, u in enumerate(nodes)
-        for j, w in enumerate(nodes)
-        if u != 0.0 and w == 2.0 * u
-    ]
-    # the panels [2, 4], [4, 8], [8, 16] double [1, 2], [2, 4], [4, 8]
-    assert len(pairs) == 45 and len(nodes) == 75
-    parents, children = map(list, zip(*pairs))
-    assert m1[children].tobytes() == m2[parents].tobytes()
-
-
-def test_clipped_mgf_nodes_have_infinite_std_err():
-    nodes = np.array([0.5, 400.0])
-    sim = simulate_passage(GAUSS, n_paths=2000, max_steps=1000, seed=2, mgf_u_nodes=nodes)
-    assert math.isfinite(sim.mgf_std_err[0]) and sim.mgf_std_err[1] == math.inf
-
-
-def test_mgf_block_memory_stays_small():
-    # one 16,384-path block with 192 nodes; the whole node x path matrix
-    # and its square would take about 50 MB
-    nodes = np.linspace(0.0, 3.0, 192)
-    simulate_passage(GAUSS, n_paths=1 << 14, seed=1, mgf_u_nodes=nodes)
-    tracemalloc.start()
-    try:
-        simulate_passage(GAUSS, n_paths=1 << 14, seed=1, mgf_u_nodes=nodes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8e6
-
-
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim threshold is glibc's")
 def test_blocks_fault_no_pages_in_once_warm():
     # each block allocates and frees about 1 MB; were the heap's top handed
@@ -331,15 +168,6 @@ def test_blocks_fault_no_pages_in_once_warm():
     for _ in range(3):
         simulate_passage(GAUSS, n_paths=1 << 16, seed=104, h=table)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
-
-
-def test_fold_of_overflowing_block_sums_is_silent():
-    # at u >= 100 each block's MGF sums are finite but their total is not
-    nodes = np.linspace(100.0, 400.0, 3000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        sim = simulate_passage(GAUSS, n_paths=30_000, seed=1, mgf_u_nodes=nodes)
-    assert np.isinf(sim.mgf_value).any() and np.isinf(sim.mgf_std_err).any()
 
 
 def test_seed_changes_results():
@@ -432,6 +260,13 @@ def test_martingale_check_rejects_unconverged_transform():
 def test_simulate_rejects_block_size_below_one(block_size):
     with pytest.raises(ValueError, match="block_size"):
         simulate_passage(GAUSS, n_paths=10, max_steps=5, block_size=block_size)
+
+
+@pytest.mark.parametrize("nodes", [np.array([0.1, 0.5]), np.array([]), [1.0]])
+def test_simulate_rejects_mgf_nodes(nodes):
+    # the overshoot MGF is no longer estimated: even no node is not None
+    with pytest.raises(ValueError, match="mgf_u_nodes must be None"):
+        simulate_passage(GAUSS, n_paths=10, max_steps=5, mgf_u_nodes=nodes)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, -0.5])
