@@ -18,18 +18,25 @@ finite for every u >= 0.
 Every expectation over eta goes through one primitive per family,
 expectation(g, t) = E[g(eta); eta <= t], by default over the whole law.
 Every partial MGF goes through another, log_partial_mgf(u, lo, hi) =
-log E[e^{u eta}; lo < eta <= hi] with an array of lo: psi's log form for
-a Truncated law, the part below its first level and the part above the
-identity's crossing threshold, each formed directly, never as the total
-minus the rest.  The stable family has neither with a checked error bar
+log E[e^{u eta}; lo < eta <= hi] with an array of lo: psi's log form, the
+part below a Truncated law's first level and the part above the identity's
+crossing threshold, each formed directly, never as the total minus the
+rest.  The Gaussian's is its tilted normal mass; every other law lists its
+log-terms (atoms, levels, the base below the first level), which
+InnovationSpec folds with logaddexp and normalises by the same fold at
+u = 0.  The stable family has neither primitive with a checked error bar
 yet, so each raises DivergenceError, also under a Truncated law.
 Moments have a closed-form primitive, moments_below, from which every law
 with a variance takes its cumulants.
+
+The Gaussian and stable families have psi in closed form.  Every other law
+has InnovationSpec.psi: its series in those cumulants where u*width() <=
+TAYLOR_REACH, accurate relative to u*mean, and its log_partial_mgf(u)
+elsewhere.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +72,19 @@ class InnovationSpec:
     # -- cumulant ----------------------------------------------------------
 
     def psi(self, u):
-        """Cumulant log E exp(u*eta) for u >= 0 (vectorized)."""
-        raise NotImplementedError
+        """Cumulant log E exp(u*eta) for u >= 0 (vectorized).
+
+        The cumulant series where u*width() <= TAYLOR_REACH, so that psi stays
+        accurate relative to u*mean near 0, and log_partial_mgf(u) elsewhere.
+        Each point is evaluated alone: its bits do not depend on the batch.
+        """
+        arr, kappa = _as_u(u), self.cumulants
+        small = (arr * self.width() <= TAYLOR_REACH) & (kappa is not None)
+        out = np.empty_like(arr)
+        if small.any():
+            out[small] = _cumulant_series(kappa, arr[small], lows=self.cumulant_lows)[0]
+        out[~small] = self.log_partial_mgf(arr[~small])
+        return _maybe_scalar(out)
 
     # -- sampling ----------------------------------------------------------
 
@@ -120,8 +138,24 @@ class InnovationSpec:
     # -- integration helpers ----------------------------------------------
 
     def log_partial_mgf(self, u, lo=-math.inf, hi: float = math.inf):
-        """log E[exp(u*eta); lo < eta <= hi], u and lo broadcast (-inf when empty)."""
+        """log E[exp(u*eta); lo < eta <= hi], u and lo broadcast (-inf when empty).
+
+        The log-terms of _log_terms folded by logaddexp, each step the larger
+        term plus log1p of the other, less the same fold over the whole law
+        at u = 0: the law is normalised, as its cumulant_lows assume.
+        """
+        terms = self._log_terms(_as_u(u), lo, hi)
+        return _maybe_scalar(reduce(np.logaddexp, terms) - self._log_mass)
+
+    def _log_terms(self, u, lo, hi: float) -> list:
+        """Arrays whose exponentials sum to E[exp(u*eta); lo < eta <= hi]
+        before normalisation, at least one: a law's atoms, levels or pieces."""
         raise DivergenceError(f"{self!r} has no partial MGF with a checked error bar")
+
+    @cached_property
+    def _log_mass(self) -> float:
+        """The log of the law's total mass as its probabilities sum it, about 0."""
+        return float(reduce(np.logaddexp, self._log_terms(np.zeros(()), -math.inf, math.inf)))
 
     def expectation(
         self, g: Callable[[np.ndarray], np.ndarray], t: float = math.inf
@@ -386,8 +420,8 @@ class Discrete(InnovationSpec):
     """Innovation with finitely many atoms.
 
     pairs holds (value, probability) tuples.  Equal values are merged and the
-    atoms are kept in descending value order, which fixes the summation
-    order of psi and the layout of the inverse-CDF sampler.
+    atoms are kept in descending value order, which fixes the order of the
+    partial MGF's fold and the layout of the inverse-CDF sampler.
     """
 
     pairs: tuple[tuple[float, float], ...]
@@ -420,20 +454,6 @@ class Discrete(InnovationSpec):
         vals.flags.writeable = probs.flags.writeable = False
         return vals, probs
 
-    def psi(self, u):
-        # near 0 the shifted log-sum rounds psi(u) to u*(top atom); the log1p
-        # form keeps it accurate relative to u*mean.  u >= 0, so u*max|a| is
-        # the largest |u*a|.  The sum runs over the atoms in atom order, so a
-        # point's bits do not depend on how many points share the call.
-        arr = _as_u(u)
-        vals, probs = self._arrays
-        small = arr * np.abs(vals).max() <= 0.5
-        out = np.empty_like(arr)
-        near = arr[small]
-        out[small] = np.log1p(sum(np.expm1(near * a) * p for a, p in zip(vals, probs)))
-        out[~small] = _log_mgf(arr[~small], vals, probs)
-        return _maybe_scalar(out)
-
     def sample(self, rng, n):
         # inverse CDF: atom i is drawn when r lands in [cum_{i-1}, cum_i)
         vals, probs = self._arrays
@@ -450,34 +470,15 @@ class Discrete(InnovationSpec):
     def tail_prob(self, t):
         return float(sum(p for a, p in self.pairs if a > t))
 
-    def log_partial_mgf(self, u, lo=-math.inf, hi=math.inf):
-        # one term per atom, -inf off (lo, hi], shifted by the largest
-        arr = _as_u(u)
-        terms = [
-            np.where((a > lo) & (a <= hi), arr * a + math.log(p), -np.inf) for a, p in self.pairs
-        ]
-        shift = reduce(np.maximum, terms)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        with np.errstate(divide="ignore"):
-            return _maybe_scalar(shift + np.log(sum(np.exp(e - shift) for e in terms)))
+    def _log_terms(self, u, lo, hi):
+        # one term per atom, in atom order, -inf off (lo, hi]
+        return [np.where((a > lo) & (a <= hi), u * a + math.log(p), -np.inf) for a, p in self.pairs]
 
     def expectation(self, g, t=math.inf):
         return _atom_sum(g, *self._arrays, t)
 
     def moments_below(self, t, center=0.0, unit=1.0, order=N_CUMULANTS):
         return _atom_moments(*zip(*self.pairs), t, center, unit, order)
-
-
-def _log_mgf(u, vals, probs):
-    """log sum_i p_i e^{u a_i}, shifted by the max exponent for stability.
-
-    One array of u's shape per atom, summed in atom order: below 8 atoms
-    that is the order of numpy's row sum, so these are the bits of the
-    (points x atoms) formula.
-    """
-    expos = [u * a for a in vals]
-    shift = reduce(np.maximum, expos)
-    return shift + np.log(sum(p * np.exp(e - shift) for e, p in zip(expos, probs)))
 
 
 def Deterministic(c: float) -> Discrete:
@@ -589,13 +590,11 @@ class Truncated(InnovationSpec):
     l_0 (with its own atom at l_0) plus an atom at each level: masses holds
     P(l_0 < eta < l_1) and then P(l_i <= eta < l_{i+1}).
 
-    psi's log form is log_partial_mgf(u): u*l_k plus the log of a sum of
-    the shifted pieces.  As u -> 0 that sum rounds to 1, leaving about
-    1e-16 of absolute noise, so where u*width() <= TAYLOR_REACH psi is its
-    series in the cumulants, which come from the base's moments below l_0
-    and the level atoms.  A base without moments (a stable law) has no
-    cumulants, and its log form raises DivergenceError with the base's
-    partial MGF.
+    The log-terms of its partial MGF are the base's on (lo, min(hi, l_0)]
+    and then one per level of positive mass in (lo, hi].  Its cumulants
+    come from the base's moments below l_0 and the level atoms.  A base
+    without moments (a stable law) has no cumulants, and psi raises
+    DivergenceError with the base's partial MGF.
     """
 
     base: InnovationSpec
@@ -616,15 +615,6 @@ class Truncated(InnovationSpec):
     def width(self, center=None):
         m = self.mean() if center is None else center
         return self.scale() if m is None else max(self.base.width(m), *(abs(x - m) for x in self.levels))
-
-    def psi(self, u):
-        arr, kappa = _as_u(u), self.cumulants
-        small = (arr * self.width() <= TAYLOR_REACH) & (kappa is not None)
-        out = np.empty_like(arr)
-        if small.any():
-            out[small] = _cumulant_series(kappa, arr[small])[0]
-        out[~small] = self.log_partial_mgf(arr[~small])
-        return _maybe_scalar(out)
 
     def sample(self, rng, n):
         return _level_map(self.levels, self.base.sample(rng, n))
@@ -649,20 +639,13 @@ class Truncated(InnovationSpec):
         below = [a for a in self.base.atom_values() if a < self.levels[0]]
         return tuple(x for x in self.levels[::-1] if self.point_mass(x) > 0.0) + tuple(below)
 
-    def log_partial_mgf(self, u, lo=-math.inf, hi=math.inf):
-        # the base on (lo, min(hi, l_0)] and each level in (lo, hi], summed in
-        # place, shifted by u times the top level at or below hi: no term
-        # exceeds 1, and the top level's is its mass wherever it lies above lo
-        n = bisect.bisect_right(self.levels, hi)
-        if n == 0:
-            return self.base.log_partial_mgf(u, lo, hi)
-        arr, top = _as_u(u), self.levels[n - 1]
-        acc = np.exp(self.base.log_partial_mgf(arr, lo, self.levels[0]) - arr * top)
-        acc += self.masses[n - 1] * (top > lo)
-        for level, mass in zip(self.levels[: n - 1], self.masses[: n - 1]):
-            acc += mass * (level > lo) * np.exp(arr * (level - top))
-        with np.errstate(divide="ignore"):
-            return _maybe_scalar(arr * top + np.log(acc))
+    def _log_terms(self, u, lo, hi):
+        levels = [
+            np.where(x > lo, u * x + math.log(m), -np.inf)
+            for x, m in zip(self.levels, self.masses)
+            if m > 0.0 and x <= hi
+        ]
+        return [self.base.log_partial_mgf(u, lo, min(hi, self.levels[0])), *levels]
 
     def expectation(self, g, t=math.inf):
         body = self.base.expectation(g, min(t, self.levels[0]))

@@ -339,9 +339,11 @@ def test_phi_slope_floored_linear_limit():
 
 
 def exact_cumulants(spec, n):
-    """kappa_1..kappa_n of a Discrete law in exact rational arithmetic."""
+    """kappa_1..kappa_n of a Discrete law in exact rational arithmetic, its
+    probabilities normalised by their sum: the law that psi and phi evaluate."""
     atoms = [(Fraction(a), Fraction(p)) for a, p in spec.atoms()]
-    m = [sum(p * a**j for a, p in atoms) for j in range(n + 1)]
+    total = sum(p for _, p in atoms)
+    m = [sum(p * a**j for a, p in atoms) / total for j in range(n + 1)]
     kappa = []
     for j in range(1, n + 1):
         kappa.append(m[j] - sum(math.comb(j - 1, k - 1) * kappa[k - 1] * m[j - k] for k in range(1, j)))

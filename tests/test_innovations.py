@@ -1,11 +1,13 @@
 """Innovation families: cumulants, samplers, truncations."""
 
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -23,6 +25,7 @@ from ar1fpt import (
     TwoPoint,
     UnsupportedSamplerError,
 )
+from ar1fpt.innovations import TAYLOR_REACH
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -285,54 +288,57 @@ def test_discrete_psi_is_log_sum_exp(atoms, u):
     assert math.isclose(float(Discrete(tuple(atoms)).psi(u)), direct, rel_tol=1e-12, abs_tol=1e-12)
 
 
-def _psi_by_matrix(spec, u):
-    """Discrete psi on the (points x atoms) matrix, reduced along the atoms."""
-    arr = np.asarray(u, dtype=float)
-    vals = np.array([a for a, _ in spec.pairs])
-    probs = np.array([p for _, p in spec.pairs])
-    expo = np.multiply.outer(arr, vals)
-    small = np.abs(expo).max(axis=-1) <= 0.5
-    out = np.empty_like(arr)
-    out[small] = np.log1p(np.sum(np.expm1(expo[small]) * probs, axis=-1, initial=0.0))
-    big = expo[~small]
-    shift = big.max(axis=-1, keepdims=True)
-    out[~small] = np.squeeze(shift, axis=-1) + np.log(
-        np.sum(probs * np.exp(big - shift), axis=-1)
-    )
-    return float(out) if np.ndim(u) == 0 else out
+def _exact_psi(pairs, u):
+    """(psi(u), u E|eta - mean|) of the atoms to 60 digits, their
+    probabilities normalised: the law the program evaluates.  The sum of
+    the e^{u a} is near 1, so it carries as many more digits as 1/(u max|a|)
+    has, lest psi round to 0."""
+    atoms = [(Decimal(a), Decimal(p)) for a, p in pairs]
+    du = Decimal(u)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + max(0, -(du * max(abs(a) for a, _ in atoms)).adjusted())
+        total = sum(p for _, p in atoms)
+        psi = (sum(p * (du * a).exp() for a, p in atoms) / total).ln()
+        mean = sum(a * p for a, p in atoms) / total
+        return psi, du * sum(abs(a - mean) * p for a, p in atoms) / total
 
 
 @st.composite
-def psi_inputs(draw):
-    """A scalar, 1-D or 2-D u with points on both sides of |u*a| = 0.5."""
-    u = np.array(
-        draw(
-            st.lists(
-                st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 0.3), st.floats(0.0, 60.0)),
-                min_size=1,
-                max_size=24,
-            )
-        )
-    )
-    shape = draw(st.sampled_from(["scalar", "1-D", "2-D"]))
-    if shape == "scalar":
-        return float(u[0])
-    return np.stack([u, u[::-1]]) if shape == "2-D" else u
+def psi_cases(draw):
+    """A Discrete law and a u about u*width = TAYLOR_REACH, where psi leaves
+    its series, about u*max|a| = 0.5, or anywhere up to u*max|a| = 20."""
+    values = draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=6, unique=True))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(values), max_size=len(values))))
+    spec = Discrete(tuple(zip(values, (weights / weights.sum()).tolist())))
+    reach = max(abs(a) for a in values)
+    kind = draw(st.sampled_from(("series", "atoms", "wide")))
+    if kind == "wide":
+        return spec, draw(st.floats(0.0, 20.0)) / reach
+    edge = TAYLOR_REACH / spec.width() if kind == "series" else 0.5 / reach
+    return spec, edge * draw(st.floats(0.5, 2.0))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    values=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7, unique=True),
-    weights=st.lists(st.floats(0.05, 1.0), min_size=7, max_size=7),
-    u=psi_inputs(),
-)
-def test_discrete_psi_matches_the_matrix_formula_bit_for_bit(values, weights, u):
-    # below 8 atoms numpy sums a row in atom order, as psi does atom by atom
-    w = np.array(weights[: len(values)])
-    spec = Discrete(tuple(zip(values, (w / w.sum()).tolist())))
-    got, want = spec.psi(u), _psi_by_matrix(spec, u)
-    assert type(got) is type(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+@settings(max_examples=200, deadline=None)
+@given(case=psi_cases())
+# a lopsided law: a log-sum shifted by its top atom loses psi ~ 1e-9 to rounding
+@example(case=(Discrete(((1000.0, 1e-9), (0.0, 1.0 - 1e-9))), 6e-4))
+# mean 0: psi(u) ~ u**2/2 is the difference of terms of size u
+@example(case=(TwoPoint(1.0, -1.0, 0.5), 1e-5))
+def test_discrete_psi_is_exact_to_rounding(case):
+    spec, u = case
+    assume(math.isfinite(u))
+    want, spread = _exact_psi(spec.pairs, u)
+    assume(u == 0.0 or spread > 1e-290)  # a subnormal psi has fewer than 53 bits to be exact in
+    got = spec.psi(u)
+    eps = Decimal(np.finfo(float).eps)
+    assert abs(Decimal(got) - want) <= 32 * eps * (abs(want) + spread)
+
+
+def test_a_law_has_unit_mass_exactly():
+    # the partial MGF is normalised by the law's own log-sum at u = 0
+    for spec in (Discrete(((1000.0, 1e-9), (0.0, 1.0 - 1e-9))), FlooredPositive(Gaussian(), 1.0)):
+        assert spec.log_partial_mgf(0.0) == 0.0
+        assert spec.psi(0.0) == 0.0
 
 
 def test_discrete_psi_near_zero_follows_the_mean():
@@ -471,6 +477,24 @@ def test_gaussian_far_tail_partial_mgf_is_its_mills_ratio_asymptote(m, var, u):
     got = float(Gaussian(m, var).log_partial_mgf(u, m + 40.0 * s))
     assert math.isfinite(got)
     assert abs(got - (want + math.log(series))) <= 1e-12 * abs(want)
+
+
+#: u on both sides of u*width = TAYLOR_REACH for the laws of truncated_laws.
+psi_points = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 0.3), st.floats(0.0, 60.0)),
+    min_size=1,
+    max_size=24,
+).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=truncated_laws(), u=psi_points)
+def test_psi_of_a_point_does_not_depend_on_its_batch(spec, u):
+    alone = [spec.psi(x) for x in u.tolist()]
+    assert all(type(v) is float for v in alone)
+    alone = np.array(alone)
+    assert spec.psi(u).tobytes() == alone.tobytes()
+    assert spec.psi(np.stack([u, u[::-1]])).tobytes() == np.stack([alone, alone[::-1]]).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
