@@ -567,10 +567,6 @@ class StableSpectrallyNegative(InnovationSpec):
     def tail_prob(self, t):
         return float(self._frozen().sf(t))
 
-    def cdf(self, t):
-        out = self._frozen().cdf(t)
-        return float(out) if np.ndim(t) == 0 else out
-
 
 def _level_map(levels, eta):
     """eta where eta <= levels[0], else the largest level at or below eta."""

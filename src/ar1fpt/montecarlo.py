@@ -1,10 +1,11 @@
 """Monte Carlo oracle: AR(1) paths, passage times, overshoots, stationary draws.
 
 Randomness is keyed per block: every block of paths owns an SFC64 stream
-seeded by the SeedSequence of (seed, block index), and per-summary
-reductions are ordered folds over block indices.  Results are therefore
-bit-identical for any worker count; the FPT_THREADS environment variable
-merely caps parallelism, at the CPU count.
+seeded by the SeedSequence of (seed, block index).  A block reduces its
+crossings in the order they happen, and the blocks' sums are folded in
+block order.  Results are therefore bit-identical for any worker count;
+the FPT_THREADS environment variable merely caps parallelism, at the CPU
+count.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ BLOCK_SIZE = 1 << 14
 # allocates and frees about 1 MB of block-sized arrays; where they end at
 # the heap's top, glibc's malloc hands a freed top above its trim threshold
 # (256 KB by then) back to the system, and the next block faults the pages
-# in anew: 1,140 minor faults a 65,536-path flagship op, or none, as the
-# allocations before the run happened to leave the heap.  Freeing a mapped
-# chunk this large sets glibc's trim threshold to twice it, so no block
-# trims the heap; to another malloc it is one allocation.
+# in anew: about 760 minor faults a 65,536-path two-point identity-check,
+# or none, as the allocations before the run happened to leave the heap.
+# Freeing a mapped chunk this large sets glibc's trim threshold to twice
+# it, so no block trims the heap; to another malloc it is one allocation.
 _HEAP_RESERVE = 1 << 22
 
 # Domain tags keep the passage, stationary and martingale-check samplers on
@@ -102,6 +103,13 @@ class SimulationSummary:
     def n_censored(self) -> int:
         return self.n_paths - self.n_crossed
 
+    @property
+    def survival_std_err(self) -> np.ndarray:
+        """The binomial standard error sqrt(S(1 - S)/n_paths) of each survival
+        point S; left out of to_dict until the benchmark's next revision, whose
+        harness keeps every report it reads and so measures their size."""
+        return np.sqrt(self.survival_p * (1.0 - self.survival_p) / self.n_paths)
+
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.h_mean is None:  # a run without an h table reports as before
@@ -117,34 +125,19 @@ class SimulationSummary:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in out.items()}
 
 
-@dataclass
-class _BlockResult:
-    tau_counts: np.ndarray  # histogram of tau over crossed paths
-    n_censored: int
-    sum_xi: float
-    sum_xi2: float
-    h_sum: float = 0.0
-    h_sum2: float = 0.0
-    z_outside: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
 def _passages(
     p: PassageProblem, rng: np.random.Generator, size: int, max_steps: int, with_z: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """Each path's passage step tau (0 if censored), state x_tau and, if
-    with_z, pre-crossing state z = x_{tau-1} (NaN if censored), in path
-    order, and the number of censored paths.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The histogram of tau over the crossed paths, to the last crossing step
+    (one 0 if none crossed), and each crossing's state x_tau and, if with_z,
+    its pre-crossing state z = x_{tau-1}, in the order the crossings happen:
+    step by step, and in path order within a step.
 
     Each step's draws go to the live paths in path order.  A step records
     its crossings once and only a step with crossings compacts the live
-    paths; the crossings are scattered into path order after the last step.
+    paths.
     """
-    # alive_idx[i] is the path whose state is x_alive[i]
-    alive_idx = np.arange(size)
     x_alive = np.full(size, float(p.x))
-    # the crossings in the order they happen: path ids and values, and the
-    # number of them at each step that had some
-    done = np.empty(size, dtype=np.int64)
     x_done = np.empty(size)
     z_done = np.empty(size if with_z else 0)
     hit_steps, hit_counts = [], []
@@ -154,35 +147,26 @@ def _passages(
     # their fixed overhead: the loop looks up no attribute, and nonzero()[0]
     # skips the ravel and checks of np.flatnonzero
     lam, a, sample = p.lam, p.a, p.spec.sample
-    while len(alive_idx) and step < max_steps:
+    while len(x_alive) and step < max_steps:
         step += 1
         x_new = lam * x_alive
-        x_new += sample(rng, len(alive_idx))
+        x_new += sample(rng, len(x_alive))
         crossed = x_new > a
         hits = crossed.nonzero()[0]
         if len(hits):
             k = n_done + len(hits)
-            alive_idx.take(hits, out=done[n_done:k])
             x_new.take(hits, out=x_done[n_done:k])
             if with_z:
                 x_alive.take(hits, out=z_done[n_done:k])
             hit_steps.append(step)
             hit_counts.append(len(hits))
             n_done = k
-            kept = ~crossed
-            alive_idx = alive_idx[kept]
-            x_new = x_new[kept]
+            x_new = x_new[~crossed]
         x_alive = x_new
 
-    tau = np.zeros(size, dtype=np.int64)
-    x_tau = np.full(size, np.nan)
-    tau[done[:n_done]] = np.repeat(hit_steps, hit_counts)
-    x_tau[done[:n_done]] = x_done[:n_done]
-    z_tau = None
-    if with_z:
-        z_tau = np.full(size, np.nan)
-        z_tau[done[:n_done]] = z_done[:n_done]
-    return tau, x_tau, z_tau, len(alive_idx)
+    counts = np.zeros(max(hit_steps, default=0) + 1, dtype=np.int64)
+    counts[hit_steps] = hit_counts
+    return counts, x_done[:n_done], z_done[:n_done] if with_z else None
 
 
 def _run_block(
@@ -192,25 +176,17 @@ def _run_block(
     max_steps: int,
     seed: int,
     h=None,
-) -> _BlockResult:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(The block's tau histogram, [sum xi, sum xi**2, sum h(Z), sum h(Z)**2]
+    over its crossed paths, the states Z outside h's table), each sum and
+    the states in the order the paths crossed; without h the h sums are 0."""
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
-    tau, x_tau, z_tau, n_censored = _passages(p, rng, size, max_steps, h is not None)
-    # path order fixes the order of every reduction
-    crossed_mask = tau > 0
-    taus = tau[crossed_mask]
-    xis = x_tau[crossed_mask] - p.a
-    counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
+    counts, x_tau, z = _passages(p, rng, size, max_steps, h is not None)
+    xis = x_tau - p.a
     # overshoots past 1e154, or h values past 1e154: inf, and the error reads null
     with np.errstate(over="ignore"):
-        sum_xi2 = float((xis**2).sum())
-        extra = {} if h is None else dict(zip(("h_sum", "h_sum2", "z_outside"), h.fold(z_tau[crossed_mask])))
-    return _BlockResult(
-        tau_counts=counts,
-        n_censored=n_censored,
-        sum_xi=float(xis.sum()),
-        sum_xi2=sum_xi2,
-        **extra,
-    )
+        h_sum, h_sum2, outside = (0.0, 0.0, np.empty(0)) if h is None else h.fold(z)
+        return counts, np.array([xis.sum(), (xis**2).sum(), h_sum, h_sum2]), outside
 
 
 def _mean_se(s1, s2, n: int):
@@ -257,10 +233,12 @@ def simulate_passage(
     kept in the survival curve.  When feasibility_report proves that no path
     can cross, no step is run and every path is censored.
 
-    With h, an HTable of p, each block also folds h(Z) and h(Z)**2 over its
-    crossed paths in path order, where the table covers Z; the states it
-    does not cover are evaluated directly after the fold, in block and path
-    order, so the sums are bit-identical for any worker count.  A direct
+    Each block sums the overshoots and their squares over its crossed paths
+    in the order they crossed, and the blocks' sums are added in block
+    order.  With h, an HTable of p, each block also folds h(Z) and h(Z)**2
+    in that order, where the table covers Z; the states it does not cover
+    are evaluated directly after the fold, in block and crossing order, so
+    the sums are bit-identical for any worker count.  A direct
     value that does not converge raises DivergenceError.
 
     mgf_u_nodes accepts only None, and anything else raises ValueError:
@@ -282,22 +260,18 @@ def simulate_passage(
 
     # Ordered fold over block indices: bit-identical for any worker count.
     counts = np.zeros(0, dtype=np.int64)
-    n_censored = 0
-    sum_xi = sum_xi2 = 0.0
-    h_sum = h_sum2 = 0.0
+    sums = np.zeros(4)
     outside = []
-    for r in _in_block_order(job, n_blocks, _worker_count()):
-        if len(r.tau_counts) > len(counts):
-            counts = np.pad(counts, (0, len(r.tau_counts) - len(counts)))
-        counts[: len(r.tau_counts)] += r.tau_counts
-        n_censored += r.n_censored
-        sum_xi += r.sum_xi
-        sum_xi2 += r.sum_xi2
-        h_sum += r.h_sum
-        h_sum2 += r.h_sum2
-        outside.append(r.z_outside)
+    for block_counts, block_sums, block_outside in _in_block_order(job, n_blocks, _worker_count()):
+        if len(block_counts) > len(counts):
+            counts = np.pad(counts, (0, len(block_counts) - len(counts)))
+        counts[: len(block_counts)] += block_counts
+        with np.errstate(over="ignore"):  # a sum past the largest float is inf, and its error reads null
+            sums += block_sums
+        outside.append(block_outside)
 
-    n_crossed = n_paths - n_censored
+    n_crossed = int(counts.sum())
+    sum_xi, sum_xi2, h_sum, h_sum2 = sums.tolist()
     ns = np.arange(len(counts))
     if n_crossed > 0:
         # tau's sums from its histogram: exact below 2**53

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,9 @@ from ar1fpt import (
     stationary_reference,
 )
 from ar1fpt import montecarlo
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import reference  # noqa: E402  (the benchmark's references: numpy only, no ar1fpt)
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 
@@ -73,38 +79,26 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
 
 
 def _reference_run_block(p, block, size, max_steps, seed, h=None):
-    # the kernel as first written: each step scatters its crossings into the
-    # path-ordered tau, x_tau and pre-crossing z, then compacts the live paths
+    # the kernel as first written, reduced in crossing order: each step
+    # appends its crossings' tau, x_tau and pre-crossing z in path order,
+    # then compacts the live paths
     rng = montecarlo._block_rng(seed, montecarlo._DOMAIN_PASSAGE, block)
-    alive_idx = np.arange(size)
     x_alive = np.full(size, float(p.x))
-    tau = np.zeros(size, dtype=np.int64)
-    x_tau = np.full(size, np.nan)
-    z_tau = np.full(size, np.nan)
+    taus, x_tau, z_tau = [np.empty(0, dtype=np.int64)], [np.empty(0)], [np.empty(0)]
     step = 0
-    while len(alive_idx) and step < max_steps:
+    while len(x_alive) and step < max_steps:
         step += 1
-        x_new = p.lam * x_alive + p.spec.sample(rng, len(alive_idx))
+        x_new = p.lam * x_alive + p.spec.sample(rng, len(x_alive))
         crossed = x_new > p.a
-        done = alive_idx[crossed]
-        tau[done] = step
-        x_tau[done] = x_new[crossed]
-        z_tau[done] = x_alive[crossed]
-        alive_idx = alive_idx[~crossed]
+        taus.append(np.full(crossed.sum(), step))
+        x_tau.append(x_new[crossed])
+        z_tau.append(x_alive[crossed])
         x_alive = x_new[~crossed]
-    crossed_mask = tau > 0
-    taus = tau[crossed_mask]
-    xis = x_tau[crossed_mask] - p.a
-    extra = {}
-    if h is not None:
-        extra = dict(zip(("h_sum", "h_sum2", "z_outside"), h.fold(z_tau[crossed_mask])))
-    return montecarlo._BlockResult(
-        tau_counts=np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64),
-        n_censored=int(len(alive_idx)),
-        sum_xi=float(xis.sum()),
-        sum_xi2=float((xis**2).sum()),
-        **extra,
-    )
+    taus = np.concatenate(taus)
+    xis = np.concatenate(x_tau) - p.a
+    h_sum, h_sum2, outside = (0.0, 0.0, np.empty(0)) if h is None else h.fold(np.concatenate(z_tau))
+    counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
+    return counts, np.array([xis.sum(), (xis**2).sum(), h_sum, h_sum2]), outside
 
 
 @pytest.mark.parametrize("with_nodes", [False, "h"], ids=["plain", "h"])
@@ -155,19 +149,58 @@ def test_never_crossing_runs_no_steps():
     assert full["survival_n"] == [0] and full["survival_p"] == [1.0]
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim threshold is glibc's")
-def test_blocks_fault_no_pages_in_once_warm():
-    # each block allocates and frees about 1 MB; were the heap's top handed
-    # back to the system, the next block would fault about 290 pages in anew
-    import resource
-
-    table = h_table(GAUSS)
-    for _ in range(2):  # the heap grows to its working size
-        simulate_passage(GAUSS, n_paths=1 << 16, seed=104, h=table)
+#: Five 65,536-path identity-checks through cli.main in this process;
+#: prints each one's minor page faults.
+_FAULTS_PER_OP = """
+import json, resource, sys
+from ar1fpt import cli
+faults = []
+for _ in range(5):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(3):
-        simulate_passage(GAUSS, n_paths=1 << 16, seed=104, h=table)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    assert cli.main(["identity-check", "--config", sys.argv[1], "--paths", "65536", "--out", sys.argv[2]]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim threshold is glibc's")
+def test_blocks_fault_no_pages_in_once_warm(tmp_path):
+    # each block allocates and frees about 1 MB; were the heap's top handed
+    # back to the system, the next block would fault its pages in anew, some
+    # 760 to 1,270 pages an op.  Fresh processes, because a test process's
+    # earlier allocations have already raised glibc's trim threshold; where
+    # the heap's top falls varies between processes, and without a guard the
+    # two-point op faults in about two of three, so it runs in three
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), FPT_THREADS="1")
+    flagship = {"name": "gaussian", "m": 0, "var": 1}
+    two_point = {"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5}
+    for family, seed in [(flagship, 104)] + [(two_point, 0)] * 3:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"family": family, "lambda": 0.5, "x": 0, "a": 1, "seed": seed}))
+        argv = [sys.executable, "-c", _FAULTS_PER_OP, str(cfg), str(tmp_path / "out")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout.splitlines()[-1])
+        # two ops grow the heap to its working size; the next three fault no page in
+        assert sum(faults[2:]) < 100, (family["name"], faults)
+
+
+def test_overshoot_sums_that_overflow_across_blocks_read_null():
+    # each block's sum of squares is 1e308, finite; their fold is not
+    p = PassageProblem(lam=0.5, x=0.0, a=0.0, spec=Deterministic(1e153))
+    out = simulate_passage(p, n_paths=200, block_size=100).to_dict()
+    assert out["overshoot_std_err"] is None and math.isfinite(out["overshoot_mean"])
+
+
+def test_survival_points_lie_within_their_standard_errors():
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))
+    sim = simulate_passage(p, n_paths=20_000, seed=3)
+    # enumeration's live states double a step: 20 steps end near 18,000
+    exact = reference.discrete_survival(list(p.spec.pairs), p.lam, p.x, p.a, 20)
+    got, se = sim.survival_p[:21], sim.survival_std_err[:21]
+    assert np.all(np.abs(got - exact) <= 5.0 * se + 1.0 / sim.n_paths)
+    at_edge = (sim.survival_p == 0.0) | (sim.survival_p == 1.0)
+    assert at_edge.any() and np.all(sim.survival_std_err[at_edge] == 0.0)
 
 
 def test_seed_changes_results():
