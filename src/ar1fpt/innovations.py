@@ -89,7 +89,12 @@ class InnovationSpec:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n i.i.d. values using the caller's generator."""
+        """Draw n i.i.d. values using the caller's generator.
+
+        Every sampler is a stream: sample(rng, n) followed by sample(rng, m)
+        gives the values of one sample(rng, n + m) from the same state, bit
+        for bit, so the Monte Carlo kernel may draw in chunks of any size.
+        """
         raise NotImplementedError
 
     # -- moments and support ----------------------------------------------
@@ -534,8 +539,11 @@ class StableSpectrallyNegative(InnovationSpec):
             )
         # eta = m - sigma * Z with Z standard totally-right-skewed stable (S1),
         # drawn by the Chambers-Mallows-Stuck transform of (uniform, exponential).
-        v = math.pi * (rng.random(n) - 0.5)
-        w = rng.exponential(1.0, size=n)
+        # Each value's pair of uniforms is drawn together, so that the sampler
+        # is a stream; the exponential is by inversion.
+        u = rng.random((n, 2))
+        v = math.pi * (u[:, 0] - 0.5)
+        w = -np.log1p(-u[:, 1])
         if a == 2.0:
             z = 2.0 * np.sin(v) * np.sqrt(w)
         else:

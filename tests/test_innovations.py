@@ -158,6 +158,29 @@ def test_two_point_sampler_exact_support():
     assert abs((draws == 1.0).mean() - 0.25) < 0.01
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Gaussian(0.3, 2.0),
+        TwoPoint(1.0, -1.0, 0.5),
+        Discrete(((1.0, 0.2), (0.25, 0.5), (-2.0, 0.3))),
+        CappedAbove(Gaussian(0.0, 1.0), 0.7),
+        FlooredPositive(Gaussian(0.0, 1.0), 1.0),
+        StableSpectrallyNegative(1.5, 1.0),
+        StableSpectrallyNegative(2.0, 0.5),
+    ],
+    ids=["gaussian", "two-point", "discrete", "capped", "floored", "stable-1.5", "stable-2"],
+)
+def test_samplers_are_streams(spec):
+    # the passage kernel reads its last steps' draws from fixed-size chunks
+    def rng():
+        return np.random.Generator(np.random.SFC64(8))
+
+    split_rng, whole = rng(), spec.sample(rng(), 1037)
+    split = np.concatenate([spec.sample(split_rng, 1000), spec.sample(split_rng, 37)])
+    assert split.tobytes() == whole.tobytes()
+
+
 # -- truncations -------------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402  (the benchmark's references: numpy only, no ar1fpt)
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
+SLOW = PassageProblem(lam=0.9, x=0.0, a=4.0, spec=Gaussian(0.0, 1.0))
 
 
 def test_deterministic_paths_all_hit_at_three():
@@ -106,14 +107,27 @@ def _reference_run_block(p, block, size, max_steps, seed, h=None):
     "p,n_paths,kwargs",
     [
         (GAUSS, 20_000, {}),  # 12-16% of the live paths cross a step
-        (PassageProblem(lam=0.9, x=0.0, a=4.0, spec=Gaussian(0.0, 1.0)), 3000, {}),  # about 1%
+        (SLOW, 3000, {}),  # about 1%
         (PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5)), 5000, {}),
         (PassageProblem(lam=0.5, x=0.0, a=1.0, spec=CappedAbove(Gaussian(0.0, 1.0), 1.5)), 5000, {}),
         (PassageProblem(lam=0.5, x=0.0, a=1.0, spec=StableSpectrallyNegative(1.5, 1.0)), 5000, {}),
         (PassageProblem(lam=0.5, x=0.0, a=3.0, spec=Gaussian(0.3, 2.0)), 5000, {"max_steps": 4}),
         (GAUSS, 1000, {"block_size": 300}),
+        # blocks of one path fewer than, as many as and one more than the
+        # float tail: the first two step on Python floats from the start
+        (SLOW, montecarlo._FLOAT_TAIL - 1, {}),
+        (SLOW, montecarlo._FLOAT_TAIL, {}),
+        (SLOW, montecarlo._FLOAT_TAIL + 1, {}),
+        # 48 paths live from step 144; one crosses at the last step and 26 are censored
+        (SLOW, 200, {"max_steps": 199}),
+        # a quarter of the paths sit at the level after two steps, not above it
+        (PassageProblem(lam=0.5, x=0.0, a=1.5, spec=TwoPoint(1.0, -1.0, 0.5)), 40, {}),
     ],
-    ids=["flagship", "slow-mixing", "two-point", "capped", "stable", "censored", "ragged-blocks"],
+    ids=[
+        "flagship", "slow-mixing", "two-point", "capped", "stable", "censored", "ragged-blocks",
+        "float-tail-below", "float-tail-at", "float-tail-above", "censored-float-tail",
+        "at-the-level",
+    ],
 )
 def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwargs, with_nodes):
     if with_nodes == "h" and isinstance(p.spec, StableSpectrallyNegative):
