@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DivergenceError, SeriesDivergenceError
 from .innovations import (
+    _EPS,
     TAYLOR_REACH,
     Gaussian,
     InnovationSpec,
@@ -36,7 +38,6 @@ _SERIES_BUF_LEN = 1 << 17
 #: The budget of K(u), beyond which the series raises SeriesDivergenceError:
 #: it covers lam = 0.999 up to the engine's u = 1e5 for widths below 1e6.
 K_MAX = 3 * 10**4
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class LimitCumulant:
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must lie in (0, 1)")
 
-    @property
+    @cached_property
     def mode(self) -> str:
         """The path phi takes for this family."""
         atoms = self.spec.atoms()
@@ -149,7 +150,7 @@ class LimitCumulant:
         u = arr.ravel()
         lam = self.lam
         with np.errstate(divide="ignore"):
-            ratio = np.log(u * (self.spec.width() / TAYLOR_REACH)) / math.log(1.0 / lam)
+            ratio = np.log(u * (self.spec._width / TAYLOR_REACH)) / math.log(1.0 / lam)
         n_terms = np.maximum(np.ceil(ratio), 0.0)
         k_top = float(n_terms.max(initial=0.0))
         if k_top > K_MAX:

@@ -55,6 +55,9 @@ _SQRT2 = math.sqrt(2.0)
 #: term is at most 1/15 of the one before and the series is exact to rounding.
 N_CUMULANTS, TAYLOR_REACH = 17, 0.1
 _BINOM = [[math.comb(n, k) for k in range(n + 1)] for n in range(N_CUMULANTS + 1)]
+_EPS = np.finfo(float).eps
+#: 32 subnormal ulps: the cumulant series' allowance for a product that underflows.
+_TINY = 32 * np.finfo(float).smallest_subnormal
 #: Gauss-Hermite rule of the Gaussian expectations (weight e^{-x^2}).
 _HERMITE_X, _HERMITE_W = np.polynomial.hermite.hermgauss(64)
 
@@ -79,11 +82,11 @@ class InnovationSpec:
         Each point is evaluated alone: its bits do not depend on the batch.
         """
         arr, kappa = _as_u(u), self.cumulants
-        small = (arr * self.width() <= TAYLOR_REACH) & (kappa is not None)
+        small = (arr * self._width <= TAYLOR_REACH) & (kappa is not None)
         out = np.empty_like(arr)
         if small.any():
             out[small] = _cumulant_series(kappa, arr[small], lows=self.cumulant_lows)[0]
-        out[~small] = self.log_partial_mgf(arr[~small])
+        out[~small] = self._fold(arr[~small], -math.inf, math.inf)
         return _maybe_scalar(out)
 
     # -- sampling ----------------------------------------------------------
@@ -121,6 +124,11 @@ class InnovationSpec:
         or level of the law, and at least the scale of a continuous part."""
         return self.scale()
 
+    @cached_property
+    def _width(self) -> float:
+        """width() at the default centre, which psi and phi's series read on every call."""
+        return self.width()
+
     def upper_support(self) -> float | None:
         """Essential supremum of eta, or None when unbounded above."""
         return None
@@ -149,8 +157,11 @@ class InnovationSpec:
         term plus log1p of the other, less the same fold over the whole law
         at u = 0: the law is normalised, as its cumulant_lows assume.
         """
-        terms = self._log_terms(_as_u(u), lo, hi)
-        return _maybe_scalar(reduce(np.logaddexp, terms) - self._log_mass)
+        return _maybe_scalar(self._fold(_as_u(u), lo, hi))
+
+    def _fold(self, u, lo, hi: float):
+        """log_partial_mgf at a checked u array."""
+        return reduce(np.logaddexp, self._log_terms(u, lo, hi)) - self._log_mass
 
     def _log_terms(self, u, lo, hi: float) -> list:
         """Arrays whose exponentials sum to E[exp(u*eta); lo < eta <= hi]
@@ -294,15 +305,14 @@ def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0)):
     s, e = _two_sum(t1, t2)
     lo = e + (t1_lo + c1_lo * u) + (t2_lo + (q_lo + (e2 + c2_lo) * x) * x)
     value = s + lo
-    eps, tiny = np.finfo(float).eps, 32 * np.finfo(float).smallest_subnormal
     xx, big = x * x, np.abs(t1) + np.abs(t2)
-    carry = 9 * eps * (abs(c1_lo) * u + abs(c2_lo) * xx) + 19 * eps**2 * big
+    carry = 9 * _EPS * (abs(c1_lo) * u + abs(c2_lo) * xx) + 19 * _EPS**2 * big
     carried = np.isfinite(lo)
     if not carried.all():
-        dropped = 3 * eps * big + abs(lows[0] * w[0]) * u + abs(lows[1] * w[1]) * xx
+        dropped = 3 * _EPS * big + abs(lows[0] * w[0]) * u + abs(lows[1] * w[1]) * xx
         value, carry = np.where(carried, value, s), np.where(carried, carry, dropped)
-    bound = x ** (N_CUMULANTS - 1) * (abs(coef[-2]) + abs(coef[-1]) * x) + 0.5 * eps * np.abs(value)
-    return value, bound + 0.51 * eps * horner * xx * x + tiny * (1.0 + u) + carry
+    bound = x ** (N_CUMULANTS - 1) * (abs(coef[-2]) + abs(coef[-1]) * x) + 0.5 * _EPS * np.abs(value)
+    return value, bound + 0.51 * _EPS * horner * xx * x + _TINY * (1.0 + u) + carry
 
 
 @lru_cache(maxsize=64)

@@ -279,6 +279,34 @@ def _polyval(z, lo: float, hi: float, coef) -> np.ndarray:
     return y
 
 
+def _cheb2poly(c) -> np.ndarray:
+    """np.polynomial.chebyshev.cheb2poly of a 1-D float array, bit for bit.
+
+    numpy's recurrence on Python floats, each sum and difference formed as
+    numpy's polyadd and polysub form it.  numpy trims the trailing zeros of
+    c and of every series it forms, but past c's there are none to trim:
+    c1 starts at c's last entry, which is not 0, and each step doubles its
+    last entry; c0 and the sums end in -c1[-1], 2 c1[-1] or c1[-1], or have
+    one entry.
+    """
+    c = c.tolist()
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    if len(c) < 3:
+        return np.array(c)
+    c0, c1 = [c[-2]], [c[-1]]
+    for ci in c[-3::-1]:
+        # x c1 is c1 shifted up, with a zero of c1[0]'s sign in front
+        x_c1 = [2 * x for x in (c1[0] * 0, *c1)]
+        c0, c1 = [ci - c1[0]] + [-x for x in c1[1:]], _add_onto(x_c1, c0)
+    return np.array(_add_onto([c1[0] * 0, *c1], c0))
+
+
+def _add_onto(longer: list, shorter: list) -> list:
+    """longer + shorter, as numpy adds a shorter series onto a longer one."""
+    return [a + b for a, b in zip(longer, shorter)] + longer[len(shorter):]
+
+
 def _h_at(p: PassageProblem, z, counts) -> QuadratureResult:
     """h at each state z, from which counts[i] atoms cross, one engine call.
 
@@ -333,7 +361,7 @@ def h_table(p: PassageProblem) -> HTable:
     pieces, bound = [], 0.0
     values, errs = res.value.reshape(len(spans), -1), res.abs_err.reshape(len(spans), -1)
     for (count, a, b), f, e in zip(spans, values, errs):
-        coef = np.polynomial.chebyshev.cheb2poly(basis @ f[:n])
+        coef = _cheb2poly(basis @ f[:n])
         gap = np.abs(_polyval(x_check, -1.0, 1.0, coef) - f[n:])
         # Horner's rounding on |x| <= 1 is at most 2n ulps of sum |coef|
         horner = 2 * n * 2.0**-53 * np.abs(coef).sum()

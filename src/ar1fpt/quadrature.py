@@ -15,6 +15,12 @@ end of the tail, one more call adds eight panels (to 65,536, then to the
 ceiling DEFAULT_U_MAX).  A panel's error is |K15 - G7|, and the
 panels whose error exceeds their share of some state's tolerance are
 bisected, all of them in one integrand call per round.
+
+The geometry of the first call is constant but for the head: the eight
+tail panels' K15 nodes and du/dx are read-only module arrays, and a call
+builds only the head panel's 15 nodes and du/dx, which depend on the
+singular power.  The panels that extend the tail and the halves of
+bisected panels are built as they arise.
 """
 
 from __future__ import annotations
@@ -136,13 +142,36 @@ def _nodes(a, b, head, p):
     return u, jac
 
 
-def _panels(f, a, b, head, p):
-    """K15 values, |K15 - G7| and |f| at the last node of the panels [a, b].
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+# The first call's panels: the head [0, 1], whose K15 nodes in w (u = w**p)
+# are _HEAD_X, and the dyadic tail [1, 2], ..., [128, 256].
+_FIRST_A, _FIRST_B = map(_read_only, _dyadic_panels(_TAIL_PANELS_PER_CALL))
+_FIRST_HEAD = _read_only(np.arange(len(_FIRST_A)) == 0)
+_HEAD_X, _HEAD_JAC = map(_read_only, _nodes(_FIRST_A[:1], _FIRST_B[:1], _FIRST_HEAD[:1], 1.0))
+_TAIL_U, _TAIL_JAC = map(_read_only, _nodes(_FIRST_A[1:], _FIRST_B[1:], _FIRST_HEAD[1:], 1.0))
+
+
+def _first_nodes(p):
+    """_nodes(_FIRST_A, _FIRST_B, _FIRST_HEAD, p), the same bytes, with only
+    the head panel's 15 nodes computed."""
+    if p == 1.0:
+        head_u, head_jac = _HEAD_X, _HEAD_JAC
+    else:
+        head_u, head_jac = _HEAD_X ** p, _HEAD_JAC * (p * _HEAD_X ** (p - 1.0))
+    return np.concatenate([head_u, _TAIL_U]), np.concatenate([head_jac, _TAIL_JAC])
+
+
+def _panels(f, u, jac):
+    """K15 values, |K15 - G7| and |f| at the last node of the panels with
+    K15 nodes u and du/dx jac, both of shape (panels, 15).
 
     The first three results have shape (states, panels); the last is the
     states' shape.
     """
-    u, jac = _nodes(a, b, head, p)
     raw = np.asarray(f(u.ravel()), dtype=float)
     state_shape = raw.shape[:-1]
     raw = raw.reshape(-1, *u.shape)
@@ -177,9 +206,8 @@ def improper_integral(
     offset = np.ravel(offset)
 
     # the head panel and the first tail panels
-    a, b = _dyadic_panels(_TAIL_PANELS_PER_CALL)
-    head = np.arange(len(a)) == 0
-    val, err, edge, state_shape = _panels(f, a, b, head, p)
+    a, b, head = _FIRST_A, _FIRST_B, _FIRST_HEAD
+    val, err, edge, state_shape = _panels(f, *_first_nodes(p))
     # extend the dyadic tail until every state's integrand has died
     while True:
         last, prev = val[:, -1], val[:, -2]
@@ -192,9 +220,11 @@ def improper_integral(
             np.minimum(b[-1] * 2.0 ** np.arange(_TAIL_PANELS_PER_CALL + 1), DEFAULT_U_MAX)
         )
         tail = np.zeros(len(new) - 1, dtype=bool)
-        nv, ne, nedge, _ = _panels(f, new[:-1], new[1:], tail, p)
-        a, b, head = np.append(a, new[:-1]), np.append(b, new[1:]), np.append(head, tail)
-        val, err, edge = np.hstack([val, nv]), np.hstack([err, ne]), np.hstack([edge, nedge])
+        nv, ne, nedge, _ = _panels(f, *_nodes(new[:-1], new[1:], tail, p))
+        a, b = np.concatenate([a, new[:-1]]), np.concatenate([b, new[1:]])
+        head = np.concatenate([head, tail])
+        val, err = np.concatenate([val, nv], axis=1), np.concatenate([err, ne], axis=1)
+        edge = np.concatenate([edge, nedge], axis=1)
 
     # states still alive at the ceiling: diverged if the tail grows, else
     # truncated; the unseen tail is bounded by geometric extrapolation
@@ -214,13 +244,15 @@ def improper_integral(
         n_split = int(split.sum())
         if n_split == 0 or len(a) + n_split > _MAX_PANELS:
             break
-        mid = 0.5 * (a[split] + b[split])
-        na, nb = np.append(a[split], mid), np.append(mid, b[split])
-        nh = np.tile(head[split], 2)
-        nv, ne, _, _ = _panels(f, na, nb, nh, p)
+        sa, sb, sh = a[split], b[split], head[split]
+        mid = 0.5 * (sa + sb)
+        na, nb, nh = np.concatenate([sa, mid]), np.concatenate([mid, sb]), np.concatenate([sh, sh])
+        nv, ne, _, _ = _panels(f, *_nodes(na, nb, nh, p))
         keep = ~split
-        a, b, head = np.append(a[keep], na), np.append(b[keep], nb), np.append(head[keep], nh)
-        val, err = np.hstack([val[:, keep], nv]), np.hstack([err[:, keep], ne])
+        a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
+        head = np.concatenate([head[keep], nh])
+        val = np.concatenate([val[:, keep], nv], axis=1)
+        err = np.concatenate([err[:, keep], ne], axis=1)
 
     diverged = growing | ~np.isfinite(value) | ~np.isfinite(abs_err)
     diag = np.where(diverged, "diverged", np.where(dead, "decayed", "truncated_at_umax"))

@@ -111,7 +111,8 @@ def transform(lc: LimitCumulant, kind: str, y, v=None) -> QuadratureResult:
         expo = np.minimum(u * ys - lc.phi(u)[0], _EXP_CLIP)
         if kind == "N":
             return np.exp(expo) * u ** (vs - 1.0)
-        bracket = np.where(u <= 1.0, np.expm1(expo), np.exp(expo))
+        bracket = np.exp(expo)
+        np.expm1(expo, out=bracket, where=u <= 1.0)  # the -1 cancels on [0, 1]
         return bracket * u ** (vs - 1.0)
 
     return improper_integral(

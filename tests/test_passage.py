@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402  (the benchmark's references: numpy only, no ar1fpt)
@@ -31,6 +33,7 @@ from ar1fpt import (
     h_table,
     identity_estimate,
     lower_bound_e_tau,
+    passage,
     simulate_passage,
     transform,
     upper_bound_e_tau,
@@ -540,3 +543,20 @@ def test_three_atom_law_at_lam_0999():
     except CertificateInfeasibleError:
         pass
     assert time.perf_counter() - start < 2.0
+
+
+_CHEB_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(1e-5, 1e5)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CHEB_ENTRIES, min_size=1, max_size=40))
+def test_cheb2poly_matches_numpy_bit_for_bit(coef):
+    # the h table's conversion to the power basis, trailing zeros trimmed as numpy trims them
+    c = np.array(coef)
+    want = np.polynomial.chebyshev.cheb2poly(c)
+    got = passage._cheb2poly(c)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

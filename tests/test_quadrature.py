@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from ar1fpt import DivergenceError, Gaussian, LimitCumulant, improper_integral, transform
+from ar1fpt import DivergenceError, Gaussian, LimitCumulant, TwoPoint, improper_integral, transform
 from ar1fpt import quadrature
 
 
@@ -174,3 +174,64 @@ def test_offset_is_part_of_the_value():
     )
     assert res.converged
     assert math.isclose(res.value, gamma(v), rel_tol=1e-9)
+
+
+# -- the first call's geometry: constant tail panels, a head built per call --
+
+#: Singular powers: none (p = 1), W at v = -0.4995, -0.1 and -0.9, N at v = 0.3.
+FIRST_CALL_POWERS = [0.0, -0.4995, -0.1, -0.9, 0.3 - 1.0]
+
+
+def _head_power(s):
+    return 1.0 if s == 0.0 else quadrature._HEAD_ORDER / (1.0 + s)
+
+
+def _first_nodes_built_per_call(p):
+    """The first call's nodes and Jacobians as the engine once built them on every call."""
+    a, b = quadrature._dyadic_panels(quadrature._TAIL_PANELS_PER_CALL)
+    return quadrature._nodes(a, b, np.arange(len(a)) == 0, p)
+
+
+@pytest.mark.parametrize("power", FIRST_CALL_POWERS)
+def test_first_call_geometry_is_the_dyadic_panels_bit_for_bit(power):
+    p = _head_power(power)
+    a, b = quadrature._dyadic_panels(quadrature._TAIL_PANELS_PER_CALL)
+    assert quadrature._FIRST_A.tobytes() == a.tobytes()
+    assert quadrature._FIRST_B.tobytes() == b.tobytes()
+    assert quadrature._FIRST_HEAD.tolist() == [True] + [False] * (len(a) - 1)
+    for got, want in zip(quadrature._first_nodes(p), _first_nodes_built_per_call(p)):
+        assert got.shape == want.shape == (len(a), 15)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_first_call_geometry_is_read_only():
+    constants = [
+        quadrature._FIRST_A, quadrature._FIRST_B, quadrature._FIRST_HEAD,
+        quadrature._HEAD_X, quadrature._HEAD_JAC, quadrature._TAIL_U, quadrature._TAIL_JAC,
+    ]
+    for arr in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+    # a call hands the integrand nodes it may write to
+    quadrature._first_nodes(_head_power(-0.1))[0][0, 0] = 0.0
+    quadrature._first_nodes(1.0)[0][0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "kind,y,v",
+    [
+        ("W", 0.0, -0.4995),
+        ("W", 0.5, np.linspace(-0.9, -0.05, 64)),  # one order per state, as the certificate scans
+        ("N", np.linspace(-3.0, 1.5, 64), 0.3),
+    ],
+    ids=["W-one-state", "W-64-orders", "N-64-states"],
+)
+def test_engine_reads_the_same_bytes_as_with_geometry_built_per_call(monkeypatch, kind, y, v):
+    # a fresh series cumulant each time, so that phi's memo serves neither run
+    law = TwoPoint(1.0, -1.0, 0.5)
+    kept = transform(LimitCumulant(law, 0.5), kind, y, v)
+    monkeypatch.setattr(quadrature, "_first_nodes", _first_nodes_built_per_call)
+    rebuilt = transform(LimitCumulant(law, 0.5), kind, y, v)
+    assert np.all(kept.converged)
+    for field in ("value", "abs_err", "converged", "tail_diagnostic"):
+        assert np.asarray(getattr(kept, field)).tobytes() == np.asarray(getattr(rebuilt, field)).tobytes()

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
 from ar1fpt import (
@@ -20,6 +22,7 @@ from ar1fpt import (
     check_harmonic,
     quadrature,
     transform,
+    transforms,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -262,3 +265,31 @@ def test_stable_harmonic_check_fails_typed(kind, v):
         with pytest.raises(DivergenceError, match="no partial expectation") as exc:
             check_harmonic(lc, kind, y=0.0, v=v)
     assert exc.value.exit_code == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["W", "C"]),
+    ys=st.lists(st.floats(-6.0, 1.99), min_size=1, max_size=5),
+    orders=st.lists(st.floats(-0.99, -0.01), min_size=1, max_size=5),
+    per_state=st.booleans(),
+    extra=st.lists(st.floats(1e-6, 300.0), max_size=30),
+    shuffle=st.integers(0, 2**32 - 1),
+)
+def test_W_integrand_takes_expm1_on_the_head_columns_bit_for_bit(kind, ys, orders, per_state, extra, shuffle):
+    # the integrand as the engine sees it, on nodes either side of u = 1 in any order
+    lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5)  # y_adm = 2
+    y = np.array(ys)
+    v = np.resize(orders, len(ys)) if per_state else orders[0]
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "improper_integral", lambda f, **kw: seen.append(f))
+        transform(lc, kind, y, v)
+    first = quadrature._first_nodes(quadrature._HEAD_ORDER / (1.0 + min(orders)))[0].ravel()
+    u = np.random.default_rng(shuffle).permutation(np.concatenate([first, extra, [1.0]]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        got = seen[0](u)
+        vs = v[:, None] if per_state else v
+        expo = np.minimum(u * y[:, None] - lc.phi(u)[0], transforms._EXP_CLIP)
+        want = np.where(u <= 1.0, np.expm1(expo), np.exp(expo)) * u ** (vs - 1.0)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
