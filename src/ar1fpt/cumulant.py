@@ -63,6 +63,7 @@ class LimitCumulant:
     spec: InnovationSpec
     lam: float
     _summed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _powers: list = field(default_factory=lambda: [np.ones(1)], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
@@ -134,15 +135,23 @@ class LimitCumulant:
             )
         return _cumulant_series(self.spec.cumulants, w, self.lam, self.spec.cumulant_lows)
 
+    def _lam_powers(self, n):
+        """lam ** arange(n), read from the longest such array this instance has made."""
+        powers = self._powers[0]
+        if len(powers) < n:
+            powers = self._powers[0] = self.lam ** np.arange(n)
+        return powers[:n]
+
     def series(self, u):
         """(phi(u), error bound) in K(u) terms of psi and phi's tail, for any family.
 
         Shapes as in phi.  A K(u) above K_MAX, or a series law without
         cumulants, raises before psi is called.  psi is evaluated on the
-        u_i lam**k, k < K_i, a block of rows at a time (at most
-        _SERIES_BUF_LEN entries), and each row is summed in k order by a
-        cumulative sum S_k before phi(w) is added, so no row's bits depend
-        on the other rows or the block sizes.  The bound is the tail's plus
+        u_i lam**k, k < K_i, in one pass when the (rows x max K) matrix
+        fits _SERIES_BUF_LEN entries, else a block of rows at a time, and
+        each row is summed in k order by a cumulative sum S_k before phi(w)
+        is added, so no row's bits depend on the other rows or the block
+        sizes.  The powers lam**k are kept on the instance.  The bound is the tail's plus
         eps * (sum_k (1 + |psi_k| + |S_k|) + |phi(w)|): a psi value is good to
         some ulps of 1 + |psi|, and each addition to half an ulp of its sum.
         """
@@ -159,27 +168,37 @@ class LimitCumulant:
                 f"terms of psi at lam = {lam}, beyond the budget K_MAX = {K_MAX}"
             )
         n_terms = n_terms.astype(np.int64)
-        powers = lam ** np.arange(int(k_top) + 1)
+        powers = self._lam_powers(int(k_top) + 1)
         w = u * powers[n_terms]
         tail, bound = self._tail(w)
-        head = np.zeros(len(u))
-        scale = np.zeros(len(u))
-        rows = np.flatnonzero(n_terms)
-        block = max(1, _SERIES_BUF_LEN // max(int(k_top), 1))
-        for lo in range(0, len(rows), block):
-            idx = rows[lo : lo + block]
-            n = n_terms[idx]
-            live = np.arange(n.max()) < n[:, None]
-            terms = np.zeros(live.shape)
-            args = np.multiply.outer(u[idx], powers[: live.shape[1]])[live]
-            terms[live] = self.spec.psi(args)
-            sums = np.cumsum(terms, axis=1)
-            sizes = np.cumsum(live * (1.0 + np.abs(terms) + np.abs(sums)), axis=1)
-            last = (np.arange(len(idx)), n - 1)
-            head[idx], scale[idx] = sums[last], sizes[last]
+        psi = self.spec.psi
+        if 0 < len(u) * k_top <= _SERIES_BUF_LEN:  # one block of every row, rows with no term too
+            head, scale = _psi_sums(psi, u, n_terms, powers)
+        else:  # blocks of the rows with terms
+            head, scale = np.zeros(len(u)), np.zeros(len(u))
+            rows = np.flatnonzero(n_terms)
+            block = max(1, _SERIES_BUF_LEN // max(int(k_top), 1))
+            for lo in range(0, len(rows), block):
+                idx = rows[lo : lo + block]
+                head[idx], scale[idx] = _psi_sums(psi, u[idx], n_terms[idx], powers)
         val = head + tail
         err = bound + _EPS * (scale + np.abs(tail))
         return _pair(val.reshape(arr.shape), err.reshape(arr.shape))
+
+
+def _psi_sums(psi, u, n, powers):
+    """Each row's S_n = sum_{k < n} psi(u lam**k), summed in k order, and
+    sum_{k < n} (1 + |psi_k| + |S_k|), from the row's cumulative sums.
+
+    The rows share one matrix, padded with zeros past each row's n: the
+    padding adds +0.0 to a row's sums, so the last column holds both.
+    """
+    live = np.arange(n.max()) < n[:, None]
+    terms = np.zeros(live.shape)
+    terms[live] = psi(np.multiply.outer(u, powers[: live.shape[1]])[live])
+    sums = np.cumsum(terms, axis=1)
+    sizes = np.cumsum(np.where(live, 1.0 + np.abs(terms) + np.abs(sums), 0.0), axis=1)
+    return sums[:, -1], sizes[:, -1]
 
 
 def _pair(val, err):

@@ -32,6 +32,7 @@ from .cumulant import LimitCumulant
 from .errors import (
     CertificateInfeasibleError,
     CoverageError,
+    DivergenceError,
     InfeasibleTruncationError,
     NoCrossingError,
 )
@@ -426,6 +427,11 @@ def exponential_certificate(
     W_v at x and a; c_bound = (|W_v(x)| + err)/(|W_v(a)| - err) bounds their
     ratio from above.  If those two are unconverged or W_v(a) + err >= 0,
     the next such order is tried.
+
+    The scan shares the engine's singular power of its most negative order,
+    and the engine cannot evaluate W_v at orders below about -0.95: when
+    every order of the scan diverges, as from delta 0.975 on, the
+    certificate raises DivergenceError, not CertificateInfeasibleError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -437,6 +443,12 @@ def exponential_certificate(
 
     orders = -np.geomspace(delta * (1.0 - 1e-3), 1e-6, _CERT_ORDERS)
     top = transform(lc, "W", y_top, orders)
+    if np.all(top.tail_diagnostic == "diverged"):
+        raise DivergenceError(
+            f"W_v({y_top:.6g}) diverged at all {_CERT_ORDERS} orders of the scan, which share the "
+            f"singular power of its most negative order v = {orders[0]:.6g}: the quadrature engine "
+            "cannot evaluate W_v at orders below about -0.95, which a delta of at most 0.95 avoids"
+        )
     for v in orders[top.converged & (top.value + top.abs_err < 0.0)]:
         w = transform(lc, "W", [p.x, p.a], float(v))
         # bounds on |W_v(x)| from above and on |W_v(a)| from below

@@ -7,20 +7,24 @@ maps a 1-D array of nodes u to an array of shape (states..., len(u)), so
 whatever the states share (phi(u) above all) is computed once per node set.
 
 The engine uses Gauss-Kronrod panels (the G7/K15 pair of QUADPACK).  The
-unit interval is one panel after a power substitution that removes the
-u**s cusp; the tail is covered by the dyadic panels [1, 2], [2, 4], ....
-The first integrand call evaluates the head panel and the tail panels up
-to [128, 256] together; while some state's integrand is still alive at the
-end of the tail, one more call adds eight panels (to 65,536, then to the
-ceiling DEFAULT_U_MAX).  A panel's error is |K15 - G7|, and the
-panels whose error exceeds their share of some state's tolerance are
-bisected, all of them in one integrand call per round.
+unit interval is the head: without a cusp (s = 0) it is one panel, and
+under the power substitution u = w**p that removes the u**s cusp it is
+the two panels [0, 1/2] and [1/2, 1] in w, which the bisection would
+otherwise reach one round later on most such integrals.  The tail
+is covered by the dyadic panels [1, 2], [2, 4], ....  The first integrand
+call evaluates the head and the tail panels up to [128, 256] together;
+while some state's integrand is still alive at the end of the tail, one
+more call adds eight panels (to 65,536, then to the ceiling
+DEFAULT_U_MAX).  A panel's error is |K15 - G7|, and the panels whose
+error exceeds their share of some state's tolerance are bisected, all of
+them in one integrand call per round, until no state is short of its
+tolerance.
 
 The geometry of the first call is constant but for the head: the eight
-tail panels' K15 nodes and du/dx are read-only module arrays, and a call
-builds only the head panel's 15 nodes and du/dx, which depend on the
-singular power.  The panels that extend the tail and the halves of
-bisected panels are built as they arise.
+tail panels' K15 nodes and du/dx, and the head's in w, are read-only
+module arrays, and a call computes only the head's 15 or 30 nodes u and
+du/dx, which depend on the singular power.  The panels that extend the
+tail and the halves of bisected panels are built as they arise.
 """
 
 from __future__ import annotations
@@ -40,12 +44,12 @@ DEFAULT_U_MAX = 1e5
 #: Dyadic tail panels per integrand call: the first call reaches u = 256,
 #: each call that extends the tail 256 times further, up to DEFAULT_U_MAX.
 #: Of the 16 engine calls of an analytic-cli benchmark pass, 15 need the
-#: tail past u = 16 and none past u = 256, so eight panels a call take 32
-#: integrand calls a pass where four took 47.  Nine or more only add nodes.
-#: Seven take 32 calls too, but drop the panel [128, 256] that eight keep:
-#: a panel's K15 sum does not depend on the other panels of its call, so
-#: every integral that reached u = 256 with four panels a call keeps its
-#: bits with eight.
+#: tail past u = 16 and none past u = 256, so eight panels a call take 27
+#: integrand calls a pass where four take 42 (32 and 47 with the head whole
+#: in the first call).  Nine or more only add nodes.  Seven take 27 calls
+#: too, but drop the panel [128, 256] that eight keep: a panel's K15 sum
+#: does not depend on the other panels of its call, so every integral that
+#: reached u = 256 with four panels a call keeps its bits with eight.
 _TAIL_PANELS_PER_CALL = 8
 #: Bisection stops adding panels beyond this count.
 _MAX_PANELS = 400
@@ -148,26 +152,34 @@ def _read_only(arr):
 
 
 # The first call's panels: the head [0, 1], whose K15 nodes in w (u = w**p)
-# are _HEAD_X, and the dyadic tail [1, 2], ..., [128, 256].
+# are _HEAD_X, and the dyadic tail [1, 2], ..., [128, 256].  Under a power
+# substitution (p != 1) the head is instead its two halves [0, 1/2] and
+# [1/2, 1] in w, with K15 nodes _SPLIT_X, which the bisection would reach
+# one round later on most such integrals.
 _FIRST_A, _FIRST_B = map(_read_only, _dyadic_panels(_TAIL_PANELS_PER_CALL))
 _FIRST_HEAD = _read_only(np.arange(len(_FIRST_A)) == 0)
+_SPLIT_A = _read_only(np.concatenate([[0.0, 0.5], _FIRST_A[1:]]))
+_SPLIT_B = _read_only(np.concatenate([[0.5, 1.0], _FIRST_B[1:]]))
+_SPLIT_HEAD = _read_only(np.arange(len(_SPLIT_A)) < 2)
 _HEAD_X, _HEAD_JAC = map(_read_only, _nodes(_FIRST_A[:1], _FIRST_B[:1], _FIRST_HEAD[:1], 1.0))
+_SPLIT_X, _SPLIT_JAC = map(_read_only, _nodes(_SPLIT_A[:2], _SPLIT_B[:2], _SPLIT_HEAD[:2], 1.0))
 _TAIL_U, _TAIL_JAC = map(_read_only, _nodes(_FIRST_A[1:], _FIRST_B[1:], _FIRST_HEAD[1:], 1.0))
 
 
-def _first_nodes(p):
-    """_nodes(_FIRST_A, _FIRST_B, _FIRST_HEAD, p), the same bytes, with only
-    the head panel's 15 nodes computed."""
+def _first_panels(p):
+    """The first call's panels a, b and head flags, and _nodes(a, b, head, p),
+    the same bytes, with only the head's nodes computed."""
     if p == 1.0:
-        head_u, head_jac = _HEAD_X, _HEAD_JAC
+        a, b, head, head_u, head_jac = _FIRST_A, _FIRST_B, _FIRST_HEAD, _HEAD_X, _HEAD_JAC
     else:
-        head_u, head_jac = _HEAD_X ** p, _HEAD_JAC * (p * _HEAD_X ** (p - 1.0))
-    return np.concatenate([head_u, _TAIL_U]), np.concatenate([head_jac, _TAIL_JAC])
+        a, b, head = _SPLIT_A, _SPLIT_B, _SPLIT_HEAD
+        head_u, head_jac = _SPLIT_X ** p, _SPLIT_JAC * (p * _SPLIT_X ** (p - 1.0))
+    return a, b, head, np.concatenate([head_u, _TAIL_U]), np.concatenate([head_jac, _TAIL_JAC])
 
 
-def _panels(f, u, jac):
-    """K15 values, |K15 - G7| and |f| at the last node of the panels with
-    K15 nodes u and du/dx jac, both of shape (panels, 15).
+def _panels(f, u, jac, edge=True):
+    """K15 values, |K15 - G7| and |f| at the last node (None unless edge) of
+    the panels with K15 nodes u and du/dx jac, both of shape (panels, 15).
 
     The first three results have shape (states, panels); the last is the
     states' shape.
@@ -177,7 +189,7 @@ def _panels(f, u, jac):
     raw = raw.reshape(-1, *u.shape)
     vals = raw * jac
     k15 = vals @ _WK15
-    return k15, np.abs(k15 - vals @ _WG15), np.abs(raw[..., -1]), state_shape
+    return k15, np.abs(k15 - vals @ _WG15), np.abs(raw[..., -1]) if edge else None, state_shape
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -205,9 +217,9 @@ def improper_integral(
     threshold = ABS_TOL * 1e-2
     offset = np.ravel(offset)
 
-    # the head panel and the first tail panels
-    a, b, head = _FIRST_A, _FIRST_B, _FIRST_HEAD
-    val, err, edge, state_shape = _panels(f, *_first_nodes(p))
+    # the head panel (two under a power substitution) and the first tail panels
+    a, b, head, u, jac = _first_panels(p)
+    val, err, edge, state_shape = _panels(f, u, jac)
     # extend the dyadic tail until every state's integrand has died
     while True:
         last, prev = val[:, -1], val[:, -2]
@@ -240,6 +252,8 @@ def improper_integral(
         tol = REL_TOL * np.abs(value) + ABS_TOL
         budget = (tol - tail_err) / len(a)
         short = ~growing & (abs_err > tol) & (budget > 0)
+        if not short.any():
+            break
         split = (err[short] > budget[short, None]).any(axis=0)
         n_split = int(split.sum())
         if n_split == 0 or len(a) + n_split > _MAX_PANELS:
@@ -247,7 +261,7 @@ def improper_integral(
         sa, sb, sh = a[split], b[split], head[split]
         mid = 0.5 * (sa + sb)
         na, nb, nh = np.concatenate([sa, mid]), np.concatenate([mid, sb]), np.concatenate([sh, sh])
-        nv, ne, _, _ = _panels(f, *_nodes(na, nb, nh, p))
+        nv, ne, _, _ = _panels(f, *_nodes(na, nb, nh, p), edge=False)
         keep = ~split
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         head = np.concatenate([head[keep], nh])

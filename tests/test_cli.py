@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -576,11 +577,20 @@ def test_integral_float_counts_are_integers(tmp_path):
 TWO_POINT_CFG = dict(GAUSS_CFG, family={"name": "two_point", "h_up": 1, "h_down": -1, "p": 0.5})
 
 
-@pytest.mark.parametrize("subcommand,sums", [("bounds", 1), ("validate", 4)])
+def test_certificate_past_the_engines_orders_exits_4(tmp_path, capsys):
+    code, report, _ = run(tmp_path, "certificate", TWO_POINT_CFG, "--delta", "0.99")
+    err = capsys.readouterr().err
+    assert code == 4 and report is None
+    assert "error[DivergenceError]" in err and "v = -0.98901" in err and "Traceback" not in err
+    code, report, _ = run(tmp_path, "certificate", TWO_POINT_CFG, "--delta", "0.97")
+    assert code == 0 and report["results"]["alpha"] > 0
+
+
+@pytest.mark.parametrize("subcommand,sums", [("bounds", 1), ("validate", 3)])
 def test_a_command_sums_each_node_set_once(tmp_path, monkeypatch, subcommand, sums):
     # bounds' two bounds share the problem's LimitCumulant (the cap in force
     # is the ess-sup), and validate's N, H and W checks share the node sets
-    # phi has summed: 2 and 5 series calls without the sharing and the memo
+    # phi has summed: 2 series calls without the sharing, and 5 without the memo
     calls = []
     series = cli.LimitCumulant.series
 
@@ -729,6 +739,30 @@ def test_identity_check_on_a_law_wider_than_its_level_writes_no_warning(tmp_path
     )
     assert proc.returncode == 4, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "subcommand,cfg",
+    [("phi", TWO_POINT_CFG), ("phi", GAUSS_CFG), ("validate", TWO_POINT_CFG), ("validate", STABLE_CFG)],
+    ids=["phi-two-point", "phi-gauss", "validate-two-point", "validate-stable"],
+)
+def test_table_csv_is_what_csv_writer_writes(tmp_path, monkeypatch, subcommand, cfg):
+    # the stable validate's harmonic rows are typed failures with value None
+    tables = []
+    write = cli._write_outputs
+
+    def kept(out_dir, subcommand, cfg, results, rows, wall_clock):
+        tables.append(rows)
+        return write(out_dir, subcommand, cfg, results, rows, wall_clock)
+
+    monkeypatch.setattr(cli, "_write_outputs", kept)
+    code, _, out = run(tmp_path, subcommand, cfg)
+    assert code == 0
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([cli._fmt(c) for c in row] for row in tables[0])
+    assert (out / "table.csv").read_bytes() == buf.getvalue().encode()
+    if cfg is STABLE_CFG:
+        assert [row[1] for row in tables[0] if str(row[0]).startswith("harmonic_")] == [None] * 3
 
 
 def test_stable_identity_check_fails_typed(tmp_path, capsys):

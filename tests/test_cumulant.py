@@ -194,6 +194,61 @@ def test_series_bytes_do_not_depend_on_block_sizes(monkeypatch, spec, lam, narro
     assert narrow_err.tobytes() == abs_err.tobytes()
 
 
+def series_by_blocks(lc, u, buf_len):
+    """phi's series summed as blocks of the rows with terms, each block at most
+    buf_len entries and each row read at its own last term: the loop the
+    series ran on every call before it summed a matrix that fits one buffer
+    in one pass."""
+    arr = np.asarray(u, dtype=float)
+    u = arr.ravel()
+    lam = lc.lam
+    with np.errstate(divide="ignore"):
+        ratio = np.log(u * (lc.spec.width() / TAYLOR_REACH)) / math.log(1.0 / lam)
+    n_terms = np.maximum(np.ceil(ratio), 0.0)
+    k_top = float(n_terms.max(initial=0.0))
+    n_terms = n_terms.astype(np.int64)
+    powers = lam ** np.arange(int(k_top) + 1)
+    tail, bound = lc._tail(u * powers[n_terms])
+    head = np.zeros(len(u))
+    scale = np.zeros(len(u))
+    rows = np.flatnonzero(n_terms)
+    block = max(1, buf_len // max(int(k_top), 1))
+    for lo in range(0, len(rows), block):
+        idx = rows[lo : lo + block]
+        n = n_terms[idx]
+        live = np.arange(n.max()) < n[:, None]
+        terms = np.zeros(live.shape)
+        terms[live] = lc.spec.psi(np.multiply.outer(u[idx], powers[: live.shape[1]])[live])
+        sums = np.cumsum(terms, axis=1)
+        sizes = np.cumsum(live * (1.0 + np.abs(terms) + np.abs(sums)), axis=1)
+        last = (np.arange(len(idx)), n - 1)
+        head[idx], scale[idx] = sums[last], sizes[last]
+    eps = np.finfo(float).eps
+    return (head + tail).reshape(arr.shape), (bound + eps * (scale + np.abs(tail))).reshape(arr.shape)
+
+
+@pytest.mark.parametrize("buf_len", [cumulant._SERIES_BUF_LEN, 64, 4], ids=["default", "64", "4"])
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize(
+    "spec",
+    [TwoPoint(1.0, -1.0, 0.3), CappedAbove(Gaussian(0.0, 1.0), 1.5), Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3)))],
+    ids=["two-point", "capped", "three-atom"],
+)
+def test_series_in_one_pass_reads_the_bytes_of_the_block_loop(monkeypatch, spec, lam, buf_len):
+    # rows with no psi term (u = 0 and below w0) beside rows of up to some
+    # 12,000 terms at lam 0.999, in a 2-D array: one pass at the default
+    # buffer but at lam 0.999, blocks of a few rows or of one at the others
+    monkeypatch.setattr(cumulant, "_SERIES_BUF_LEN", buf_len)
+    u = np.concatenate([[0.0, 1e-9, 0.3], np.linspace(0.5, 60.0, 22), [1e4]]).reshape(2, 13)
+    want = series_by_blocks(LimitCumulant(spec, lam), u, buf_len)
+    used = LimitCumulant(spec, lam)
+    used.series(np.array([3e4, 7.0]))  # keeps lam**k beyond this u's K(u)
+    for lc in (LimitCumulant(spec, lam), used):
+        got = lc.series(u)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 def _engine_nodes(k):
     """The K15 nodes of the engine's head panel [0, 1] and its dyadic panels up to u = 2**k."""
     a, b = quadrature._dyadic_panels(k)

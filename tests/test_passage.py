@@ -479,6 +479,24 @@ def test_certificate_no_crossing():
         exponential_certificate(p)
 
 
+@pytest.mark.parametrize("spec", [Gaussian(0.0, 1.0), TwoPoint(1.0, -1.0, 0.5)], ids=["gauss", "two-point"])
+def test_certificate_past_the_engines_orders_raises_divergence(spec):
+    # the scan shares the singular power of its most negative order: from
+    # delta 0.975 on, every order reads diverged, a failure of the engine
+    # and not of the certificate; at 0.97 eight orders diverge and the rest
+    # certify, as at 0.5
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=spec)
+    with pytest.raises(DivergenceError, match=r"all 64 orders .* v = -0\.98901: .* about -0\.95"):
+        exponential_certificate(p, delta=0.99)
+    for delta, n_diverged in ((0.97, 8), (0.5, 0)):
+        lc, h = passage._capped(p, p.a * (1.0 - p.lam) + spec.scale())
+        orders = -np.geomspace(delta * (1.0 - 1e-3), 1e-6, 64)
+        scan = transform(lc, "W", p.lam * p.a + h, orders)
+        assert int(np.sum(scan.tail_diagnostic == "diverged")) == n_diverged
+        cert = exponential_certificate(p, delta=delta)
+        assert cert.v_star in orders[scan.converged] and cert.alpha > 0.0 and math.isfinite(cert.c_bound)
+
+
 def test_certificate_rejects_delta_outside_the_unit_interval():
     with pytest.raises(ValueError, match="delta must lie in"):
         exponential_certificate(GAUSS, delta=1.0)

@@ -12,7 +12,7 @@ import pytest
 from scipy.special import gamma
 
 from ar1fpt import DivergenceError, Gaussian, LimitCumulant, TwoPoint, improper_integral, transform
-from ar1fpt import quadrature
+from ar1fpt import quadrature, transforms
 
 
 def test_singular_power_must_exceed_minus_one():
@@ -64,8 +64,9 @@ def test_integrand_calls_per_integral(f, power, exact, calls):
     assert res.converged and res.tail_diagnostic == "decayed"
     assert math.isclose(res.value, exact, rel_tol=1e-12)
     assert len(sizes) == calls
-    # the first call: the head panel and the tail panels [1, 2], ..., [128, 256]
-    assert sizes[0] == 9 * 15
+    # the first call: the head panel, or its two halves under a power
+    # substitution, and the tail panels [1, 2], ..., [128, 256]
+    assert sizes[0] == (9 if power == 0.0 else 10) * 15
 
 
 def test_divergent_integrand_flagged():
@@ -186,52 +187,167 @@ def _head_power(s):
     return 1.0 if s == 0.0 else quadrature._HEAD_ORDER / (1.0 + s)
 
 
-def _first_nodes_built_per_call(p):
-    """The first call's nodes and Jacobians as the engine once built them on every call."""
+def _first_panels_built_per_call(p, whole_head=False):
+    """The first call's panels and nodes as the engine builds the panels it
+    bisects: the head [0, 1], or under a power substitution (unless
+    whole_head) its halves [0, 1/2] and [1/2, 1], then the tail [1, 2],
+    ..., [128, 256]."""
     a, b = quadrature._dyadic_panels(quadrature._TAIL_PANELS_PER_CALL)
-    return quadrature._nodes(a, b, np.arange(len(a)) == 0, p)
+    if p != 1.0 and not whole_head:
+        a, b = np.concatenate([[0.0, 0.5], a[1:]]), np.concatenate([[0.5, 1.0], b[1:]])
+    head = a < 1.0
+    return (a, b, head, *quadrature._nodes(a, b, head, p))
 
 
 @pytest.mark.parametrize("power", FIRST_CALL_POWERS)
 def test_first_call_geometry_is_the_dyadic_panels_bit_for_bit(power):
     p = _head_power(power)
-    a, b = quadrature._dyadic_panels(quadrature._TAIL_PANELS_PER_CALL)
-    assert quadrature._FIRST_A.tobytes() == a.tobytes()
-    assert quadrature._FIRST_B.tobytes() == b.tobytes()
-    assert quadrature._FIRST_HEAD.tolist() == [True] + [False] * (len(a) - 1)
-    for got, want in zip(quadrature._first_nodes(p), _first_nodes_built_per_call(p)):
-        assert got.shape == want.shape == (len(a), 15)
-        assert got.tobytes() == want.tobytes()
+    got, want = quadrature._first_panels(p), _first_panels_built_per_call(p)
+    n_head = 1 if power == 0.0 else 2
+    assert got[2].tolist() == [True] * n_head + [False] * quadrature._TAIL_PANELS_PER_CALL
+    for g, w in zip(got, want):
+        assert g.shape[0] == n_head + quadrature._TAIL_PANELS_PER_CALL
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_first_call_geometry_is_read_only():
     constants = [
         quadrature._FIRST_A, quadrature._FIRST_B, quadrature._FIRST_HEAD,
-        quadrature._HEAD_X, quadrature._HEAD_JAC, quadrature._TAIL_U, quadrature._TAIL_JAC,
+        quadrature._SPLIT_A, quadrature._SPLIT_B, quadrature._SPLIT_HEAD,
+        quadrature._HEAD_X, quadrature._HEAD_JAC, quadrature._SPLIT_X, quadrature._SPLIT_JAC,
+        quadrature._TAIL_U, quadrature._TAIL_JAC,
     ]
     for arr in constants:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[-1]
     # a call hands the integrand nodes it may write to
-    quadrature._first_nodes(_head_power(-0.1))[0][0, 0] = 0.0
-    quadrature._first_nodes(1.0)[0][0, 0] = 0.0
+    quadrature._first_panels(_head_power(-0.1))[3][0, 0] = 0.0
+    quadrature._first_panels(1.0)[3][0, 0] = 0.0
+
+
+ENGINE_BATCHES = [
+    ("W", 0.0, -0.4995),
+    ("W", 0.5, np.linspace(-0.9, -0.05, 64)),  # one order per state, as the certificate scans
+    ("N", np.linspace(-3.0, 1.5, 64), 0.3),
+]
+ENGINE_BATCH_IDS = ["W-one-state", "W-64-orders", "N-64-states"]
+
+
+def _same_bytes(got, want):
+    for field in ("value", "abs_err", "converged", "tail_diagnostic"):
+        assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(want, field)).tobytes()
+
+
+@pytest.mark.parametrize("kind,y,v", ENGINE_BATCHES, ids=ENGINE_BATCH_IDS)
+def test_engine_reads_the_same_bytes_as_with_geometry_built_per_call(monkeypatch, kind, y, v):
+    # a fresh series cumulant each time, so that phi's memo serves neither run
+    law = TwoPoint(1.0, -1.0, 0.5)
+    kept = transform(LimitCumulant(law, 0.5), kind, y, v)
+    monkeypatch.setattr(quadrature, "_first_panels", _first_panels_built_per_call)
+    rebuilt = transform(LimitCumulant(law, 0.5), kind, y, v)
+    assert np.all(kept.converged)
+    _same_bytes(kept, rebuilt)
+
+
+@pytest.mark.parametrize("kind,y,v", ENGINE_BATCHES, ids=ENGINE_BATCH_IDS)
+def test_split_head_saves_the_round_that_bisected_it(monkeypatch, kind, y, v):
+    # with the head whole the first round bisects it into the halves the
+    # split head starts from; the values agree within the error bars
+    law = TwoPoint(1.0, -1.0, 0.5)
+    real, calls, runs = quadrature.improper_integral, [], []
+
+    def counted(f, **kw):
+        def g(u):
+            calls[-1] += 1
+            return f(u)
+
+        return real(g, **kw)
+
+    monkeypatch.setattr(transforms, "improper_integral", counted)
+    for first_panels in (quadrature._first_panels, lambda p: _first_panels_built_per_call(p, whole_head=True)):
+        monkeypatch.setattr(quadrature, "_first_panels", first_panels)
+        calls.append(0)
+        runs.append(transform(LimitCumulant(law, 0.5), kind, y, v))
+    split, whole = runs
+    assert np.all(split.converged) and np.all(whole.converged)
+    assert calls[0] == calls[1] - 1
+    assert np.all(np.abs(split.value - whole.value) <= split.abs_err + whole.abs_err)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _engine_without_trims(f, singular_power=0.0, offset=0.0):
+    """improper_integral's value and error as before its rounds were trimmed:
+    every round, the last too, builds its split set, and every integrand
+    call reads |f| at its panels' last nodes."""
+    q = quadrature
+    p = 1.0 if singular_power == 0.0 else q._HEAD_ORDER / (1.0 + singular_power)
+    threshold = q.ABS_TOL * 1e-2
+    offset = np.ravel(offset)
+    a, b, head, u, jac = q._first_panels(p)
+    val, err, edge, state_shape = q._panels(f, u, jac)
+    while True:
+        last, prev = val[:, -1], val[:, -2]
+        dead = (edge[:, -1] < threshold) & (
+            np.abs(last) < np.maximum(threshold, q.REL_TOL * np.abs(val.sum(axis=1)))
+        )
+        if dead.all() or b[-1] >= q.DEFAULT_U_MAX:
+            break
+        new = np.unique(np.minimum(b[-1] * 2.0 ** np.arange(q._TAIL_PANELS_PER_CALL + 1), q.DEFAULT_U_MAX))
+        tail = np.zeros(len(new) - 1, dtype=bool)
+        nv, ne, nedge, _ = q._panels(f, *q._nodes(new[:-1], new[1:], tail, p))
+        a, b, head = np.concatenate([a, new[:-1]]), np.concatenate([b, new[1:]]), np.concatenate([head, tail])
+        val, err = np.concatenate([val, nv], axis=1), np.concatenate([err, ne], axis=1)
+        edge = np.concatenate([edge, nedge], axis=1)
+    growing = ~dead & ((np.abs(last) > np.abs(prev)) | (edge[:, -1] >= edge[:, -2]))
+    r = np.minimum(np.abs(last) / np.abs(prev), np.where(dead, 0.9, 0.99))
+    tail_err = np.where(np.abs(prev) > 0, np.abs(last) * r / (1.0 - r), 0.0)
+    while True:
+        value = val.sum(axis=1) + offset
+        abs_err = err.sum(axis=1) + tail_err
+        tol = q.REL_TOL * np.abs(value) + q.ABS_TOL
+        budget = (tol - tail_err) / len(a)
+        short = ~growing & (abs_err > tol) & (budget > 0)
+        split = (err[short] > budget[short, None]).any(axis=0)
+        n_split = int(split.sum())
+        if n_split == 0 or len(a) + n_split > q._MAX_PANELS:
+            break
+        sa, sb, sh = a[split], b[split], head[split]
+        mid = 0.5 * (sa + sb)
+        na, nb, nh = np.concatenate([sa, mid]), np.concatenate([mid, sb]), np.concatenate([sh, sh])
+        nv, ne, _, _ = q._panels(f, *q._nodes(na, nb, nh, p))
+        keep = ~split
+        a, b, head = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb]), np.concatenate([head[keep], nh])
+        val = np.concatenate([val[:, keep], nv], axis=1)
+        err = np.concatenate([err[:, keep], ne], axis=1)
+    return value.reshape(state_shape), abs_err.reshape(state_shape)
 
 
 @pytest.mark.parametrize(
     "kind,y,v",
     [
-        ("W", 0.0, -0.4995),
-        ("W", 0.5, np.linspace(-0.9, -0.05, 64)),  # one order per state, as the certificate scans
-        ("N", np.linspace(-3.0, 1.5, 64), 0.3),
+        ("W", np.linspace(-4.0, 1.5, 16), -0.5),
+        ("W", 0.5, -np.geomspace(0.4995, 1e-6, 64)),
+        ("H", np.linspace(-6.0, 1.5, 32), None),
+        ("N", np.linspace(-3.0, 1.5, 16), 1.0),
+        ("N", np.linspace(-3.0, 1.5, 16), 0.3),
     ],
-    ids=["W-one-state", "W-64-orders", "N-64-states"],
+    ids=["W-states", "W-64-orders", "H-states", "N-1-states", "N-0.3-states"],
 )
-def test_engine_reads_the_same_bytes_as_with_geometry_built_per_call(monkeypatch, kind, y, v):
-    # a fresh series cumulant each time, so that phi's memo serves neither run
-    law = TwoPoint(1.0, -1.0, 0.5)
-    kept = transform(LimitCumulant(law, 0.5), kind, y, v)
-    monkeypatch.setattr(quadrature, "_first_nodes", _first_nodes_built_per_call)
-    rebuilt = transform(LimitCumulant(law, 0.5), kind, y, v)
-    assert np.all(kept.converged)
-    for field in ("value", "abs_err", "converged", "tail_diagnostic"):
-        assert np.asarray(getattr(kept, field)).tobytes() == np.asarray(getattr(rebuilt, field)).tobytes()
+@pytest.mark.parametrize("law", [Gaussian(0.0, 1.0), TwoPoint(1.0, -1.0, 0.5)], ids=["gauss", "two-point"])
+def test_engine_rounds_stop_early_bit_for_bit(monkeypatch, law, kind, y, v):
+    # the engine's value and error against the same engine with every round
+    # built in full; each run integrates through a fresh limit cumulant
+    got = transform(LimitCumulant(law, 0.5), kind, y, v)
+    want = []
+    real = quadrature.improper_integral
+
+    def untrimmed(f, singular_power=0.0, offset=0.0):
+        want.extend(_engine_without_trims(f, singular_power, offset))
+        return real(f, singular_power, offset)
+
+    monkeypatch.setattr(transforms, "improper_integral", untrimmed)
+    transform(LimitCumulant(law, 0.5), kind, y, v)
+    scale = 1.0 / math.log(2.0) if kind == "H" else 1.0
+    assert np.all(got.converged)
+    assert (want[0] * scale).tobytes() == got.value.tobytes()
+    assert (want[1] * scale).tobytes() == got.abs_err.tobytes()

@@ -17,9 +17,11 @@ from ar1fpt import (
     FlooredPositive,
     Gaussian,
     LimitCumulant,
+    PassageProblem,
     StableSpectrallyNegative,
     TwoPoint,
     check_harmonic,
+    passage,
     quadrature,
     transform,
     transforms,
@@ -251,6 +253,36 @@ def test_W_and_C_near_minus_one_lie_within_their_error_of_a_tight_evaluation(mon
     assert np.all(np.abs(res.value - ref.value) <= res.abs_err)
 
 
+#: The engine's transforms and orders: H, N at v = 1 and 0.3, W at v = -0.1, -0.5 and -0.8.
+BAR_KINDS = [("H", None), ("N", 1.0), ("N", 0.3), ("W", -0.1), ("W", -0.5), ("W", -0.8)]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize(
+    "spec",
+    [Gaussian(0.0, 1.0), TwoPoint(1.0, -1.0, 0.5), CappedAbove(Gaussian(0.0, 1.0), 1.5), MEAN_LAWS[1][0]],
+    ids=["gauss", "two-point", "capped", "three-atom"],
+)
+def test_error_bars_cover_a_tight_evaluation(monkeypatch, spec, lam):
+    # the default engine against one at REL_TOL 1e-13 and ABS_TOL 1e-16, whose
+    # geometry differs (more bisection rounds): six states a transform, and
+    # the certificate's scan of 64 orders at lam*a + cap for a = 1
+    lc = LimitCumulant(spec, lam)
+    sd = math.sqrt(spec.var() / (1.0 - lam**2))
+    ys = np.linspace(-4.0, min(lc.y_adm - 0.25 * sd, 2.0), 6)
+    p = PassageProblem(lam=lam, x=0.0, a=1.0, spec=spec)
+    capped, h = passage._capped(p, max(p.a * (1.0 - lam), 0.0) + spec.scale())
+    orders = -np.geomspace(0.5 * (1.0 - 1e-3), 1e-6, 64)
+    batches = [(lc, kind, ys, v) for kind, v in BAR_KINDS] + [(capped, "W", lam * p.a + h, orders)]
+    results = [transform(*batch) for batch in batches]
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-13)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-16)
+    for res, batch in zip(results, batches):
+        ref = transform(*batch)
+        assert np.all(res.converged)
+        assert np.all(np.abs(res.value - ref.value) <= res.abs_err + ref.abs_err)
+
+
 @pytest.mark.parametrize("spec,y", MEAN_LAWS, ids=MEAN_LAW_IDS)
 def test_harmonic_W_near_minus_one_on_laws_with_a_mean(spec, y):
     assert check_harmonic(LimitCumulant(spec, 0.5), "W", y=y, v=-0.9) < 1e-10
@@ -285,7 +317,7 @@ def test_W_integrand_takes_expm1_on_the_head_columns_bit_for_bit(kind, ys, order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "improper_integral", lambda f, **kw: seen.append(f))
         transform(lc, kind, y, v)
-    first = quadrature._first_nodes(quadrature._HEAD_ORDER / (1.0 + min(orders)))[0].ravel()
+    first = quadrature._first_panels(quadrature._HEAD_ORDER / (1.0 + min(orders)))[3].ravel()
     u = np.random.default_rng(shuffle).permutation(np.concatenate([first, extra, [1.0]]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         got = seen[0](u)
