@@ -8,7 +8,11 @@ the FPT_THREADS environment variable merely caps parallelism, at the CPU
 count.
 
 A block steps its paths with numpy until at most _FLOAT_TAIL live, and the
-rest on Python floats, with the same roundings.  The float loop reads its
+rest on Python floats, with the same roundings.  A numpy step with
+crossings compacts the live paths: by index when at least _DENSE_SHARE of
+them crossed, as on the flagship, and otherwise by mask, which is the
+faster below the crossover of about 5% (16,384 live paths) to 9% (1,024).
+Both keep the same survivors in the same order.  The float loop reads its
 draws in order from chunks of the block's stream, which gives the values
 of one sample call a step because every sampler is a stream.  It holds
 the interpreter lock, so threads overlap only the blocks' numpy steps.
@@ -34,13 +38,16 @@ from .transforms import transform
 BLOCK_SIZE = 1 << 14
 
 # Bytes of one array allocated and freed before the blocks run.  A block
-# allocates and frees about 1 MB of block-sized arrays; where they end at
-# the heap's top, glibc's malloc hands a freed top above its trim threshold
-# (256 KB by then) back to the system, and the next block faults the pages
-# in anew: about 760 minor faults a 65,536-path two-point identity-check,
-# or none, as the allocations before the run happened to leave the heap.
-# Freeing a mapped chunk this large sets glibc's trim threshold to twice
-# it, so no block trims the heap; to another malloc it is one allocation.
+# allocates and frees up to about 1 MB of block-sized arrays at once (a
+# 16,384-path block's traced peak: 0.75 MB on the flagship, whose dense
+# steps take an index array, 0.9 MB on the two-point law); where they end
+# at the heap's top, glibc's malloc hands a freed top above its trim
+# threshold (256 KB by then) back to the system, and the next block faults
+# the pages in anew: about 760 minor faults a 65,536-path two-point
+# identity-check, or none, as the allocations before the run happened to
+# leave the heap.  Freeing a mapped chunk this large sets glibc's trim
+# threshold to twice it, so no block trims the heap; to another malloc it
+# is one allocation.
 _HEAP_RESERVE = 1 << 22
 
 # Domain tags keep the passage, stationary and martingale-check samplers on
@@ -60,6 +67,15 @@ _MASK64 = (1 << 64) - 1
 _FLOAT_TAIL = 48
 #: Draws the float loop reads from the block's stream in one sample call.
 _TAIL_CHUNK = 1024
+#: Share of a numpy step's live paths crossing from which it takes the
+#: survivors by index, not by mask.  A boolean mask's copy mispredicts a
+#: branch at each crossing; nonzero and take cost the same at any share.
+#: The two meet at about 5% crossing at 16,384 live paths, 6% at 4,096 and
+#: 9% at 1,024 (timings over 64 fresh random masks, numpy 2.4, a 2-core
+#: Xeon host).  The flagship crosses 11-16% of its live paths a step, about
+#: 12.5% once past its first steps; at a 1/16 share its 65,536-path run
+#: took 2% less CPU than at 1/8, in 10 of 12 alternating pairs.
+_DENSE_SHARE = 1 / 16
 
 #: Distinct states per engine call of _at_distinct; bounds its states x
 #: nodes integrand arrays to a few MB.
@@ -152,7 +168,9 @@ def _passages(
 
     Each step's draws go to the live paths in path order.  While more than
     _FLOAT_TAIL paths live, a step is a few numpy calls: it records its
-    crossings once and only a step with crossings compacts the live paths.
+    crossings once and only a step with crossings compacts the live paths,
+    by index where at least _DENSE_SHARE of them crossed (the dense steps;
+    a mask mispredicts at each crossing) and by mask where fewer did.
     The last _FLOAT_TAIL or fewer step as Python floats, their draws read in
     order from chunks of the block's stream.  lam * x + d rounds twice, as
     the numpy step does (CPython fuses no multiply-add), so both loops give
@@ -181,7 +199,10 @@ def _passages(
             hit_steps.append(step)
             hit_counts.append(len(hits))
             n_done = k
-            x_new = x_new[~crossed]
+            if len(hits) >= _DENSE_SHARE * len(x_new):
+                x_new = x_new.take(np.logical_not(crossed, out=crossed).nonzero()[0])
+            else:
+                x_new = x_new[~crossed]
         x_alive = x_new
 
     # the draws one at a time from chunks of the block's stream: the values
@@ -236,7 +257,16 @@ def _run_block(
 
 def _mean_se(s1, s2, n: int):
     """Mean of n samples from their sum s1, and its standard error from
-    their sum of squares s2; an error that is not finite reads inf."""
+    their sum of squares s2; an error that is not finite reads inf.
+
+    s2/n - m**2 cancels: the variance keeps the bits of s2/n less
+    log2(1 + m**2/var), about log2(m**2/var) where the mean dominates.  At
+    65,536 paths (seed 104) that is 1.0 bit for tau, 1.3 for the overshoot
+    and 5.1 for h(Z) on the flagship, and 1.4, 1.9 and 3.2 on
+    TwoPoint(1, -1, 0.5).  The 48 or more bits left lie far below the
+    error's own sampling spread, about 1/sqrt(2n) of it, so the sums are
+    not taken about a shift, which would move the results' bits.
+    """
     m = np.divide(s1, n)  # a numpy scalar, whose square overflows to inf
     with np.errstate(invalid="ignore", over="ignore"):
         se = np.sqrt(np.maximum(s2 / n - m**2, 0.0) / n)
@@ -309,7 +339,7 @@ def simulate_passage(
     outside = []
     for block_counts, block_sums, block_outside in _in_block_order(job, n_blocks, _worker_count()):
         if len(block_counts) > len(counts):
-            counts = np.pad(counts, (0, len(block_counts) - len(counts)))
+            counts = np.concatenate([counts, np.zeros(len(block_counts) - len(counts), dtype=np.int64)])
         counts[: len(block_counts)] += block_counts
         with np.errstate(over="ignore"):  # a sum past the largest float is inf, and its error reads null
             sums += block_sums

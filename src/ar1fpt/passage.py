@@ -254,14 +254,21 @@ class HTable:
 
     def lookup(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(h at the states of z that the table covers, the other states),
-        each in the order of z."""
-        # a law without atoms has the one count 0
+        each in the order of z.
+
+        A law without atoms has one piece, of count 0: when it covers z,
+        which z's least and greatest states tell, no mask is built.
+        """
+        if not len(self.thresholds) and len(self.pieces) == 1 and len(z):
+            _, lo, hi, coef = self.pieces[0]
+            if lo <= z.min() and z.max() <= hi:
+                return _polyval(z, lo, hi, coef), np.empty(0)
         counts = np.searchsorted(self.thresholds, z, side="right") if len(self.thresholds) else 0
         inside = np.zeros(len(z), dtype=bool)
         out = np.empty(len(z))
         for count, lo, hi, coef in self.pieces:
             mine = (counts == count) & (z >= lo) & (z <= hi)
-            if mine.all():  # a law without atoms: one piece, and it covers z
+            if mine.all():  # one piece covers z
                 return _polyval(z, lo, hi, coef), np.empty(0)
             inside |= mine
             out[mine] = _polyval(z[mine], lo, hi, coef)

@@ -35,6 +35,11 @@ import reference  # noqa: E402  (the benchmark's references: numpy only, no ar1f
 
 GAUSS = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=Gaussian(0.0, 1.0))
 SLOW = PassageProblem(lam=0.9, x=0.0, a=4.0, spec=Gaussian(0.0, 1.0))
+#: Half the paths cross at step 1.
+HALF = PassageProblem(lam=0.5, x=0.0, a=0.0, spec=Gaussian(0.0, 1.0))
+#: At seed 5, 2,000 paths: step 26 crosses 19 of 304 live paths, exactly
+#: the dense share, and 17 other steps cross fewer than it.
+AT_THE_SHARE = PassageProblem(lam=0.5, x=0.0, a=1.5, spec=Gaussian(0.0, 1.0))
 
 
 def test_deterministic_paths_all_hit_at_three():
@@ -102,6 +107,34 @@ def _reference_run_block(p, block, size, max_steps, seed, h=None):
     return counts, np.array([xis.sum(), (xis**2).sum(), h_sum, h_sum2]), outside
 
 
+class _CompactionSpy:
+    """numpy for the montecarlo module, recording the (crossings, live paths)
+    of each step that takes its survivors by index."""
+
+    def __init__(self):
+        self.dense = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def logical_not(self, crossed, out):
+        self.dense.append((int(crossed.sum()), len(crossed)))
+        return np.logical_not(crossed, out=out)
+
+
+def _numpy_steps(size: int, counts) -> list[tuple[int, int]]:
+    """(crossings, live paths) of each numpy step with crossings, in a block
+    of size paths with the tau histogram counts."""
+    steps, alive = [], size
+    for c in counts[1:].tolist():
+        if alive <= montecarlo._FLOAT_TAIL:
+            break
+        if c:
+            steps.append((c, alive))
+        alive -= c
+    return steps
+
+
 @pytest.mark.parametrize("with_nodes", [False, "h"], ids=["plain", "h"])
 @pytest.mark.parametrize(
     "p,n_paths,kwargs",
@@ -122,11 +155,13 @@ def _reference_run_block(p, block, size, max_steps, seed, h=None):
         (SLOW, 200, {"max_steps": 199}),
         # a quarter of the paths sit at the level after two steps, not above it
         (PassageProblem(lam=0.5, x=0.0, a=1.5, spec=TwoPoint(1.0, -1.0, 0.5)), 40, {}),
+        (HALF, 5000, {}),
+        (AT_THE_SHARE, 2000, {}),
     ],
     ids=[
         "flagship", "slow-mixing", "two-point", "capped", "stable", "censored", "ragged-blocks",
         "float-tail-below", "float-tail-at", "float-tail-above", "censored-float-tail",
-        "at-the-level",
+        "at-the-level", "half-cross", "at-the-dense-share",
     ],
 )
 def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwargs, with_nodes):
@@ -136,14 +171,31 @@ def test_kernel_matches_the_step_by_step_reference(monkeypatch, p, n_paths, kwar
         return
     if with_nodes == "h":
         kwargs = dict(kwargs, h=h_table(p))
+    spy, histograms = _CompactionSpy(), {}
+
+    def reference(p, block, size, max_steps, seed, h=None):
+        out = _reference_run_block(p, block, size, max_steps, seed, h)
+        histograms[block] = (size, out[0])
+        return out
+
     runs = []
-    for kernel in (montecarlo._run_block, _reference_run_block):
+    for kernel, numpy in ((montecarlo._run_block, spy), (reference, np)):
         monkeypatch.setattr(montecarlo, "_run_block", kernel)
+        monkeypatch.setattr(montecarlo, "np", numpy)
         sim = simulate_passage(p, n_paths, seed=5, **kwargs)
         runs.append(json.dumps(sim.to_dict(), sort_keys=True))
     assert runs[0] == runs[1]
     if with_nodes == "h":
         assert json.loads(runs[0])["h_mean"] is not None
+    # the steps that took their survivors by index are exactly the dense ones
+    steps = [step for size, counts in histograms.values() for step in _numpy_steps(size, counts)]
+    dense = sorted(step for step in steps if step[0] >= montecarlo._DENSE_SHARE * step[1])
+    assert sorted(spy.dense) == dense
+    if p is HALF:
+        assert spy.dense[0] == (2556, 5000)
+    if p is AT_THE_SHARE:
+        # both branches ran, and a step at exactly the share took the index
+        assert (19, 304) in spy.dense and len(steps) - len(dense) == 17
 
 
 @pytest.mark.parametrize("m,var", [(0.0, 1.0), (0.3, 2.0), (-1.7, 0.37)])

@@ -290,6 +290,94 @@ def test_h_table_matches_exact_atom_sums():
         assert abs(hi - want) <= table.abs_err + float(h_vals.abs_err.max()), zi
 
 
+def _masked_lookup(table, z):
+    # HTable.lookup with no shortcut: a mask per piece, whatever z holds
+    counts = np.searchsorted(table.thresholds, z, side="right") if len(table.thresholds) else 0
+    inside = np.zeros(len(z), dtype=bool)
+    out = np.empty(len(z))
+    for count, lo, hi, coef in table.pieces:
+        mine = (counts == count) & (z >= lo) & (z <= hi)
+        inside |= mine
+        out[mine] = passage._polyval(z[mine], lo, hi, coef)
+    return out[inside], z[~inside]
+
+
+class _MaskCalls:
+    """numpy for the passage module, counting the calls that build a mask."""
+
+    def __init__(self):
+        self.masks = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        self.masks += 1
+        return np.zeros(*args, **kwargs)
+
+
+def _fold_bytes(table, z) -> tuple[str, str, bytes]:
+    h_sum, h_sum2, outside = table.fold(z)
+    return h_sum.hex(), h_sum2.hex(), outside.tobytes()
+
+
+_CHUNK = passage._FOLD_CHUNK
+
+
+def _flagship_states(where: str) -> np.ndarray:
+    """Three and a half fold chunks of states on the flagship's one piece,
+    [-11, 1], shuffled, with its edges or states off it placed as named."""
+    z = np.random.default_rng(8).permutation(np.linspace(-11.0, 1.0, 7 * _CHUNK // 2 + 2)[1:-1])
+    if where == "edges":
+        # each edge at a chunk's ends and inside another chunk
+        z[[0, _CHUNK - 1, 2 * _CHUNK + 17]] = -11.0
+        z[[_CHUNK, 2 * _CHUNK - 1, 3 * _CHUNK + 5]] = 1.0
+    elif where == "below":
+        # one state just below the piece in the second chunk; in the fourth,
+        # one just above it and, after that, one further below
+        z[_CHUNK + 100] = np.nextafter(-11.0, -np.inf)
+        z[[3 * _CHUNK + 9, 3 * _CHUNK + 3]] = [-11.5, np.nextafter(1.0, 2.0)]
+    return z
+
+
+@pytest.mark.parametrize("where", ["inside", "edges", "below"])
+def test_one_piece_fold_reads_the_bytes_of_the_masked_lookup(monkeypatch, where):
+    table = h_table(GAUSS)
+    assert len(table.thresholds) == 0 and [piece[:3] for piece in table.pieces] == [(0, -11.0, 1.0)]
+    z = _flagship_states(where)
+    spy = _MaskCalls()
+    monkeypatch.setattr(passage, "np", spy)
+    got = _fold_bytes(table, z)
+    monkeypatch.setattr(passage, "np", np)
+    monkeypatch.setattr(passage.HTable, "lookup", _masked_lookup)
+    assert got == _fold_bytes(table, z)
+    if where == "below":
+        # the two chunks with states off the piece build masks; the others do not
+        assert np.frombuffer(got[2]).tolist() == [np.nextafter(-11.0, -np.inf), np.nextafter(1.0, 2.0), -11.5]
+        assert spy.masks == 2
+    else:
+        assert got[2] == b"" and spy.masks == 0
+
+
+def test_a_table_with_thresholds_folds_through_its_masks(monkeypatch):
+    # the two-point table has one piece, from the up-atom's threshold just
+    # above 0 to the level 1; the down-atom's, near 4, lies past the level
+    p = PassageProblem(lam=0.5, x=0.0, a=1.0, spec=TwoPoint(1.0, -1.0, 0.5))
+    table = h_table(p)
+    lo, beyond = table.thresholds.tolist()
+    assert 0.0 < lo < 1e-15 and beyond > 1.0
+    assert [piece[:3] for piece in table.pieces] == [(1, lo, 1.0)]
+    z = np.random.default_rng(9).uniform(lo, 1.0, 2 * _CHUNK + 3)
+    z[5] = 0.0  # below the threshold: no atom crosses, so it is outside
+    spy = _MaskCalls()
+    monkeypatch.setattr(passage, "np", spy)
+    got = _fold_bytes(table, z)
+    monkeypatch.setattr(passage, "np", np)
+    monkeypatch.setattr(passage.HTable, "lookup", _masked_lookup)
+    assert got == _fold_bytes(table, z)
+    assert np.frombuffer(got[2]).tolist() == [0.0] and spy.masks == 3
+
+
 @pytest.mark.parametrize(
     "lam,a,x,n_paths,seed",
     [(0.5, 1.0, 0.0, 1 << 16, 104), (0.5, 2.0, -1.0, 20_000, 7)],
