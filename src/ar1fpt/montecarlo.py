@@ -11,11 +11,12 @@ A block steps its paths with numpy until at most _FLOAT_TAIL live, and the
 rest on Python floats, with the same roundings.  A numpy step with
 crossings compacts the live paths: by index when at least _DENSE_SHARE of
 them crossed, as on the flagship, and otherwise by mask, which is the
-faster below the crossover of about 5% (16,384 live paths) to 9% (1,024).
-Both keep the same survivors in the same order.  The float loop reads its
-draws in order from chunks of the block's stream, which gives the values
-of one sample call a step because every sampler is a stream.  It holds
-the interpreter lock, so threads overlap only the blocks' numpy steps.
+faster below the crossover of about 5% (32,768 or 16,384 live paths) to
+9% (1,024).  Both keep the same survivors in the same order.  The float
+loop reads its draws in order from chunks of the block's stream, which
+gives the values of one sample call a step because every sampler is a
+stream.  It holds the interpreter lock, so threads overlap only the
+blocks' numpy steps.
 """
 
 from __future__ import annotations
@@ -35,17 +36,17 @@ from .innovations import InnovationSpec
 from .passage import PassageProblem, feasibility_report
 from .transforms import transform
 
-BLOCK_SIZE = 1 << 14
+BLOCK_SIZE = 1 << 15
 
 # Bytes of one array allocated and freed before the blocks run.  A block
-# allocates and frees up to about 1 MB of block-sized arrays at once (a
-# 16,384-path block's traced peak: 0.75 MB on the flagship, whose dense
-# steps take an index array, 0.9 MB on the two-point law); where they end
+# allocates and frees up to about 2 MB of block-sized arrays at once (a
+# 32,768-path block's traced peak: 1.5 MB on the flagship, whose dense
+# steps take an index array, 1.8 MB on the two-point law); where they end
 # at the heap's top, glibc's malloc hands a freed top above its trim
 # threshold (256 KB by then) back to the system, and the next block faults
-# the pages in anew: about 760 minor faults a 65,536-path two-point
-# identity-check, or none, as the allocations before the run happened to
-# leave the heap.  Freeing a mapped chunk this large sets glibc's trim
+# the pages in anew: some 760 to 790 minor faults a 65,536-path flagship
+# identity-check and 1,340 to 1,500 a two-point one, in fresh processes
+# without this array.  Freeing a mapped chunk this large sets glibc's trim
 # threshold to twice it, so no block trims the heap; to another malloc it
 # is one allocation.
 _HEAP_RESERVE = 1 << 22
@@ -61,18 +62,21 @@ _MASK64 = (1 << 64) - 1
 #: Live paths at or below which a block steps on Python floats.  A numpy
 #: step costs about 4.5 us at up to 96 paths, the float loop 0.4 us plus
 #: about 100 ns a path, draws included (Python 3.11, numpy 2.4, a 2-core
-#: Xeon host): they meet at 32 to 48 paths.  From 16 to 128, the two
-#: 16,384-path blocks at lam 0.9, a 4 took 8% less CPU than with no float
-#: tail, alike within their quartiles.
+#: Xeon host): they meet at 32 to 48 paths.  A tail is as long as its
+#: block's slowest paths: at lam 0.9, a 4, seed 7, tails of about 965
+#: steps saved 8% of the CPU in two 16,384-path blocks (tails of 16 to 128
+#: paths alike), and over the first twelve 32,768-path blocks, with tails
+#: of 295 to 827 steps, 48 paths save 0.8% (16 paths: 2.7%).
 _FLOAT_TAIL = 48
 #: Draws the float loop reads from the block's stream in one sample call.
 _TAIL_CHUNK = 1024
 #: Share of a numpy step's live paths crossing from which it takes the
 #: survivors by index, not by mask.  A boolean mask's copy mispredicts a
 #: branch at each crossing; nonzero and take cost the same at any share.
-#: The two meet at about 5% crossing at 16,384 live paths, 6% at 4,096 and
-#: 9% at 1,024 (timings over 64 fresh random masks, numpy 2.4, a 2-core
-#: Xeon host).  The flagship crosses 11-16% of its live paths a step, about
+#: The two meet at about 5% crossing at 32,768 and 16,384 live paths, 6% at
+#: 4,096 and 9% at 1,024 (timings over 64 fresh random masks, numpy 2.4, a
+#: 2-core Xeon host; at 32,768, 256 masks each timed once, after the heap
+#: reserve).  The flagship crosses 11-16% of its live paths a step, about
 #: 12.5% once past its first steps; at a 1/16 share its 65,536-path run
 #: took 2% less CPU than at 1/8, in 10 of 12 alternating pairs.
 _DENSE_SHARE = 1 / 16

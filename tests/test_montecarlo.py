@@ -275,9 +275,20 @@ def test_seed_changes_results():
     assert a.e_tau_hat != b.e_tau_hat
 
 
-def test_partial_final_block_handled():
-    sim = simulate_passage(GAUSS, n_paths=(1 << 14) + 7, max_steps=1000, seed=0)
-    assert sim.n_paths == (1 << 14) + 7
+def test_partial_final_block_handled(monkeypatch):
+    sizes, run = [], montecarlo._run_block
+
+    def run_block(p, block, size, max_steps, seed, h=None):
+        sizes.append((block, size))
+        return run(p, block, size, max_steps, seed, h)
+
+    monkeypatch.setattr(montecarlo, "_run_block", run_block)
+    monkeypatch.setenv("FPT_THREADS", "1")
+    n_paths = montecarlo.BLOCK_SIZE + 7
+    sim = simulate_passage(GAUSS, n_paths=n_paths, max_steps=1000, seed=0)
+    # one full block, then the remainder
+    assert sizes == [(0, montecarlo.BLOCK_SIZE), (1, 7)]
+    assert sim.n_paths == n_paths
     assert sim.n_crossed + sim.n_censored == sim.n_paths
 
 
