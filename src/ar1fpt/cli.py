@@ -57,7 +57,7 @@ _FAMILIES = {
 #: The config keys with no default.
 _REQUIRED = ("family", "lambda", "x", "a")
 #: The other config keys and their defaults.  A flag overrides each one;
-#: its dest is the key, but for n_paths (--paths).
+#: its dest is the key.
 _DEFAULTS = {
     "seed": 0,
     "n_paths": 100_000,
@@ -124,7 +124,7 @@ def parse_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
     for key in _DEFAULTS:
-        val = getattr(args, "paths" if key == "n_paths" else key, None)
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
 
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", default=".")
-    parser.add_argument("--paths", type=int)
+    parser.add_argument("--paths", type=int, dest="n_paths")
     parser.add_argument("--max-steps", type=int)
     parser.add_argument("--u-grid")
     parser.add_argument("--delta", type=float)

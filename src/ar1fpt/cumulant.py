@@ -31,6 +31,7 @@ from .innovations import (
     StableSpectrallyNegative,
     _as_u,
     _cumulant_series,
+    _maybe_scalar,
 )
 
 #: Float64 capacity (1 MB) of one block of the u_i * lam**k psi matrix.
@@ -147,11 +148,11 @@ class LimitCumulant:
 
         Shapes as in phi.  A K(u) above K_MAX, or a series law without
         cumulants, raises before psi is called.  psi is evaluated on the
-        u_i lam**k, k < K_i, in one pass when the (rows x max K) matrix
-        fits _SERIES_BUF_LEN entries, else a block of rows at a time, and
-        each row is summed in k order by a cumulative sum S_k before phi(w)
-        is added, so no row's bits depend on the other rows or the block
-        sizes.  The powers lam**k are kept on the instance.  The bound is the tail's plus
+        u_i lam**k, k < K_i, in contiguous blocks of as many rows as fit
+        _SERIES_BUF_LEN entries of the (rows x max K) matrix, and each row is
+        summed in k order by a cumulative sum S_k before phi(w) is added, so
+        no row's bits depend on the other rows or the block sizes.  The powers
+        lam**k are kept on the instance.  The bound is the tail's plus
         eps * (sum_k (1 + |psi_k| + |S_k|) + |phi(w)|): a psi value is good to
         some ulps of 1 + |psi|, and each addition to half an ulp of its sum.
         """
@@ -171,16 +172,11 @@ class LimitCumulant:
         powers = self._lam_powers(int(k_top) + 1)
         w = u * powers[n_terms]
         tail, bound = self._tail(w)
-        psi = self.spec.psi
-        if 0 < len(u) * k_top <= _SERIES_BUF_LEN:  # one block of every row, rows with no term too
-            head, scale = _psi_sums(psi, u, n_terms, powers)
-        else:  # blocks of the rows with terms
-            head, scale = np.zeros(len(u)), np.zeros(len(u))
-            rows = np.flatnonzero(n_terms)
-            block = max(1, _SERIES_BUF_LEN // max(int(k_top), 1))
-            for lo in range(0, len(rows), block):
-                idx = rows[lo : lo + block]
-                head[idx], scale[idx] = _psi_sums(psi, u[idx], n_terms[idx], powers)
+        head, scale = np.empty(len(u)), np.empty(len(u))
+        block = max(1, _SERIES_BUF_LEN // max(int(k_top), 1))
+        for lo in range(0, len(u), block):
+            rows = slice(lo, lo + block)
+            head[rows], scale[rows] = _psi_sums(self.spec.psi, u[rows], n_terms[rows], powers)
         val = head + tail
         err = bound + _EPS * (scale + np.abs(tail))
         return _pair(val.reshape(arr.shape), err.reshape(arr.shape))
@@ -190,10 +186,11 @@ def _psi_sums(psi, u, n, powers):
     """Each row's S_n = sum_{k < n} psi(u lam**k), summed in k order, and
     sum_{k < n} (1 + |psi_k| + |S_k|), from the row's cumulative sums.
 
-    The rows share one matrix, padded with zeros past each row's n: the
-    padding adds +0.0 to a row's sums, so the last column holds both.
+    The rows share one matrix, at least one column wide and padded with
+    zeros past each row's n: the padding adds +0.0 to a row's sums, so the
+    last column holds both.
     """
-    live = np.arange(n.max()) < n[:, None]
+    live = np.arange(max(n.max(), 1)) < n[:, None]
     terms = np.zeros(live.shape)
     terms[live] = psi(np.multiply.outer(u, powers[: live.shape[1]])[live])
     sums = np.cumsum(terms, axis=1)
@@ -203,9 +200,7 @@ def _psi_sums(psi, u, n, powers):
 
 def _pair(val, err):
     """(value, bound): floats for a scalar u, arrays otherwise."""
-    if np.ndim(val) == 0:
-        return float(val), float(err)
-    return val, err
+    return _maybe_scalar(val), _maybe_scalar(err)
 
 
 def check_functional_equation(lc: LimitCumulant, u_grid) -> float:

@@ -52,7 +52,7 @@ class UnsupportedSamplerError(Ar1FptError):
 
 
 class CoverageError(Ar1FptError):
-    """The simulation cannot carry the identity: an h table built for another
-    problem, no h(Z) fold, no crossed path, or an identity that is not finite."""
+    """The simulation cannot carry the identity: an h table for another problem,
+    no h(Z) fold, no crossed path or a censored one, or an identity not finite."""
 
     exit_code = 6

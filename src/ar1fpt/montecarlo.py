@@ -63,10 +63,10 @@ _MASK64 = (1 << 64) - 1
 #: step costs about 4.5 us at up to 96 paths, the float loop 0.4 us plus
 #: about 100 ns a path, draws included (Python 3.11, numpy 2.4, a 2-core
 #: Xeon host): they meet at 32 to 48 paths.  A tail is as long as its
-#: block's slowest paths: at lam 0.9, a 4, seed 7, tails of about 965
-#: steps saved 8% of the CPU in two 16,384-path blocks (tails of 16 to 128
-#: paths alike), and over the first twelve 32,768-path blocks, with tails
-#: of 295 to 827 steps, 48 paths save 0.8% (16 paths: 2.7%).
+#: block's slowest paths: at lam 0.9, a 4, seed 7, over the first twelve
+#: 32,768-path blocks, with tails of 295 to 827 steps, 48 paths save 0.8%
+#: of the CPU (16 paths: 2.7%); with no float tail the long-paths benchmark
+#: op, one such block, costs 1.6-3.0% more (two runs, higher in 17 of 20 pairs).
 _FLOAT_TAIL = 48
 #: Draws the float loop reads from the block's stream in one sample call.
 _TAIL_CHUNK = 1024
@@ -78,7 +78,9 @@ _TAIL_CHUNK = 1024
 #: 2-core Xeon host; at 32,768, 256 masks each timed once, after the heap
 #: reserve).  The flagship crosses 11-16% of its live paths a step, about
 #: 12.5% once past its first steps; at a 1/16 share its 65,536-path run
-#: took 2% less CPU than at 1/8, in 10 of 12 alternating pairs.
+#: took 2% less CPU than at 1/8, in 10 of 12 alternating pairs.  At lam 0.9,
+#: a 4 about 1% cross: taking every step's survivors by index costs the
+#: long-paths benchmark op 6.3-6.6% more (two runs, higher in 19 of 20 pairs).
 _DENSE_SHARE = 1 / 16
 
 #: Distinct states per engine call of _at_distinct; bounds its states x

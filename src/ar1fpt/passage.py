@@ -24,6 +24,7 @@ arrives as a finished summary, never as shared state.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,20 +257,21 @@ class HTable:
         """(h at the states of z that the table covers, the other states),
         each in the order of z.
 
-        A law without atoms has one piece, of count 0: when it covers z,
-        which z's least and greatest states tell, no mask is built.
+        When one piece covers z, which z's least and greatest states tell
+        (on the piece, with its count of crossing atoms: counts rise with
+        z), no mask is built.
         """
-        if not len(self.thresholds) and len(self.pieces) == 1 and len(z):
-            _, lo, hi, coef = self.pieces[0]
-            if lo <= z.min() and z.max() <= hi:
-                return _polyval(z, lo, hi, coef), np.empty(0)
-        counts = np.searchsorted(self.thresholds, z, side="right") if len(self.thresholds) else 0
+        if len(z):
+            z_lo, z_hi = z.min(), z.max()
+            c_lo, c_hi = bisect_right(self.thresholds, z_lo), bisect_right(self.thresholds, z_hi)
+            for count, lo, hi, coef in self.pieces:
+                if lo <= z_lo and z_hi <= hi and c_lo == count == c_hi:
+                    return _polyval(z, lo, hi, coef), np.empty(0)
+        counts = np.searchsorted(self.thresholds, z, side="right")
         inside = np.zeros(len(z), dtype=bool)
         out = np.empty(len(z))
         for count, lo, hi, coef in self.pieces:
             mine = (counts == count) & (z >= lo) & (z <= hi)
-            if mine.all():  # one piece covers z
-                return _polyval(z, lo, hi, coef), np.empty(0)
             inside |= mine
             out[mine] = _polyval(z[mine], lo, hi, coef)
         return out[inside], z[~inside]
@@ -385,8 +387,9 @@ def identity_estimate(p: PassageProblem, summary, table: HTable) -> tuple[float,
     of the fold's standard error, the bound on the h values (the table's,
     or a direct evaluation's where larger) and H(x)'s engine error.  A
     table built for another problem, a summary without the fold, one in
-    which no path crossed and an error that is not finite each raise
-    CoverageError.
+    which no path crossed or one with censored paths (the mean of h(Z) over
+    the crossed paths estimates neither E tau nor E[tau ^ max_steps]) and an
+    error that is not finite each raise CoverageError.
     """
     if table.problem != p:
         raise CoverageError(f"the h table was built for {table.problem}, not {p}")
@@ -394,6 +397,8 @@ def identity_estimate(p: PassageProblem, summary, table: HTable) -> tuple[float,
         raise CoverageError("the simulation folded no h(Z): pass h=table to simulate_passage")
     if summary.n_crossed == 0:
         raise CoverageError("no path crossed the level: the identity has no pre-crossing state")
+    if summary.n_censored:
+        raise CoverageError(f"{summary.n_censored} of {summary.n_paths} paths did not cross within max_steps")
     value = summary.h_mean - table.h_x.value
     std_err = summary.h_std_err + summary.h_abs_err + table.h_x.abs_err
     if not (math.isfinite(value) and math.isfinite(std_err)):

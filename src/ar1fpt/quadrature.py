@@ -18,7 +18,8 @@ more call adds eight panels (to 65,536, then to the ceiling
 DEFAULT_U_MAX).  A panel's error is |K15 - G7|, and the panels whose
 error exceeds their share of some state's tolerance are bisected, all of
 them in one integrand call per round, until no state is short of its
-tolerance.
+tolerance.  A half never crosses 1, so the head panels are exactly those
+that start below 1.
 
 The geometry of the first call is constant but for the head: the eight
 tail panels' K15 nodes and du/dx, and the head's in w, are read-only
@@ -125,22 +126,24 @@ class QuadratureResult:
         )
 
 
-def _dyadic_panels(n):
-    """The head panel [0, 1] and the n dyadic panels [1, 2], ..., [2**(n-1), 2**n]."""
-    edges = 2.0 ** np.arange(n + 1)
-    return np.concatenate([[0.0], edges[:-1]]), np.concatenate([[1.0], edges[1:]])
+def _dyadic_panels(lo, n):
+    """The n dyadic panels [lo, 2 lo], ..., [2**(n-1) lo, 2**n lo], fewer
+    where their edges reach the cap DEFAULT_U_MAX."""
+    edges = np.unique(np.minimum(lo * 2.0 ** np.arange(n + 1), DEFAULT_U_MAX))
+    return edges[:-1], edges[1:]
 
 
-def _nodes(a, b, head, p):
+def _nodes(a, b, p):
     """K15 nodes u of the panels [a, b], shape (panels, 15), and du/dx there.
 
-    Head panels live in w with u = w**p; the others in u.
+    Head panels, those that start below 1, live in w with u = w**p; the others in u.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _X15
     u = x.copy()
     jac = np.repeat(half[:, None], len(_X15), axis=1)
     if p != 1.0:
+        head = a < 1.0
         u[head] = x[head] ** p
         jac[head] *= p * x[head] ** (p - 1.0)
     return u, jac
@@ -156,25 +159,24 @@ def _read_only(arr):
 # substitution (p != 1) the head is instead its two halves [0, 1/2] and
 # [1/2, 1] in w, with K15 nodes _SPLIT_X, which the bisection would reach
 # one round later on most such integrals.
-_FIRST_A, _FIRST_B = map(_read_only, _dyadic_panels(_TAIL_PANELS_PER_CALL))
-_FIRST_HEAD = _read_only(np.arange(len(_FIRST_A)) == 0)
+_FIRST_A = _read_only(np.concatenate([[0.0], _dyadic_panels(1.0, _TAIL_PANELS_PER_CALL)[0]]))
+_FIRST_B = _read_only(np.concatenate([[1.0], _dyadic_panels(1.0, _TAIL_PANELS_PER_CALL)[1]]))
 _SPLIT_A = _read_only(np.concatenate([[0.0, 0.5], _FIRST_A[1:]]))
 _SPLIT_B = _read_only(np.concatenate([[0.5, 1.0], _FIRST_B[1:]]))
-_SPLIT_HEAD = _read_only(np.arange(len(_SPLIT_A)) < 2)
-_HEAD_X, _HEAD_JAC = map(_read_only, _nodes(_FIRST_A[:1], _FIRST_B[:1], _FIRST_HEAD[:1], 1.0))
-_SPLIT_X, _SPLIT_JAC = map(_read_only, _nodes(_SPLIT_A[:2], _SPLIT_B[:2], _SPLIT_HEAD[:2], 1.0))
-_TAIL_U, _TAIL_JAC = map(_read_only, _nodes(_FIRST_A[1:], _FIRST_B[1:], _FIRST_HEAD[1:], 1.0))
+_HEAD_X, _HEAD_JAC = map(_read_only, _nodes(_FIRST_A[:1], _FIRST_B[:1], 1.0))
+_SPLIT_X, _SPLIT_JAC = map(_read_only, _nodes(_SPLIT_A[:2], _SPLIT_B[:2], 1.0))
+_TAIL_U, _TAIL_JAC = map(_read_only, _nodes(_FIRST_A[1:], _FIRST_B[1:], 1.0))
 
 
 def _first_panels(p):
-    """The first call's panels a, b and head flags, and _nodes(a, b, head, p),
-    the same bytes, with only the head's nodes computed."""
+    """The first call's panels a, b and _nodes(a, b, p), the same bytes,
+    with only the head's nodes computed."""
     if p == 1.0:
-        a, b, head, head_u, head_jac = _FIRST_A, _FIRST_B, _FIRST_HEAD, _HEAD_X, _HEAD_JAC
+        a, b, head_u, head_jac = _FIRST_A, _FIRST_B, _HEAD_X, _HEAD_JAC
     else:
-        a, b, head = _SPLIT_A, _SPLIT_B, _SPLIT_HEAD
+        a, b = _SPLIT_A, _SPLIT_B
         head_u, head_jac = _SPLIT_X ** p, _SPLIT_JAC * (p * _SPLIT_X ** (p - 1.0))
-    return a, b, head, np.concatenate([head_u, _TAIL_U]), np.concatenate([head_jac, _TAIL_JAC])
+    return a, b, np.concatenate([head_u, _TAIL_U]), np.concatenate([head_jac, _TAIL_JAC])
 
 
 def _panels(f, u, jac, edge=True):
@@ -218,7 +220,7 @@ def improper_integral(
     offset = np.ravel(offset)
 
     # the head panel (two under a power substitution) and the first tail panels
-    a, b, head, u, jac = _first_panels(p)
+    a, b, u, jac = _first_panels(p)
     val, err, edge, state_shape = _panels(f, u, jac)
     # extend the dyadic tail until every state's integrand has died
     while True:
@@ -228,13 +230,9 @@ def improper_integral(
         )
         if dead.all() or b[-1] >= DEFAULT_U_MAX:
             break
-        new = np.unique(
-            np.minimum(b[-1] * 2.0 ** np.arange(_TAIL_PANELS_PER_CALL + 1), DEFAULT_U_MAX)
-        )
-        tail = np.zeros(len(new) - 1, dtype=bool)
-        nv, ne, nedge, _ = _panels(f, *_nodes(new[:-1], new[1:], tail, p))
-        a, b = np.concatenate([a, new[:-1]]), np.concatenate([b, new[1:]])
-        head = np.concatenate([head, tail])
+        na, nb = _dyadic_panels(b[-1], _TAIL_PANELS_PER_CALL)
+        nv, ne, nedge, _ = _panels(f, *_nodes(na, nb, p))
+        a, b = np.concatenate([a, na]), np.concatenate([b, nb])
         val, err = np.concatenate([val, nv], axis=1), np.concatenate([err, ne], axis=1)
         edge = np.concatenate([edge, nedge], axis=1)
 
@@ -258,13 +256,12 @@ def improper_integral(
         n_split = int(split.sum())
         if n_split == 0 or len(a) + n_split > _MAX_PANELS:
             break
-        sa, sb, sh = a[split], b[split], head[split]
+        sa, sb = a[split], b[split]
         mid = 0.5 * (sa + sb)
-        na, nb, nh = np.concatenate([sa, mid]), np.concatenate([mid, sb]), np.concatenate([sh, sh])
-        nv, ne, _, _ = _panels(f, *_nodes(na, nb, nh, p), edge=False)
+        na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
+        nv, ne, _, _ = _panels(f, *_nodes(na, nb, p), edge=False)
         keep = ~split
         a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
-        head = np.concatenate([head[keep], nh])
         val = np.concatenate([val[:, keep], nv], axis=1)
         err = np.concatenate([err[:, keep], ne], axis=1)
 

@@ -291,6 +291,14 @@ def test_identity_check_with_no_crossed_path_fails_typed(tmp_path, capsys):
     assert "error[CoverageError]" in err and "Traceback" not in err
 
 
+def test_identity_check_with_censored_paths_fails_typed(tmp_path, capsys):
+    code, report, _ = run(tmp_path, "identity-check", GAUSS_CFG, "--paths", "2000", "--max-steps", "3")
+    err = capsys.readouterr().err
+    assert code == 6 and report is None
+    assert "error[CoverageError]" in err and "did not cross within max_steps" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 def test_unexplained_discrepancy_reads_inf(tmp_path, monkeypatch, capsys):
     # a deterministic law has no spread, so the Monte Carlo standard error
     # is 0; with an identity error of 0 too, a discrepancy is explained by
@@ -460,7 +468,7 @@ ALL_OPTIONS = {
     "--config": ("config", "c.json"),
     "--seed": ("seed", 7),
     "--out": ("out", "o"),
-    "--paths": ("paths", 9),
+    "--paths": ("n_paths", 9),
     "--max-steps": ("max_steps", 11),
     "--u-grid": ("u_grid", "0:1:0.5"),
     "--delta": ("delta", 0.25),

@@ -251,8 +251,8 @@ def test_series_in_one_pass_reads_the_bytes_of_the_block_loop(monkeypatch, spec,
 
 def _engine_nodes(k):
     """The K15 nodes of the engine's head panel [0, 1] and its dyadic panels up to u = 2**k."""
-    a, b = quadrature._dyadic_panels(k)
-    return quadrature._nodes(a, b, np.arange(len(a)) == 0, 1.0)[0].ravel()
+    edges = np.concatenate([[0.0], 2.0 ** np.arange(k + 1)])
+    return quadrature._nodes(edges[:-1], edges[1:], 1.0)[0].ravel()
 
 
 #: Node sets of the engine's head and dyadic panels, up to u = 2, 16, 256, 2**17.

@@ -360,6 +360,20 @@ def test_discrete_psi_is_exact_to_rounding(case):
     assert abs(Decimal(got) - want) <= 32 * eps * (abs(want) + spread)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md line 126 (FOUND): just past the switch from the cumulant series, "
+    "Discrete.psi's logaddexp fold errs by some eps*|log p|, not eps*|psi|",
+)
+def test_discrete_psi_just_past_the_series_switch_is_exact_to_rounding():
+    # the example that line records, at u*width = 0.15: 1.33e-16 off against 1.25e-16 allowed
+    spec = Discrete(((2.25, 0.02789886660854403), (0.125, 0.4882301656495205), (0.0, 0.4838709677419355)))
+    u = 0.07054843669912866
+    want, spread = _exact_psi(spec.pairs, u)
+    eps = Decimal(np.finfo(float).eps)
+    assert abs(Decimal(spec.psi(u)) - want) <= 32 * eps * (abs(want) + spread)
+
+
 def test_a_law_has_unit_mass_exactly():
     # the partial MGF is normalised by the law's own log-sum at u = 0
     for spec in (Discrete(((1000.0, 1e-9), (0.0, 1.0 - 1e-9))), FlooredPositive(Gaussian(), 1.0)):

@@ -231,9 +231,11 @@ print(json.dumps(faults))
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the trim threshold is glibc's")
 def test_blocks_fault_no_pages_in_once_warm(tmp_path):
-    # each block allocates and frees about 1 MB; were the heap's top handed
-    # back to the system, the next block would fault its pages in anew, some
-    # 760 to 1,270 pages an op.  Fresh processes, because a test process's
+    # a 32,768-path block's allocations peak at 1.5 MB on the flagship and
+    # 1.8 MB on the two-point law; were the heap's top handed back to the
+    # system, the next block would fault its pages in anew, some 760 to 790
+    # minor faults an op on the flagship and 1,340 to 1,500 on the two-point
+    # law.  Fresh processes, because a test process's
     # earlier allocations have already raised glibc's trim threshold; where
     # the heap's top falls varies between processes, and without a guard the
     # two-point op faults in about two of three, so it runs in three

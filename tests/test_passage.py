@@ -123,6 +123,16 @@ def test_identity_with_no_crossed_path_raises(p):
         identity_estimate(p, sim, table)
 
 
+def test_identity_with_censored_paths_raises():
+    # the paths cut off at max_steps are the slowest: the mean of h(Z) over
+    # the others is biased low by far more than its error bar
+    table = h_table(GAUSS)
+    sim = simulate_passage(GAUSS, n_paths=2000, max_steps=3, seed=3, h=table)
+    assert 0 < sim.n_censored < sim.n_paths
+    with pytest.raises(CoverageError, match=f"{sim.n_censored} of 2000 paths did not cross"):
+        identity_estimate(GAUSS, sim, table)
+
+
 def test_identity_hard_envelope_covers_a_level_below_zero():
     # tau = 1, Z = x = -2 and X_tau = -0.9 exactly: the table's one piece
     # covers the negative state, and h(-2) = H(-0.9)
@@ -375,7 +385,29 @@ def test_a_table_with_thresholds_folds_through_its_masks(monkeypatch):
     monkeypatch.setattr(passage, "np", np)
     monkeypatch.setattr(passage.HTable, "lookup", _masked_lookup)
     assert got == _fold_bytes(table, z)
-    assert np.frombuffer(got[2]).tolist() == [0.0] and spy.masks == 3
+    # the chunk with the state off the piece builds its masks; the other two lie on it
+    assert np.frombuffer(got[2]).tolist() == [0.0] and spy.masks == 1
+
+
+@pytest.mark.parametrize("where", ["lower", "lower-to-threshold", "upper"])
+def test_a_piece_covers_a_chunk_only_with_its_count(monkeypatch, where):
+    # the three-atom table at lam 0.3, a 0.2 splits at the middle atom's
+    # threshold t: a state at t lies on the lower piece, [lo, t], but the
+    # middle atom crosses from it, so it takes the upper piece's count
+    p = PassageProblem(lam=0.3, x=0.0, a=0.2, spec=THREE_ATOM)
+    table = h_table(p)
+    (_, lo, t, _), (_, t_up, hi, _) = table.pieces
+    assert t == t_up == table.thresholds[1]
+    rng = np.random.default_rng(10)
+    z = rng.uniform(t, hi, 100) if where == "upper" else rng.uniform(lo, t, 100)
+    if where == "lower-to-threshold":
+        z[7] = t
+    spy = _MaskCalls()
+    monkeypatch.setattr(passage, "np", spy)
+    got = table.lookup(z)
+    monkeypatch.setattr(passage, "np", np)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in _masked_lookup(table, z)]
+    assert len(got[1]) == 0 and spy.masks == int(where == "lower-to-threshold")
 
 
 @pytest.mark.parametrize(

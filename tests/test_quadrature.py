@@ -192,11 +192,12 @@ def _first_panels_built_per_call(p, whole_head=False):
     bisects: the head [0, 1], or under a power substitution (unless
     whole_head) its halves [0, 1/2] and [1/2, 1], then the tail [1, 2],
     ..., [128, 256]."""
-    a, b = quadrature._dyadic_panels(quadrature._TAIL_PANELS_PER_CALL)
+    a, b = quadrature._dyadic_panels(1.0, quadrature._TAIL_PANELS_PER_CALL)
     if p != 1.0 and not whole_head:
-        a, b = np.concatenate([[0.0, 0.5], a[1:]]), np.concatenate([[0.5, 1.0], b[1:]])
-    head = a < 1.0
-    return (a, b, head, *quadrature._nodes(a, b, head, p))
+        a, b = np.concatenate([[0.0, 0.5], a]), np.concatenate([[0.5, 1.0], b])
+    else:
+        a, b = np.concatenate([[0.0], a]), np.concatenate([[1.0], b])
+    return (a, b, *quadrature._nodes(a, b, p))
 
 
 @pytest.mark.parametrize("power", FIRST_CALL_POWERS)
@@ -204,7 +205,7 @@ def test_first_call_geometry_is_the_dyadic_panels_bit_for_bit(power):
     p = _head_power(power)
     got, want = quadrature._first_panels(p), _first_panels_built_per_call(p)
     n_head = 1 if power == 0.0 else 2
-    assert got[2].tolist() == [True] * n_head + [False] * quadrature._TAIL_PANELS_PER_CALL
+    assert (got[0] < 1.0).tolist() == [True] * n_head + [False] * quadrature._TAIL_PANELS_PER_CALL
     for g, w in zip(got, want):
         assert g.shape[0] == n_head + quadrature._TAIL_PANELS_PER_CALL
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -212,8 +213,7 @@ def test_first_call_geometry_is_the_dyadic_panels_bit_for_bit(power):
 
 def test_first_call_geometry_is_read_only():
     constants = [
-        quadrature._FIRST_A, quadrature._FIRST_B, quadrature._FIRST_HEAD,
-        quadrature._SPLIT_A, quadrature._SPLIT_B, quadrature._SPLIT_HEAD,
+        quadrature._FIRST_A, quadrature._FIRST_B, quadrature._SPLIT_A, quadrature._SPLIT_B,
         quadrature._HEAD_X, quadrature._HEAD_JAC, quadrature._SPLIT_X, quadrature._SPLIT_JAC,
         quadrature._TAIL_U, quadrature._TAIL_JAC,
     ]
@@ -221,8 +221,8 @@ def test_first_call_geometry_is_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[-1]
     # a call hands the integrand nodes it may write to
-    quadrature._first_panels(_head_power(-0.1))[3][0, 0] = 0.0
-    quadrature._first_panels(1.0)[3][0, 0] = 0.0
+    quadrature._first_panels(_head_power(-0.1))[2][0, 0] = 0.0
+    quadrature._first_panels(1.0)[2][0, 0] = 0.0
 
 
 ENGINE_BATCHES = [
@@ -283,7 +283,7 @@ def _engine_without_trims(f, singular_power=0.0, offset=0.0):
     p = 1.0 if singular_power == 0.0 else q._HEAD_ORDER / (1.0 + singular_power)
     threshold = q.ABS_TOL * 1e-2
     offset = np.ravel(offset)
-    a, b, head, u, jac = q._first_panels(p)
+    a, b, u, jac = q._first_panels(p)
     val, err, edge, state_shape = q._panels(f, u, jac)
     while True:
         last, prev = val[:, -1], val[:, -2]
@@ -293,9 +293,8 @@ def _engine_without_trims(f, singular_power=0.0, offset=0.0):
         if dead.all() or b[-1] >= q.DEFAULT_U_MAX:
             break
         new = np.unique(np.minimum(b[-1] * 2.0 ** np.arange(q._TAIL_PANELS_PER_CALL + 1), q.DEFAULT_U_MAX))
-        tail = np.zeros(len(new) - 1, dtype=bool)
-        nv, ne, nedge, _ = q._panels(f, *q._nodes(new[:-1], new[1:], tail, p))
-        a, b, head = np.concatenate([a, new[:-1]]), np.concatenate([b, new[1:]]), np.concatenate([head, tail])
+        nv, ne, nedge, _ = q._panels(f, *q._nodes(new[:-1], new[1:], p))
+        a, b = np.concatenate([a, new[:-1]]), np.concatenate([b, new[1:]])
         val, err = np.concatenate([val, nv], axis=1), np.concatenate([err, ne], axis=1)
         edge = np.concatenate([edge, nedge], axis=1)
     growing = ~dead & ((np.abs(last) > np.abs(prev)) | (edge[:, -1] >= edge[:, -2]))
@@ -311,12 +310,12 @@ def _engine_without_trims(f, singular_power=0.0, offset=0.0):
         n_split = int(split.sum())
         if n_split == 0 or len(a) + n_split > q._MAX_PANELS:
             break
-        sa, sb, sh = a[split], b[split], head[split]
+        sa, sb = a[split], b[split]
         mid = 0.5 * (sa + sb)
-        na, nb, nh = np.concatenate([sa, mid]), np.concatenate([mid, sb]), np.concatenate([sh, sh])
-        nv, ne, _, _ = q._panels(f, *q._nodes(na, nb, nh, p))
+        na, nb = np.concatenate([sa, mid]), np.concatenate([mid, sb])
+        nv, ne, _, _ = q._panels(f, *q._nodes(na, nb, p))
         keep = ~split
-        a, b, head = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb]), np.concatenate([head[keep], nh])
+        a, b = np.concatenate([a[keep], na]), np.concatenate([b[keep], nb])
         val = np.concatenate([val[:, keep], nv], axis=1)
         err = np.concatenate([err[:, keep], ne], axis=1)
     return value.reshape(state_shape), abs_err.reshape(state_shape)

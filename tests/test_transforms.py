@@ -317,7 +317,7 @@ def test_W_integrand_takes_expm1_on_the_head_columns_bit_for_bit(kind, ys, order
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(transforms, "improper_integral", lambda f, **kw: seen.append(f))
         transform(lc, kind, y, v)
-    first = quadrature._first_panels(quadrature._HEAD_ORDER / (1.0 + min(orders)))[3].ravel()
+    first = quadrature._first_panels(quadrature._HEAD_ORDER / (1.0 + min(orders)))[2].ravel()
     u = np.random.default_rng(shuffle).permutation(np.concatenate([first, extra, [1.0]]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         got = seen[0](u)
