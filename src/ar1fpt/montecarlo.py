@@ -39,9 +39,10 @@ from .transforms import transform
 BLOCK_SIZE = 1 << 15
 
 # Bytes of one array allocated and freed before the blocks run.  A block
-# allocates and frees up to about 2 MB of block-sized arrays at once (a
-# 32,768-path block's traced peak: 1.5 MB on the flagship, whose dense
-# steps take an index array, 1.8 MB on the two-point law); where they end
+# allocates and frees up to about 2 MB of block-sized arrays at once, in its
+# kernel and then in its one h lookup over all its Z (a 32,768-path block's
+# traced peak: 1.5 MB on the flagship, whose dense steps take an index
+# array, 1.8 MB on the two-point law); where they end
 # at the heap's top, glibc's malloc hands a freed top above its trim
 # threshold (256 KB by then) back to the system, and the next block faults
 # the pages in anew: some 760 to 790 minor faults a 65,536-path flagship
@@ -255,10 +256,10 @@ def _run_block(
     rng = _block_rng(seed, _DOMAIN_PASSAGE, block)
     counts, x_tau, z = _passages(p, rng, size, max_steps, h is not None)
     xis = x_tau - p.a
+    hz, outside = (np.empty(0), np.empty(0)) if h is None else h.lookup(z)
     # overshoots past 1e154, or h values past 1e154: inf, and the error reads null
     with np.errstate(over="ignore"):
-        h_sum, h_sum2, outside = (0.0, 0.0, np.empty(0)) if h is None else h.fold(z)
-        return counts, np.array([xis.sum(), (xis**2).sum(), h_sum, h_sum2]), outside
+        return counts, np.array([xis.sum(), (xis**2).sum(), hz.sum(), (hz**2).sum()]), outside
 
 
 def _mean_se(s1, s2, n: int):
@@ -316,7 +317,7 @@ def simulate_passage(
 
     Each block sums the overshoots and their squares over its crossed paths
     in the order they crossed, and the blocks' sums are added in block
-    order.  With h, an HTable of p, each block also folds h(Z) and h(Z)**2
+    order.  With h, an HTable of p, each block also sums h(Z) and h(Z)**2
     in that order, where the table covers Z; the states it does not cover
     are evaluated directly after the fold, in block and crossing order, so
     the sums are bit-identical for any worker count.  A direct

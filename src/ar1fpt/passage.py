@@ -51,8 +51,20 @@ _CERT_ORDERS = 64
 #: in scales of the innovation.
 _TABLE_NODES = 24
 _TABLE_REACH = 12.0
-#: States a chunk of HTable.fold: 64 KB arrays.
-_FOLD_CHUNK = 8192
+
+
+def _chebyshev_to_powers(n: int) -> np.ndarray:
+    """Column k: T_k in powers of x, k < n, by T_{k+1} = 2x T_k - T_{k-1}."""
+    t = np.zeros((n, n))
+    t[0, 0] = t[1, 1] = 1.0
+    for k in range(2, n):
+        t[1:, k] = 2.0 * t[:-1, k - 1]
+        t[:, k] -= t[:, k - 2]
+    return t
+
+
+#: The h table's Chebyshev-to-powers matrix: integers of at most 85,917,696.
+_TO_POWERS = _chebyshev_to_powers(_TABLE_NODES)
 
 
 @dataclass(frozen=True)
@@ -236,23 +248,6 @@ class HTable:
         z = np.asarray(z, dtype=float)
         return _h_at(self.problem, z, np.searchsorted(self.thresholds, z, side="right"))
 
-    def fold(self, z) -> tuple[float, float, np.ndarray]:
-        """(sum of h, sum of h**2) over the states of z that the table covers,
-        and the other states, in the order of z.
-
-        The sums are taken _FOLD_CHUNK states at a time, so no temporary is
-        as large as z: a fresh array of a block's size, per block, grows
-        and trims the heap, and the next block faults its arrays in anew.
-        """
-        h_sum = h_sum2 = 0.0
-        outside = [np.empty(0)]
-        for i in range(0, len(z), _FOLD_CHUNK):
-            hz, out = self.lookup(z[i : i + _FOLD_CHUNK])
-            h_sum += float(hz.sum())
-            h_sum2 += float(np.square(hz, out=hz).sum())
-            outside.append(out)
-        return h_sum, h_sum2, np.concatenate(outside)
-
     def lookup(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(h at the states of z that the table covers, the other states),
         each in the order of z.
@@ -287,34 +282,6 @@ def _polyval(z, lo: float, hi: float, coef) -> np.ndarray:
         y *= x
         y += c
     return y
-
-
-def _cheb2poly(c) -> np.ndarray:
-    """np.polynomial.chebyshev.cheb2poly of a 1-D float array, bit for bit.
-
-    numpy's recurrence on Python floats, each sum and difference formed as
-    numpy's polyadd and polysub form it.  numpy trims the trailing zeros of
-    c and of every series it forms, but past c's there are none to trim:
-    c1 starts at c's last entry, which is not 0, and each step doubles its
-    last entry; c0 and the sums end in -c1[-1], 2 c1[-1] or c1[-1], or have
-    one entry.
-    """
-    c = c.tolist()
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    if len(c) < 3:
-        return np.array(c)
-    c0, c1 = [c[-2]], [c[-1]]
-    for ci in c[-3::-1]:
-        # x c1 is c1 shifted up, with a zero of c1[0]'s sign in front
-        x_c1 = [2 * x for x in (c1[0] * 0, *c1)]
-        c0, c1 = [ci - c1[0]] + [-x for x in c1[1:]], _add_onto(x_c1, c0)
-    return np.array(_add_onto([c1[0] * 0, *c1], c0))
-
-
-def _add_onto(longer: list, shorter: list) -> list:
-    """longer + shorter, as numpy adds a shorter series onto a longer one."""
-    return [a + b for a, b in zip(longer, shorter)] + longer[len(shorter):]
 
 
 def _h_at(p: PassageProblem, z, counts) -> QuadratureResult:
@@ -371,7 +338,7 @@ def h_table(p: PassageProblem) -> HTable:
     pieces, bound = [], 0.0
     values, errs = res.value.reshape(len(spans), -1), res.abs_err.reshape(len(spans), -1)
     for (count, a, b), f, e in zip(spans, values, errs):
-        coef = _cheb2poly(basis @ f[:n])
+        coef = _TO_POWERS @ (basis @ f[:n])
         gap = np.abs(_polyval(x_check, -1.0, 1.0, coef) - f[n:])
         # Horner's rounding on |x| <= 1 is at most 2n ulps of sum |coef|
         horner = 2 * n * 2.0**-53 * np.abs(coef).sum()

@@ -167,6 +167,15 @@ def test_missing_family_field_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("floor", [0, -1])
+def test_floored_family_with_a_floor_not_positive_fails_typed(tmp_path, capsys, floor):
+    family = {"name": "floored_positive", "floor": floor, "base": GAUSS_CFG["family"]}
+    code, report, _ = run(tmp_path, "phi", dict(GAUSS_CFG, family=family))
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "error[ConfigError]: family: n_cap must be positive" in err and "Traceback" not in err
+
+
 def test_flag_overrides_file_seed(tmp_path):
     cfg = dict(GAUSS_CFG, seed=42)
     code, report, _ = run(tmp_path, "simulate", cfg, "--seed", "7", "--paths", "1000")
@@ -701,10 +710,11 @@ def test_stable_validate_records_typed_harmonic_failures(tmp_path, capsys):
 
 def test_cli_import_leaves_scipy_integrate_out():
     # scipy.integrate, with the scipy packages it pulls in, costs a CLI call
-    # about a third of its start-up
+    # about a third of its start-up; scipy.stats, which only the stable
+    # family's sampler imports, costs about twice the whole CLI import
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = "import sys, ar1fpt.cli; sys.exit('scipy.integrate' in sys.modules)"
+    code = "import sys, ar1fpt.cli; sys.exit(any(m in sys.modules for m in ('scipy.integrate', 'scipy.stats')))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 

@@ -25,7 +25,7 @@ from ar1fpt import (
     TwoPoint,
     UnsupportedSamplerError,
 )
-from ar1fpt.innovations import TAYLOR_REACH
+from ar1fpt.innovations import TAYLOR_REACH, _cumulant_series
 
 RNG = lambda s=0: np.random.default_rng(s)
 
@@ -254,6 +254,15 @@ def test_floor_positive_infeasible_when_no_mass():
         FlooredPositive(Deterministic(1.0), 2.0)
 
 
+@pytest.mark.parametrize(
+    "levels", [(1.0, 1.0), (2.0, 1.0), (0.0, math.inf), (-math.inf,), ()],
+    ids=["equal", "decreasing", "infinite", "minus-infinite", "empty"],
+)
+def test_truncation_levels_must_be_finite_and_increasing(levels):
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        Truncated(Gaussian(), levels)
+
+
 def test_floored_psi_oracle_two_point():
     # TwoPoint(2, -1, 0.4) floored at 1.5: positive branch keeps its mass at
     # the 2 >= 1.5 atom remapped to 1.5
@@ -372,6 +381,20 @@ def test_discrete_psi_just_past_the_series_switch_is_exact_to_rounding():
     want, spread = _exact_psi(spec.pairs, u)
     eps = Decimal(np.finfo(float).eps)
     assert abs(Decimal(spec.psi(u)) - want) <= 32 * eps * (abs(want) + spread)
+
+
+@pytest.mark.parametrize("u", [1e-302, 3e-302, 5e-302])
+def test_series_with_an_overflowing_carry_is_within_its_bound(u):
+    # u*width 0.005 to 0.025, on the series; the Veltkamp split of the mean
+    # 1.5e300 overflows, so the carried error is dropped for the plain sum
+    spec = TwoPoint(2e300, 1e300, 0.5)
+    value, bound = _cumulant_series(spec.cumulants, np.array([u]), lows=spec.cumulant_lows)
+    assert spec.psi(u) == value[0]
+    atoms = [(Decimal(a), Decimal(p)) for a, p in spec.pairs]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        want = (sum(p * (Decimal(u) * a).exp() for a, p in atoms) / sum(p for _, p in atoms)).ln()
+    assert abs(Decimal(float(value[0])) - want) <= Decimal(float(bound[0]))
 
 
 def test_a_law_has_unit_mass_exactly():

@@ -102,9 +102,9 @@ def _reference_run_block(p, block, size, max_steps, seed, h=None):
         x_alive = x_new[~crossed]
     taus = np.concatenate(taus)
     xis = np.concatenate(x_tau) - p.a
-    h_sum, h_sum2, outside = (0.0, 0.0, np.empty(0)) if h is None else h.fold(np.concatenate(z_tau))
+    hz, outside = (np.empty(0), np.empty(0)) if h is None else h.lookup(np.concatenate(z_tau))
     counts = np.bincount(taus) if len(taus) else np.zeros(1, dtype=np.int64)
-    return counts, np.array([xis.sum(), (xis**2).sum(), h_sum, h_sum2]), outside
+    return counts, np.array([xis.sum(), (xis**2).sum(), hz.sum(), (hz**2).sum()]), outside
 
 
 class _CompactionSpy:

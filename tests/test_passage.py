@@ -1,5 +1,6 @@
 """Passage problems: feasibility, expectation identity, bounds, certificates."""
 
+import dataclasses
 import math
 import sys
 import time
@@ -7,8 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402  (the benchmark's references: numpy only, no ar1fpt)
@@ -326,16 +325,16 @@ class _MaskCalls:
         return np.zeros(*args, **kwargs)
 
 
-def _fold_bytes(table, z) -> tuple[str, str, bytes]:
-    h_sum, h_sum2, outside = table.fold(z)
-    return h_sum.hex(), h_sum2.hex(), outside.tobytes()
+def _lookup_bytes(table, z) -> tuple[bytes, bytes]:
+    hz, outside = table.lookup(z)
+    return hz.tobytes(), outside.tobytes()
 
 
-_CHUNK = passage._FOLD_CHUNK
+_CHUNK = 8192
 
 
 def _flagship_states(where: str) -> np.ndarray:
-    """Three and a half fold chunks of states on the flagship's one piece,
+    """Three and a half chunks of 8,192 states on the flagship's one piece,
     [-11, 1], shuffled, with its edges or states off it placed as named."""
     z = np.random.default_rng(8).permutation(np.linspace(-11.0, 1.0, 7 * _CHUNK // 2 + 2)[1:-1])
     if where == "edges":
@@ -357,16 +356,16 @@ def test_one_piece_fold_reads_the_bytes_of_the_masked_lookup(monkeypatch, where)
     z = _flagship_states(where)
     spy = _MaskCalls()
     monkeypatch.setattr(passage, "np", spy)
-    got = _fold_bytes(table, z)
+    got = _lookup_bytes(table, z)
     monkeypatch.setattr(passage, "np", np)
     monkeypatch.setattr(passage.HTable, "lookup", _masked_lookup)
-    assert got == _fold_bytes(table, z)
+    assert got == _lookup_bytes(table, z)
     if where == "below":
-        # the two chunks with states off the piece build masks; the others do not
-        assert np.frombuffer(got[2]).tolist() == [np.nextafter(-11.0, -np.inf), np.nextafter(1.0, 2.0), -11.5]
-        assert spy.masks == 2
+        # states off the piece: the one lookup builds its mask
+        assert np.frombuffer(got[1]).tolist() == [np.nextafter(-11.0, -np.inf), np.nextafter(1.0, 2.0), -11.5]
+        assert spy.masks == 1
     else:
-        assert got[2] == b"" and spy.masks == 0
+        assert got[1] == b"" and spy.masks == 0
 
 
 def test_a_table_with_thresholds_folds_through_its_masks(monkeypatch):
@@ -381,12 +380,12 @@ def test_a_table_with_thresholds_folds_through_its_masks(monkeypatch):
     z[5] = 0.0  # below the threshold: no atom crosses, so it is outside
     spy = _MaskCalls()
     monkeypatch.setattr(passage, "np", spy)
-    got = _fold_bytes(table, z)
+    got = _lookup_bytes(table, z)
     monkeypatch.setattr(passage, "np", np)
     monkeypatch.setattr(passage.HTable, "lookup", _masked_lookup)
-    assert got == _fold_bytes(table, z)
-    # the chunk with the state off the piece builds its masks; the other two lie on it
-    assert np.frombuffer(got[2]).tolist() == [0.0] and spy.masks == 1
+    assert got == _lookup_bytes(table, z)
+    # the state off the piece makes the lookup build its mask
+    assert np.frombuffer(got[1]).tolist() == [0.0] and spy.masks == 1
 
 
 @pytest.mark.parametrize("where", ["lower", "lower-to-threshold", "upper"])
@@ -491,6 +490,40 @@ def test_certificate_structure_and_validity():
     assert cert.h_cap == GAUSS.a * (1.0 - GAUSS.lam) + 1.0
     bound = cert.survival_bound(np.array([0, 10, 100]))
     assert np.all(np.diff(bound) < 0)
+
+
+def _spoil_ends(monkeypatch, n_unconverged: int) -> tuple[list, list]:
+    """Make the certificate's first n_unconverged W_v calls at [x, a] come
+    back unconverged; (the orders that certify W_v(y_top) < 0, the orders
+    tried at [x, a]), filled in as the certificate runs."""
+    certifying, tried = [], []
+
+    def spoiled(lc, kind, y, v):
+        res = transform(lc, kind, y, v)
+        if not isinstance(y, list):
+            certifying.extend(v[res.converged & (res.value + res.abs_err < 0.0)].tolist())
+            return res
+        tried.append(v)
+        if len(tried) > n_unconverged:
+            return res
+        return dataclasses.replace(res, converged=np.zeros_like(res.converged))
+
+    monkeypatch.setattr(passage, "transform", spoiled)
+    return certifying, tried
+
+
+def test_certificate_takes_the_next_order_when_x_and_a_do_not_converge(monkeypatch):
+    certifying, tried = _spoil_ends(monkeypatch, 1)
+    cert = exponential_certificate(GAUSS)
+    assert len(certifying) >= 2 and tried == certifying[:2]
+    assert cert.v_star == certifying[1]
+
+
+def test_certificate_with_no_converged_x_and_a_is_infeasible(monkeypatch):
+    certifying, tried = _spoil_ends(monkeypatch, passage._CERT_ORDERS)
+    with pytest.raises(CertificateInfeasibleError):
+        exponential_certificate(GAUSS)
+    assert tried == certifying
 
 
 def test_certificate_dominates_survival_curve():
@@ -683,18 +716,10 @@ def test_three_atom_law_at_lam_0999():
     assert time.perf_counter() - start < 2.0
 
 
-_CHEB_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0]),
-    st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(1e-5, 1e5)),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_CHEB_ENTRIES, min_size=1, max_size=40))
-def test_cheb2poly_matches_numpy_bit_for_bit(coef):
-    # the h table's conversion to the power basis, trailing zeros trimmed as numpy trims them
-    c = np.array(coef)
-    want = np.polynomial.chebyshev.cheb2poly(c)
-    got = passage._cheb2poly(c)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def test_to_powers_is_numpys_cheb2poly_of_each_chebyshev_polynomial():
+    # column k of the h table's conversion to the power basis is T_k's, exactly
+    n = passage._TABLE_NODES
+    for k, column in enumerate(passage._TO_POWERS.T):
+        want = np.zeros(n)
+        want[: k + 1] = np.polynomial.chebyshev.cheb2poly(np.eye(n)[k])
+        assert column.tobytes() == want.tobytes(), k
