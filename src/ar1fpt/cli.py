@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -318,7 +319,7 @@ def _cmd_validate(cfg):
     _finite_phi(lc, np.stack([grid, grid * lc.lam]))
     record("functional_equation_residual", check_functional_equation(lc, grid), 1e-8)
     if lc.mode != "series":
-        resid = np.abs(lc.phi(grid)[0] - lc.series(grid)[0])
+        resid = np.abs(lc.phi(grid, bound=False)[0] - lc.series(grid, bound=False)[0])
         record("series_vs_closed_form", float(np.max(resid, initial=0.0)), 1e-10)
     # a state inside the admissible domain, below x and never above 0
     y = min(0.0, cfg["x"], lc.y_adm - 1.0)
@@ -350,6 +351,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write_in_place(path: Path, text: str) -> None:
+    """Write text to path, created if missing, rewritten in place if not.
+
+    One open without O_TRUNC, the encoded text written over the old bytes,
+    and the file cut to the text's length where it was longer: truncating
+    on open frees the old blocks and allocates them anew, which on some file
+    systems costs more than the report.  Neither route is atomic.  A process
+    killed between the open and the write leaves the old file whole (after
+    a truncating open, an empty one), one killed between the write and the
+    cut leaves the old tail after a shorter new text.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        left = memoryview(data)
+        while left:  # a regular file takes it in one write unless the disk fills
+            left = left[os.write(fd, left) :]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _plain(obj):
     """json's hook for numpy values: arrays as lists, scalars as Python's."""
     if isinstance(obj, np.ndarray):
@@ -377,11 +401,11 @@ def _write_outputs(out_dir: Path, subcommand, cfg, results, rows, wall_clock):
         text = json.dumps(report, sort_keys=True, default=_plain, allow_nan=False)
     except ValueError as exc:
         raise Ar1FptError(f"report.json would not be strict JSON: {exc}") from exc
-    (out_dir / "report.json").write_text(text + "\n")
+    _write_in_place(out_dir / "report.json", text + "\n")
     if rows is not None:
         # csv's excel dialect, "," and "\r\n": no field of these tables needs quoting
         text = "".join(",".join(map(_fmt, row)) + "\r\n" for row in rows)
-        (out_dir / "table.csv").write_text(text, newline="")
+        _write_in_place(out_dir / "table.csv", text)
 
 
 def build_parser() -> argparse.ArgumentParser:

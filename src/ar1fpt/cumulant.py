@@ -55,9 +55,12 @@ class LimitCumulant:
 
     In series mode phi keeps what it has summed, by u array (its shape and
     bytes), and sums only an array it has not seen: a repeated array gets
-    the answer of its first call, bit for bit.  The memo holds some 24 bytes
-    for each point the series summed, lives as long as this instance and is
-    shared by none: not by equal instances, nor by copies from
+    the answer of its first call, bit for bit.  A value-only call keeps a
+    value-only sum, which later value-only calls on that array reuse; a call
+    with the bound on such an array sums it again, bound and all, and gets
+    the same value bits.  The memo holds some 24 bytes for each point the
+    series summed (16 for a value-only sum), lives as long as this instance
+    and is shared by none: not by equal instances, nor by copies from
     dataclasses.replace.
     """
 
@@ -92,23 +95,23 @@ class LimitCumulant:
 
     # -- evaluation --------------------------------------------------------
 
-    def phi(self, u):
+    def phi(self, u, bound=True):
         """(phi(u), absolute error bound), elementwise for a u-array.
 
         A scalar u gives a pair of floats, an array a pair of arrays of its
-        shape.  The bound is 0 for closed forms.
+        shape.  The bound is 0 for closed forms.  bound=False is the value
+        path: (phi(u), None), the same value bits, with no work on the bound.
         """
-        mode = self.mode
-        if mode == "series":
+        if self.mode == "series":
             arr = np.asarray(u, dtype=float)
             key = (arr.shape, arr.tobytes())
-            if key not in self._summed:  # series rejects a negative u: none is kept
-                self._summed[key] = self.series(arr)
-            val, err = self._summed[key]
+            val, err = self._summed.get(key, (None, None))
+            if val is None or bound and err is None:  # series rejects a negative u: none is kept
+                val, err = self._summed[key] = self.series(arr, bound)
             # copies: the caller's arrays never alias the memo
-            return _pair(np.array(val), np.array(err))
+            return _pair(np.array(val), np.array(err) if bound else None)
         arr = _as_u(u)
-        return _pair(self._closed_form(arr), np.zeros_like(arr))
+        return _pair(self._closed_form(arr), np.zeros_like(arr) if bound else None)
 
     @np.errstate(over="ignore")  # a law as wide as 1e300 reaches inf, its value
     def _closed_form(self, u):
@@ -125,16 +128,16 @@ class LimitCumulant:
             1.0 - self.lam**alpha
         )
 
-    def _tail(self, w):
-        """(phi(w), truncation bound) for w <= w0: the closed form, or the
-        cumulant series; DivergenceError for a series law without them."""
+    def _tail(self, w, bound=True):
+        """(phi(w), truncation bound or None) for w <= w0: the closed form, or
+        the cumulant series; DivergenceError for a series law without them."""
         if self.mode != "series":
-            return self._closed_form(w), np.zeros_like(w)
+            return self._closed_form(w), np.zeros_like(w) if bound else None
         if self.spec.cumulants is None:
             raise DivergenceError(
                 "phi's series has no cumulant tail: the innovation law has no variance"
             )
-        return _cumulant_series(self.spec.cumulants, w, self.lam, self.spec.cumulant_lows)
+        return _cumulant_series(self.spec.cumulants, w, self.lam, self.spec.cumulant_lows, bound)
 
     def _lam_powers(self, n):
         """lam ** arange(n), read from the longest such array this instance has made."""
@@ -143,15 +146,17 @@ class LimitCumulant:
             powers = self._powers[0] = self.lam ** np.arange(n)
         return powers[:n]
 
-    def series(self, u):
+    def series(self, u, bound=True):
         """(phi(u), error bound) in K(u) terms of psi and phi's tail, for any family.
 
-        Shapes as in phi.  A K(u) above K_MAX, or a series law without
-        cumulants, raises before psi is called.  psi is evaluated on the
+        Shapes and bound=False as in phi.  A K(u) above K_MAX, or a series
+        law without cumulants, raises before psi is called.  psi is evaluated on the
         u_i lam**k, k < K_i, in contiguous blocks of as many rows as fit
         _SERIES_BUF_LEN entries of the (rows x max K) matrix, and each row is
         summed in k order by a cumulative sum S_k before phi(w) is added, so
-        no row's bits depend on the other rows or the block sizes.  The powers
+        no row's bits depend on the other rows or the block sizes.  Every
+        u lam**k with k < K(u) lies past psi's Taylor reach, where
+        InnovationSpec.psi goes straight to the law's fold.  The powers
         lam**k are kept on the instance.  The bound is the tail's plus
         eps * (sum_k (1 + |psi_k| + |S_k|) + |phi(w)|): a psi value is good to
         some ulps of 1 + |psi|, and each addition to half an ulp of its sum.
@@ -171,20 +176,23 @@ class LimitCumulant:
         n_terms = n_terms.astype(np.int64)
         powers = self._lam_powers(int(k_top) + 1)
         w = u * powers[n_terms]
-        tail, bound = self._tail(w)
+        tail, tail_err = self._tail(w, bound)
         head, scale = np.empty(len(u)), np.empty(len(u))
         block = max(1, _SERIES_BUF_LEN // max(int(k_top), 1))
         for lo in range(0, len(u), block):
             rows = slice(lo, lo + block)
-            head[rows], scale[rows] = _psi_sums(self.spec.psi, u[rows], n_terms[rows], powers)
-        val = head + tail
-        err = bound + _EPS * (scale + np.abs(tail))
-        return _pair(val.reshape(arr.shape), err.reshape(arr.shape))
+            head[rows], scale[rows] = _psi_sums(self.spec.psi, u[rows], n_terms[rows], powers, bound)
+        val = (head + tail).reshape(arr.shape)
+        if not bound:
+            return _pair(val, None)
+        err = tail_err + _EPS * (scale + np.abs(tail))
+        return _pair(val, err.reshape(arr.shape))
 
 
-def _psi_sums(psi, u, n, powers):
+def _psi_sums(psi, u, n, powers, bound=True):
     """Each row's S_n = sum_{k < n} psi(u lam**k), summed in k order, and
-    sum_{k < n} (1 + |psi_k| + |S_k|), from the row's cumulative sums.
+    sum_{k < n} (1 + |psi_k| + |S_k|) from the row's cumulative sums, or
+    with bound=False 0.0 for the latter.
 
     The rows share one matrix, at least one column wide and padded with
     zeros past each row's n: the padding adds +0.0 to a row's sums, so the
@@ -194,19 +202,21 @@ def _psi_sums(psi, u, n, powers):
     terms = np.zeros(live.shape)
     terms[live] = psi(np.multiply.outer(u, powers[: live.shape[1]])[live])
     sums = np.cumsum(terms, axis=1)
+    if not bound:
+        return sums[:, -1], 0.0
     sizes = np.cumsum(np.where(live, 1.0 + np.abs(terms) + np.abs(sums), 0.0), axis=1)
     return sums[:, -1], sizes[:, -1]
 
 
 def _pair(val, err):
-    """(value, bound): floats for a scalar u, arrays otherwise."""
-    return _maybe_scalar(val), _maybe_scalar(err)
+    """(value, bound or None): floats for a scalar u, arrays otherwise."""
+    return _maybe_scalar(val), None if err is None else _maybe_scalar(err)
 
 
 def check_functional_equation(lc: LimitCumulant, u_grid) -> float:
     """max over the grid of |phi(u) - phi(lam*u) - psi(u)|."""
     grid = np.asarray(u_grid, dtype=float)
-    phi, phi_lam = lc.phi(np.stack([grid, grid * lc.lam]))[0]  # one call: rows are independent
+    phi, phi_lam = lc.phi(np.stack([grid, grid * lc.lam]), bound=False)[0]  # one call: rows are independent
     resid = np.abs(phi - phi_lam - np.asarray(lc.spec.psi(grid)))
     return float(np.max(resid, initial=0.0))
 

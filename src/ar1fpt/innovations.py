@@ -80,12 +80,16 @@ class InnovationSpec:
         The cumulant series where u*width() <= TAYLOR_REACH, so that psi stays
         accurate relative to u*mean near 0, and log_partial_mgf(u) elsewhere.
         Each point is evaluated alone: its bits do not depend on the batch.
+        An array wholly past the reach, as phi's series terms are, goes to the
+        fold with no mask, gather or scatter.
         """
         arr, kappa = _as_u(u), self.cumulants
-        small = (arr * self._width <= TAYLOR_REACH) & (kappa is not None)
+        if kappa is None or (arr.size and arr.min() * self._width > TAYLOR_REACH):
+            return _maybe_scalar(self._fold(arr, -math.inf, math.inf))
+        small = arr * self._width <= TAYLOR_REACH
         out = np.empty_like(arr)
         if small.any():
-            out[small] = _cumulant_series(kappa, arr[small], lows=self.cumulant_lows)[0]
+            out[small] = _cumulant_series(kappa, arr[small], lows=self.cumulant_lows, bound=False)[0]
         out[~small] = self._fold(arr[~small], -math.inf, math.inf)
         return _maybe_scalar(out)
 
@@ -264,7 +268,7 @@ def _two_prod(a, b, b_halves=None):
 
 
 @np.errstate(over="ignore", invalid="ignore", under="ignore")
-def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0)):
+def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0), bound=True):
     """(sum_j kappa_j w_j u**j over j < N_CUMULANTS, bound), w_j as in
     _series_weights, for x = u*unit <= 0.25 (u*width() <= TAYLOR_REACH).
 
@@ -282,6 +286,9 @@ def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0)):
     (|t1| + |t2|) for w_1 and w_2; and 32 (1 + u) subnormal ulps for
     products that underflow.  Where a carried error overflows, the value is
     the plain sum t1 + t2, within 3 eps (|t1| + |t2|) and the lows.
+
+    With bound=False this is the value path, (value, None): it stops at the
+    value, the same bits, and forms none of the bound.
     """
     mean, unit, scaled = cumulants
     w, w_lo = _series_weights(lam)
@@ -292,11 +299,9 @@ def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0)):
     coef = [k * wj for k, wj in zip(scaled, w[1:])]
     x = u * unit
     p = np.full_like(x, coef[-2])
-    horner = (2 * N_CUMULANTS - 3) * abs(coef[-2])
     for j in range(N_CUMULANTS - 2, 2, -1):
         p *= x
         p += coef[j - 2]
-        horner = horner * 0.25 + (2 * j - 1) * abs(coef[j - 2])
     s2, e2 = _two_sum(c2, p * x)
     x_halves = _halves(x)
     q, q_lo = _two_prod(s2, x, x_halves)
@@ -305,14 +310,21 @@ def _cumulant_series(cumulants, u, lam=0.0, lows=(0.0, 0.0)):
     s, e = _two_sum(t1, t2)
     lo = e + (t1_lo + c1_lo * u) + (t2_lo + (q_lo + (e2 + c2_lo) * x) * x)
     value = s + lo
-    xx, big = x * x, np.abs(t1) + np.abs(t2)
-    carry = 9 * _EPS * (abs(c1_lo) * u + abs(c2_lo) * xx) + 19 * _EPS**2 * big
     carried = np.isfinite(lo)
     if not carried.all():
+        value = np.where(carried, value, s)
+    if not bound:
+        return value, None
+    horner = (2 * N_CUMULANTS - 3) * abs(coef[-2])
+    for j in range(N_CUMULANTS - 2, 2, -1):
+        horner = horner * 0.25 + (2 * j - 1) * abs(coef[j - 2])
+    xx, big = x * x, np.abs(t1) + np.abs(t2)
+    carry = 9 * _EPS * (abs(c1_lo) * u + abs(c2_lo) * xx) + 19 * _EPS**2 * big
+    if not carried.all():
         dropped = 3 * _EPS * big + abs(lows[0] * w[0]) * u + abs(lows[1] * w[1]) * xx
-        value, carry = np.where(carried, value, s), np.where(carried, carry, dropped)
-    bound = x ** (N_CUMULANTS - 1) * (abs(coef[-2]) + abs(coef[-1]) * x) + 0.5 * _EPS * np.abs(value)
-    return value, bound + 0.51 * _EPS * horner * xx * x + _TINY * (1.0 + u) + carry
+        carry = np.where(carried, carry, dropped)
+    cut = x ** (N_CUMULANTS - 1) * (abs(coef[-2]) + abs(coef[-1]) * x) + 0.5 * _EPS * np.abs(value)
+    return value, cut + 0.51 * _EPS * horner * xx * x + _TINY * (1.0 + u) + carry
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,8 @@ integrand values for a whole batch of states.  transform is the one
 entry point: it evaluates any batch, a single state included, with one
 order v or one order per state.  expected_H averages H over a batch of
 laws of the state, given by their log-MGFs: the u- and state-integrals
-swapped, H's integrand with e^{u y} replaced by E e^{u Y}.
+swapped, H's integrand with e^{u y} replaced by E e^{u Y}.  The
+integrands take phi's value path, which forms no error bound.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def expected_H(lc: LimitCumulant, log_mgf) -> QuadratureResult:
     """
 
     def integrand(u):
-        phi_u = lc.phi(u)[0]
+        phi_u = lc.phi(u, bound=False)[0]
         e = log_mgf(u)
         e0 = np.exp(np.minimum(-phi_u, _EXP_CLIP))
         if not e0.any() and u.min() < 1.0:
@@ -108,7 +109,7 @@ def transform(lc: LimitCumulant, kind: str, y, v=None) -> QuadratureResult:
         return expected_H(lc, lambda u: u * ys)
 
     def integrand(u):
-        expo = np.minimum(u * ys - lc.phi(u)[0], _EXP_CLIP)
+        expo = np.minimum(u * ys - lc.phi(u, bound=False)[0], _EXP_CLIP)
         if kind == "N":
             return np.exp(expo) * u ** (vs - 1.0)
         bracket = np.exp(expo)

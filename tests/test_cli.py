@@ -607,17 +607,20 @@ def test_certificate_past_the_engines_orders_exits_4(tmp_path, capsys):
 def test_a_command_sums_each_node_set_once(tmp_path, monkeypatch, subcommand, sums):
     # bounds' two bounds share the problem's LimitCumulant (the cap in force
     # is the ess-sup), and validate's N, H and W checks share the node sets
-    # phi has summed: 2 series calls without the sharing, and 5 without the memo
+    # phi has summed: 2 series calls without the sharing, and 5 without the memo.
+    # Value-only sums count too: the engine's own calls sum no bound
     calls = []
     series = cli.LimitCumulant.series
 
-    def counted(self, u):
-        calls.append(self)
-        return series(self, u)
+    def counted(self, u, bound=True):
+        calls.append(bound)
+        return series(self, u, bound)
 
     monkeypatch.setattr(cli.LimitCumulant, "series", counted)
     code, report, _ = run(tmp_path, subcommand, TWO_POINT_CFG)
     assert code == 0 and len(calls) == sums
+    # the one bound summed is that of validate's phi grid, whose finiteness it checks
+    assert calls == [subcommand == "validate"] + [False] * (sums - 1)
     if subcommand == "validate":
         assert report["results"]["all_passed"]
 
@@ -781,6 +784,25 @@ def test_table_csv_is_what_csv_writer_writes(tmp_path, monkeypatch, subcommand, 
     assert (out / "table.csv").read_bytes() == buf.getvalue().encode()
     if cfg is STABLE_CFG:
         assert [row[1] for row in tables[0] if str(row[0]).startswith("harmonic_")] == [None] * 3
+
+
+def test_a_shorter_report_rewritten_in_place_keeps_no_old_tail(tmp_path, capsys):
+    # 21 rows, then 3 into the same --out: each file is cut to its new length,
+    # and reads as a fresh directory's does
+    cfg, out = write_cfg(tmp_path, TWO_POINT_CFG), tmp_path / "out"
+    for grid, n_rows in (("0:10:0.5", 21), ("0:1:0.5", 3)):
+        assert main(["phi", "--config", cfg, "--u-grid", grid, "--out", str(out)]) == 0
+        with open(out / "table.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1 + n_rows
+        report = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)
+        assert len(report["results"]["grid"]) == n_rows
+    fresh = tmp_path / "fresh"
+    assert main(["phi", "--config", cfg, "--u-grid", "0:1:0.5", "--out", str(fresh)]) == 0
+    assert (out / "table.csv").read_bytes() == (fresh / "table.csv").read_bytes()
+    # an --out whose report.json is a directory is still a config error
+    (tmp_path / "blocked" / "report.json").mkdir(parents=True)
+    assert main(["phi", "--config", cfg, "--out", str(tmp_path / "blocked")]) == 2
+    assert "error[ConfigError]" in capsys.readouterr().err
 
 
 def test_stable_identity_check_fails_typed(tmp_path, capsys):

@@ -331,6 +331,124 @@ def test_threads_sharing_a_cumulant_get_fresh_series_bits():
     assert got == want * 3
 
 
+#: The laws of the value path's tests: the series laws and the closed forms.
+VALUE_PATH_LAWS = [
+    TwoPoint(1.0, -1.0, 0.3),
+    Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3))),
+    CappedAbove(Gaussian(0.0, 1.0), 1.5),
+    FlooredPositive(Gaussian(0.0, 1.0), 1.0),
+    Gaussian(0.4, 2.0),
+    StableSpectrallyNegative(1.5, 1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize(
+    "spec", VALUE_PATH_LAWS, ids=["two-point", "three-atom", "capped", "floored", "gaussian", "stable"]
+)
+def test_the_value_path_gives_phis_bits(spec, lam):
+    # u = 0, points below w0 where K(u) = 0 and phi is its tail alone, and the
+    # rest, as an array, a 2-D array and scalars; fresh instances, no memo
+    rng = np.random.default_rng(36)
+    w0 = TAYLOR_REACH / spec.width()
+    u = np.concatenate([[0.0], w0 * rng.random(8), rng.exponential(15.0, 27)])
+    rng.shuffle(u)
+    for x in (u, u.reshape(4, 9), float(u[0]), float(u[-1]), 0.0, w0):
+        for path in ("phi", "series"):
+            want = getattr(LimitCumulant(spec, lam), path)(x)[0]
+            value, none = getattr(LimitCumulant(spec, lam), path)(x, bound=False)
+            assert none is None and type(value) is type(want)
+            assert np.shape(value) == np.shape(x)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec,lam,u",
+    [
+        (TwoPoint(1.0, -1.0, 0.5), 0.9, 0.1234567901234568),
+        (Discrete(((1.5, 0.2), (0.3, 0.5), (-2.0, 0.3))), 0.7, 0.07722007722007723),
+        (CappedAbove(Gaussian(0.0, 1.0), 1.5), 0.95, 0.07626663170229384),
+        (FlooredPositive(Gaussian(0.0, 1.0), 1.0), 0.95, 0.09403877933938211),
+    ],
+    ids=["two-point", "three-atom", "capped", "floored"],
+)
+def test_a_term_that_rounds_onto_the_reach_takes_psis_branch(spec, lam, u):
+    # K(u) counts a last term u lam**(K-1) that lies past w0 in exact
+    # arithmetic but rounds onto it, where psi takes its cumulant series,
+    # whose bits differ from the fold's there, and phi's with them: the
+    # series must give psi's
+    k = int(np.ceil(np.log(u * (spec.width() / TAYLOR_REACH)) / math.log(1.0 / lam)))  # the series' own K(u)
+    last = u * (lam ** np.arange(k))[-1:]
+    assert last[0] * spec.width() <= TAYLOR_REACH
+    assert spec.psi(last).tobytes() != spec._fold(last, -math.inf, math.inf).tobytes()
+    grid = np.array([0.5, u, 3.0])
+    want = series_by_blocks(LimitCumulant(spec, lam), grid, cumulant._SERIES_BUF_LEN)
+    for bound in (True, False):
+        got = LimitCumulant(spec, lam).phi(grid, bound)
+        assert got[0].tobytes() == want[0].tobytes()
+    assert got[1] is None and LimitCumulant(spec, lam).phi(grid)[1].tobytes() == want[1].tobytes()
+
+
+def test_the_memo_keeps_value_only_sums_and_adds_a_bound_on_request(monkeypatch):
+    spec, lam, u = TwoPoint(1.0, -1.0, 0.3), 0.5, NODE_SETS[2]
+    fresh = np.stack(LimitCumulant(spec, lam).series(u)).tobytes()
+    sums = []
+    series = LimitCumulant.series
+
+    def counted(self, u, bound=True):
+        sums.append(bound)
+        return series(self, u, bound)
+
+    monkeypatch.setattr(LimitCumulant, "series", counted)
+    # value then full: a second value-only call reuses the sum; the full
+    # call sums the bound too, with the same value bits
+    lc = LimitCumulant(spec, lam)
+    value = lc.phi(u, bound=False)[0]
+    assert lc.phi(u.copy(), bound=False)[0].tobytes() == value.tobytes()
+    pair = lc.phi(u.copy())
+    assert sums == [False, True]
+    assert value.tobytes() == pair[0].tobytes() and np.stack(pair).tobytes() == fresh
+    assert np.stack(lc.phi(u.copy())).tobytes() == fresh and sums == [False, True]
+    # full then value: the value comes from the full sum, and keeps it
+    sums.clear()
+    lc = LimitCumulant(spec, lam)
+    pair = lc.phi(u)
+    value, none = lc.phi(u.copy(), bound=False)
+    assert none is None and value.tobytes() == pair[0].tobytes()
+    assert np.stack(lc.phi(u.copy())).tobytes() == fresh and sums == [True]
+    # a value-only answer does not alias the memo either
+    value[:] = -1.0
+    assert lc.phi(u.copy(), bound=False)[0].tobytes() == pair[0].tobytes()
+
+
+def test_threads_mixing_value_and_full_calls_get_fresh_series_bits():
+    # a value-only sum may land over a full one and a full one over it: each
+    # answer is still the fresh series' bits, its bound present when asked
+    spec, lam = TwoPoint(1.0, -1.0, 0.3), 0.5
+    batches = [NODE_SETS[k % 4][k % 7 :: 3] for k in range(24)]
+    want = [np.stack(LimitCumulant(spec, lam).series(u)).tobytes() for u in batches]
+    shared = LimitCumulant(spec, lam)
+
+    def value_only(k):  # each batch is asked value-only, full and value-only, or the other way
+        return (k + k // len(batches)) % 2
+
+    def ask(job):
+        k, u = job
+        if value_only(k):
+            return shared.phi(u, bound=False)[0].tobytes()
+        return np.stack(shared.phi(u)).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(ask, enumerate(batches * 3), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, (answer, full) in enumerate(zip(got, want * 3)):
+        assert answer == (full[: len(full) // 2] if value_only(k) else full)
+
+
 def test_phi_value_vectorized_matches_scalar():
     lc = LimitCumulant(TwoPoint(1.0, -1.0, 0.5), 0.5)
     u = np.array([0.0, 0.5, 2.0, 10.0])

@@ -371,13 +371,24 @@ def test_discrete_psi_is_exact_to_rounding(case):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="CHANGES.md line 126 (FOUND): just past the switch from the cumulant series, "
-    "Discrete.psi's logaddexp fold errs by some eps*|log p|, not eps*|psi|",
+    reason="CHANGES.md lines 126 and 134 (FOUND) and ROADMAP item 20: just past the switch from the "
+    "cumulant series, Discrete.psi's logaddexp fold errs by some eps*|log p|, not eps*|psi|",
 )
-def test_discrete_psi_just_past_the_series_switch_is_exact_to_rounding():
-    # the example that line records, at u*width = 0.15: 1.33e-16 off against 1.25e-16 allowed
-    spec = Discrete(((2.25, 0.02789886660854403), (0.125, 0.4882301656495205), (0.0, 0.4838709677419355)))
-    u = 0.07054843669912866
+@pytest.mark.parametrize(
+    "pairs,u",
+    [
+        # the example that line records, at u*width = 0.15: 1.33e-16 off against 1.25e-16 allowed
+        (((2.25, 0.02789886660854403), (0.125, 0.4882301656495205), (0.0, 0.4838709677419355)), 0.07054843669912866),
+        # hypothesis seed 711's, at u*width = 0.11: 1.68e-16 off against 1.64e-16 allowed (1.02 times)
+        (
+            ((0.8576238205357685, 0.10190977239198154), (0.0, 0.3136036277277855), (-0.15291809902442743, 0.584486599880233)),
+            0.1279661756906757,
+        ),
+    ],
+    ids=["line-126", "seed-711"],
+)
+def test_discrete_psi_just_past_the_series_switch_is_exact_to_rounding(pairs, u):
+    spec = Discrete(pairs)
     want, spread = _exact_psi(spec.pairs, u)
     eps = Decimal(np.finfo(float).eps)
     assert abs(Decimal(spec.psi(u)) - want) <= 32 * eps * (abs(want) + spread)
